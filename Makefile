@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race bench bench-engine bench-mem bench-e2e bench-parallel bench-sampling bench-cluster bench-tiers race-parallel check results obs-smoke sampling-smoke cluster-smoke traffic-smoke tiers-smoke golden-fig8 test-debug
+.PHONY: all build test vet lint race bench bench-engine bench-mem bench-e2e bench-sampling bench-cluster bench-tiers check results obs-smoke sampling-smoke cluster-smoke traffic-smoke tiers-smoke golden-fig8 test-debug
 
 all: check
 
@@ -48,11 +48,6 @@ bench-mem:
 bench-e2e:
 	$(GO) test . -run=XXX -bench='BenchmarkRunOnce$$|BenchmarkRunOncePooled|BenchmarkSimulatedCyclesPerSecond' -benchtime=3x -benchmem
 
-# Parallel-engine shard scaling: records simcyc/s at shards 1/2/4/8 to
-# BENCH_parallel.json (and cross-checks bit-identical results on the way).
-bench-parallel:
-	$(GO) run ./cmd/benchparallel -out BENCH_parallel.json
-
 # Sampled-simulation speedup and accuracy: full detailed runs vs sampled
 # (fixed and ci modes) on the base scenarios, recorded to BENCH_sampling.json.
 bench-sampling:
@@ -70,16 +65,7 @@ bench-cluster:
 bench-tiers:
 	$(GO) run ./cmd/benchtiers -out BENCH_tiers.json
 
-# Race detection focused on the parallel engine's cross-shard paths, with
-# the invariant probes compiled in and the harvest pool forced on. Includes
-# the sampled-simulation tests: the error-bound validation plus the
-# sampled-across-shards determinism check.
-race-parallel:
-	$(GO) test -race -tags sweeperdebug -timeout 20m \
-		./internal/sim/ ./internal/machine/ \
-		-run 'Parallel|Shard|Sharded|Lookahead|CancelDuringEpoch|Sampl'
-
-bench: bench-engine bench-mem bench-e2e bench-parallel bench-sampling bench-cluster bench-tiers
+bench: bench-engine bench-mem bench-e2e bench-sampling bench-cluster bench-tiers
 
 check: build vet lint test race bench-engine sampling-smoke cluster-smoke traffic-smoke tiers-smoke
 
@@ -149,10 +135,11 @@ golden-fig8:
 		-run TestGoldenFig8CSVs -count=1 -timeout 40m -v
 
 # Debug build with the invariant probes compiled in (ring slot conservation,
-# DRAM timing monotonicity, cache inclusion, DDIO way-mask bounds).
+# DRAM timing monotonicity, cache inclusion, DDIO way-mask bounds), also
+# driven through the sampled-simulation tests.
 test-debug:
 	$(GO) build -tags sweeperdebug ./...
-	$(GO) test -tags sweeperdebug ./internal/machine/ ./internal/obs/ -run 'TestProbe|TestObs'
+	$(GO) test -tags sweeperdebug ./internal/machine/ ./internal/obs/ -run 'TestProbe|TestObs|Sampl'
 
 # Regenerate the committed experiment artifacts (takes a while).
 results:

@@ -437,31 +437,6 @@ func BenchmarkSimulatedCyclesPerSecond(b *testing.B) {
 	}
 }
 
-// BenchmarkRunOnceParallel measures simulation speed across engine shard
-// counts on a 24-core simulated machine (the DESIGN.md §11 scaling study;
-// `make bench-parallel` records the same sweep to BENCH_parallel.json).
-// Results are bit-identical across shard counts by construction, so the
-// sub-benchmarks differ only in wall time; the reported metric is simulated
-// Mcycles per wall second.
-func BenchmarkRunOnceParallel(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run("shards="+itoa(shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := sweeper.DefaultConfig()
-				cfg.OfferedMrps = 10
-				cfg.Shards = shards
-				start := nowNanos()
-				r := sweeper.Run(cfg, 1_000_000, 2_000_000)
-				elapsed := float64(nowNanos()-start) / 1e9
-				b.ReportMetric(3.0/elapsed, "Msimcyc/s")
-				if r.Served == 0 {
-					b.Fatal("no requests served")
-				}
-			}
-		})
-	}
-}
-
 func addrSpace() *addr.Space { return addr.NewSpace(1, 64*1024, 64*1024) }
 
 func nowNanos() int64 { return time.Now().UnixNano() }

@@ -59,13 +59,11 @@ func main() {
 		warmup  = flag.Uint64("warmup", 500_000, "warmup cycles per run")
 		measure = flag.Uint64("measure", 1_000_000, "measurement cycles per run")
 		reps    = flag.Int("reps", 3, "timed repetitions per node count (best is kept)")
-		shards  = flag.Int("shards", 0, "engine shards per run: 0/1 sequential, N>1 parallel, -1 auto")
 	)
 	flag.Parse()
 
 	node := machine.DefaultConfig()
 	node.OfferedMrps = 8
-	node.Shards = *shards
 
 	rep := report{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),

@@ -36,7 +36,6 @@ func main() {
 		quick      = flag.Bool("quick", false, "use the reduced-fidelity quick scale")
 		outDir     = flag.String("out", "", "directory for CSV output (optional)")
 		parallel   = flag.Int("parallel", 0, "max concurrent simulations (0 = $SWEEPER_WORKERS, then GOMAXPROCS)")
-		shards     = flag.Int("shards", 0, "engine shards per run: 0/1 sequential, N>1 parallel wheels, -1 auto; the worker budget is divided by this")
 		sampleMode = flag.String("sample-mode", "", "sampled simulation per run: fixed or ci (empty = full detailed; approximate, see DESIGN.md §12)")
 		sampleCI   = flag.Bool("sample-until-ci", false, "shorthand for -sample-mode ci: adaptive interval count per run")
 		manifest   = flag.String("manifest", "", "write an invocation manifest (scale + generated tables) as JSON to this file")
@@ -58,7 +57,6 @@ func main() {
 		sc = experiments.QuickScale()
 	}
 	sc.Parallelism = *parallel
-	sc.Shards = *shards
 	sc.Sampling.Mode = *sampleMode
 	if *sampleCI {
 		sc.Sampling.Mode = "ci"

@@ -70,7 +70,6 @@ func main() {
 		warmup       = flag.Uint64("warmup", 400_000, "warmup cycles")
 		measure      = flag.Uint64("measure", 800_000, "measurement cycles")
 		seed         = flag.Int64("seed", 1, "random seed")
-		shards       = flag.Int("shards", 0, "engine shards: 0/1 sequential, N>1 parallel wheels, -1 auto (min(cores+1, GOMAXPROCS))")
 		nodes        = flag.Int("nodes", 1, "cluster nodes: N>1 simulates a rack behind a load balancer")
 		topology     = flag.String("topology", "", "cluster fabric topology (empty = star)")
 		lbPolicy     = flag.String("lb", "", "cluster load-balancer policy: "+strings.Join(cluster.PolicyNames(), ", "))
@@ -98,6 +97,9 @@ func main() {
 		list(os.Stdout)
 		return
 	}
+	if *measure == 0 {
+		log.Fatal("-measure must be positive")
+	}
 
 	stopProfiles, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
@@ -116,7 +118,7 @@ func main() {
 	}
 
 	if *scenarioPath != "" {
-		runScenario(*scenarioPath, *warmup, *measure, *shards, sampling, ob)
+		runScenario(*scenarioPath, *warmup, *measure, sampling, ob)
 		return
 	}
 
@@ -140,7 +142,6 @@ func main() {
 	}
 	cfg.Mem.Channels = *channels
 	cfg.Seed = *seed
-	cfg.Shards = *shards
 	if *txSlots > 0 {
 		cfg.TXSlots = *txSlots
 	}
@@ -258,12 +259,9 @@ func list(w *os.File) {
 }
 
 // runScenario expands a spec file and simulates every run in order. A
-// non-zero -shards flag overrides the spec's own shards knob: shard counts
-// never change results (the parallel engine is bit-identical to sequential),
-// so the host running the scenario gets the last word on engine parallelism.
-// Likewise a -sample-mode flag overrides the spec's sampling knobs, turning
-// any scenario into a sampled (approximate, CI-reporting) run.
-func runScenario(path string, warmup, measure uint64, shards int, sampling machine.SamplingConfig, ob obsFlags) {
+// -sample-mode flag overrides the spec's sampling knobs, turning any
+// scenario into a sampled (approximate, CI-reporting) run.
+func runScenario(path string, warmup, measure uint64, sampling machine.SamplingConfig, ob obsFlags) {
 	spec, err := scenario.LoadFile(path)
 	if err != nil {
 		log.Fatal(err)
@@ -279,9 +277,6 @@ func runScenario(path string, warmup, measure uint64, shards int, sampling machi
 			fmt.Printf("  param %s", r.Param)
 		}
 		fmt.Printf("  variant %s ---\n", r.Variant.DisplayName())
-		if shards != 0 {
-			r.Config.Shards = shards
-		}
 		if sampling.Mode != "" {
 			r.Config.Sampling = sampling
 		}
@@ -294,9 +289,6 @@ func runScenario(path string, warmup, measure uint64, shards int, sampling machi
 				log.Fatal("sampled simulation is not supported for cluster runs")
 			}
 			ccfg := *r.Cluster
-			if shards != 0 {
-				ccfg.Node.Shards = shards
-			}
 			cl, err := cluster.New(ccfg)
 			if err != nil {
 				log.Fatal(err)

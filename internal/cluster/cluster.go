@@ -6,10 +6,9 @@
 // node's memory.
 //
 // Determinism carries over unchanged from the single machine: the shared
-// engine dispatches in canonical (cycle, seq) order at every shard count, so
-// synchronous cross-node state — the fabric's link cursors, a remote node's
-// cache hierarchy — is touched in one global order and Results are
-// bit-identical between sequential and core-sharded runs. A one-node cluster
+// engine dispatches in (cycle, seq) order, so synchronous cross-node state —
+// the fabric's link cursors, a remote node's cache hierarchy — is touched in
+// one global order and reruns are bit-identical. A one-node cluster
 // reproduces the standalone machine's Results exactly (locked by test),
 // which anchors every cluster result to the committed single-node figures.
 package cluster
@@ -46,9 +45,9 @@ type Cluster struct {
 	lastWarmup, lastMeasure uint64
 }
 
-// New assembles a cluster: shared engine (sharded for the whole rack's
-// cores), fabric, front end, then the nodes in id order so their identical
-// per-node layouts allocate the same local addresses everywhere.
+// New assembles a cluster: shared engine, fabric, front end, then the nodes
+// in id order so their identical per-node layouts allocate the same local
+// addresses everywhere.
 func New(cfg Config) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -57,8 +56,6 @@ func New(cfg Config) (*Cluster, error) {
 	pol, _ := NewPolicy(cfg.LBPolicy)
 
 	eng := sim.NewEngine()
-	totalCores := cfg.Nodes * (cfg.Node.NetCores + cfg.Node.XMemCores)
-	eng.ConfigureShards(cfg.Node.EngineShards(totalCores), cfg.Node.LookaheadCycles())
 
 	cl := &Cluster{
 		cfg: cfg,

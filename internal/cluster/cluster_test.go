@@ -77,23 +77,17 @@ func TestOneNodeClusterMatchesStandalone(t *testing.T) {
 	}
 }
 
-// TestClusterDeterministicAcrossShards locks the parallel-engine contract
-// at rack scale: a four-node cluster's Results must be bit-identical
-// whether the shared engine runs sequentially or sharded.
-func TestClusterDeterministicAcrossShards(t *testing.T) {
-	run := func(shards int) Results {
-		cfg := quickCluster(4)
-		cfg.Node.Shards = shards
-		return MustNew(cfg).Run(300_000, 200_000)
-	}
-	ref := run(1)
-	if ref.Served == 0 {
+// TestClusterDeterministic locks reproducibility at rack scale: two fresh
+// four-node clusters built from one config must produce bit-identical
+// Results.
+func TestClusterDeterministic(t *testing.T) {
+	cfg := quickCluster(4)
+	want := MustNew(cfg).Run(300_000, 200_000)
+	if want.Served == 0 {
 		t.Fatal("cluster served nothing")
 	}
-	for _, shards := range []int{2, 4} {
-		if got := run(shards); !reflect.DeepEqual(got, ref) {
-			t.Fatalf("shards=%d diverged from sequential:\n  got: %+v\n  ref: %+v", shards, got, ref)
-		}
+	if got := MustNew(cfg).Run(300_000, 200_000); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rerun diverged:\n  got:  %+v\n  want: %+v", got, want)
 	}
 }
 

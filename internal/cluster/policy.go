@@ -8,8 +8,8 @@ import (
 // Policy picks the destination node for each request the load-balancer
 // front end injects. Implementations must be deterministic functions of
 // their own state and the arguments — no randomness — so cluster runs are
-// bit-identical at every engine shard count and a one-node cluster
-// reproduces a standalone machine exactly.
+// reproducible and a one-node cluster reproduces a standalone machine
+// exactly.
 type Policy interface {
 	// Pick returns the node in [0, nodes) to receive the request with
 	// the given tag. load reports a node's instantaneous NIC queue

@@ -88,11 +88,6 @@ type CoreConfig struct {
 	// Independent accesses within a request phase are issued in batches
 	// of MLP; the phase advances when the slowest completes.
 	MLP int
-	// Shard is the engine shard the core's events live on (0 on the
-	// sequential engine). Cross-domain wakes from the NIC target it
-	// explicitly; the core's own continuations inherit it from the
-	// dispatching event.
-	Shard int
 }
 
 // Core is one networked application core.
@@ -221,15 +216,13 @@ func (c *Core) Start() {
 }
 
 // Wake nudges an idle core when a packet arrives. Busy cores ignore it:
-// they re-poll when the current request completes. Wake is called from the
-// NIC's dispatch context (the shared domain's shard), so it targets the
-// core's own shard explicitly.
+// they re-poll when the current request completes.
 func (c *Core) Wake(now uint64) {
 	if !c.idle {
 		return
 	}
 	c.idle = false
-	c.eng.ScheduleOnShard(c.cfg.Shard, now, c, evTryServe)
+	c.eng.Schedule(now, c, evTryServe)
 }
 
 func (c *Core) tryServe(now uint64) {

@@ -34,7 +34,6 @@ func ClusterScaling(sc Scale) []Table {
 		j := &jobs[i]
 		cfg := cluster.Config{Node: KVSConfig(1024, 1024), Nodes: j.nodes, LBPolicy: j.policy}
 		cfg.Node.OfferedMrps = clusterOfferedMrps
-		cfg.Node.Shards = sc.Shards
 		j.res = cluster.MustNew(cfg).Run(sc.Warmup, sc.Measure)
 	})
 

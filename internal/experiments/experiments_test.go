@@ -43,31 +43,6 @@ func TestWorkersEnvOverride(t *testing.T) {
 	}
 }
 
-func TestWorkersDividedByShards(t *testing.T) {
-	// A sharded run occupies Shards slots, so the run-level budget shrinks
-	// by that factor and never drops below one.
-	cases := []struct {
-		parallelism, shards, want int
-	}{
-		{8, 0, 8},  // sequential: full budget
-		{8, 1, 8},  // shards=1 is the sequential fallback
-		{8, 2, 4},  // budget split evenly
-		{8, 4, 2},  //
-		{8, 16, 1}, // oversubscribed shards: floor at one run
-		{3, 2, 1},  // integer division, floor at one
-	}
-	for _, c := range cases {
-		sc := Scale{Parallelism: c.parallelism, Shards: c.shards}
-		if got := sc.workers(); got != c.want {
-			t.Fatalf("workers() = %d with Parallelism=%d Shards=%d, want %d",
-				got, c.parallelism, c.shards, c.want)
-		}
-	}
-	if got := (Scale{Parallelism: 64, Shards: -1}).workers(); got < 1 {
-		t.Fatalf("workers() = %d with auto shards", got)
-	}
-}
-
 func TestVariants(t *testing.T) {
 	cfg := machine.DefaultConfig()
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,75 +10,37 @@ import (
 
 // TestGoldenCSVs regenerates Figure 2's panels and Figure 6 (summary +
 // latency CDFs) at the committed artifacts' fidelity and byte-compares the
-// CSVs against results/ — once with the sequential engine, then across
-// engine shard counts {1, 2, 4, 8}. It is the end-to-end regression gate
-// twice over: any drift in the simulator, the scenario expansion, or the
-// CSV writer shows up in the sequential pass, and any divergence in the
-// parallel engine's canonical dispatch order shows up as a byte diff in
-// the sharded passes.
+// CSVs against results/. It is the end-to-end regression gate: any drift in
+// the simulator, the scenario expansion, or the CSV writer shows up as a
+// byte diff.
 //
 // Skipped under -short and under the race detector (the outputs are
 // deterministic regardless of scheduling, so rerunning at 10x cost buys
-// nothing; the race-mode parallel coverage lives in the sim and machine
-// packages).
+// nothing).
 func TestGoldenCSVs(t *testing.T) {
 	if testing.Short() {
-		t.Skip("golden regeneration takes ~1 min per shard count; skipped with -short")
+		t.Skip("golden regeneration takes about a minute; skipped with -short")
 	}
 	if raceEnabled {
 		t.Skip("outputs are scheduling-independent; skipped under -race")
 	}
 
-	goldens := []string{"fig2a.csv", "fig2b.csv", "fig2c.csv", "fig6.csv", "fig6_cdf.csv"}
-	for _, shards := range []int{0, 1, 2, 4, 8} {
-		sc := QuickScale() // the scale results/README.md documents
-		sc.Shards = shards
-
-		dir := t.TempDir()
-		write := func(name string, emit func(f *os.File) error) {
-			t.Helper()
-			f, err := os.Create(filepath.Join(dir, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := emit(f); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		for _, tb := range Fig2(sc) {
-			tb := tb
-			write(tb.ID+".csv", func(f *os.File) error { return tb.WriteCSV(f) })
-		}
-		r := Fig6(sc)
-		write("fig6.csv", func(f *os.File) error { return r.Summary.WriteCSV(f) })
-		write("fig6_cdf.csv", func(f *os.File) error { return WriteCDFCSV(f, r) })
-
-		for _, name := range goldens {
-			got, err := os.ReadFile(filepath.Join(dir, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := os.ReadFile(filepath.Join("..", "..", "results", name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("shards=%d: regenerated %s differs from results/%s", shards, name, name)
-			}
-		}
+	sc := QuickScale() // the scale results/README.md documents
+	dir := t.TempDir()
+	for _, tb := range Fig2(sc) {
+		writeGolden(t, dir, tb.ID+".csv", tb.WriteCSV)
 	}
+	r := Fig6(sc)
+	writeGolden(t, dir, "fig6.csv", r.Summary.WriteCSV)
+	writeGolden(t, dir, "fig6_cdf.csv", func(w io.Writer) error { return WriteCDFCSV(w, r) })
+	compareGoldens(t, dir, "fig2a.csv", "fig2b.csv", "fig2c.csv", "fig6.csv", "fig6_cdf.csv")
 }
 
 // TestGoldenFig8CSVs extends the golden gate to Figure 8's two panels.
 // Fig8 is 63 peak searches at QuickScale (~14 min on one core) — far past
-// the default `go test` package timeout on small machines — so it runs
-// sequentially only (the sharded dispatch-order coverage above transfers;
-// the engine is shared) and is opt-in via SWEEPER_GOLDEN_FIG8, driven by
-// `make golden-fig8` and CI with an explicit -timeout.
+// the default `go test` package timeout on small machines — so it is
+// opt-in via SWEEPER_GOLDEN_FIG8, driven by `make golden-fig8` and CI with
+// an explicit -timeout.
 func TestGoldenFig8CSVs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig8 regeneration is 63 peak searches; skipped with -short")
@@ -91,18 +54,30 @@ func TestGoldenFig8CSVs(t *testing.T) {
 
 	dir := t.TempDir()
 	for _, tb := range Fig8(QuickScale()) {
-		f, err := os.Create(filepath.Join(dir, tb.ID+".csv"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tb.WriteCSV(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
+		writeGolden(t, dir, tb.ID+".csv", tb.WriteCSV)
 	}
-	for _, name := range []string{"fig8a.csv", "fig8b.csv"} {
+	compareGoldens(t, dir, "fig8a.csv", "fig8b.csv")
+}
+
+// writeGolden creates dir/name and fills it with emit.
+func writeGolden(t *testing.T, dir, name string, emit func(io.Writer) error) {
+	t.Helper()
+	f, err := os.Create(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := emit(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// compareGoldens byte-compares each regenerated dir/name with results/name.
+func compareGoldens(t *testing.T, dir string, names ...string) {
+	t.Helper()
+	for _, name := range names {
 		got, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)

@@ -27,12 +27,9 @@ type Scale struct {
 	SearchIters int
 	// Parallelism caps concurrently simulated machines. Zero defers to
 	// the SWEEPER_WORKERS environment variable, then to GOMAXPROCS.
-	// Either way the budget is divided by the per-run shard count (see
-	// workers), so run-level and shard-level parallelism never stack into
-	// host oversubscription.
 	Parallelism int
-	// Shards is the engine shard count stamped onto every run
-	// (machine.Config.Shards): 0/1 sequential, N > 1 parallel, -1 auto.
+	// Shards is kept only so perfbench/unit.go compiles; nothing in this
+	// package reads it, and machine.Config.Validate rejects non-zero.
 	Shards int
 	// Sampling, when its Mode is set, stamps sampled-simulation knobs onto
 	// every run: detailed/fast-forward interval alternation with warm-up
@@ -55,35 +52,15 @@ func QuickScale() Scale {
 }
 
 func (s Scale) workers() int {
-	budget := runtime.GOMAXPROCS(0)
 	if s.Parallelism > 0 {
-		budget = s.Parallelism
-	} else if v := os.Getenv("SWEEPER_WORKERS"); v != "" {
+		return s.Parallelism
+	}
+	if v := os.Getenv("SWEEPER_WORKERS"); v != "" {
 		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			budget = n
+			return n
 		}
 	}
-	// Each run occupies runShards() goroutine slots while its engine
-	// harvests in parallel, so the concurrency budget shrinks accordingly:
-	// running 8 machines x 4 shards each on an 8-way host would thrash.
-	if w := budget / s.runShards(); w > 1 {
-		return w
-	}
-	return 1
-}
-
-// runShards resolves the per-run shard footprint used to divide the worker
-// budget. Auto (-1) is approximated with GOMAXPROCS: the engine caps auto
-// shard counts at GOMAXPROCS, so a single auto-sharded run can occupy the
-// whole host and figure-level parallelism collapses to one run at a time.
-func (s Scale) runShards() int {
-	if s.Shards == -1 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if s.Shards > 1 {
-		return s.Shards
-	}
-	return 1
+	return runtime.GOMAXPROCS(0)
 }
 
 // SLOMultiple is the paper's latency target: p99 ≤ 100x mean unloaded
@@ -115,7 +92,6 @@ type PeakResult struct {
 var pool = machine.NewPool(0)
 
 func runOnce(cfg machine.Config, sc Scale) machine.Results {
-	cfg.Shards = sc.Shards
 	if sc.Sampling.Mode != "" {
 		cfg.Sampling = sc.Sampling
 	}
@@ -152,7 +128,6 @@ func Calibrate(cfg machine.Config, sc Scale) (service float64, slo uint64) {
 	cal := cfg
 	cal.ClosedLoopDepth = 0
 	cal.OfferedMrps = 0.05 * float64(cfg.NetCores) // ~1/20 of a core each
-	cal.Shards = sc.Shards
 	key := calKey{cfg: cal, warmup: sc.Warmup / 2, measure: sc.Measure}
 	calMu.Lock()
 	e := calCache[key]

@@ -7,9 +7,8 @@
 // Like the DRAM and cache models, the fabric is synchronous busy-until
 // state rather than an event source: Send computes a message's delivery
 // cycle immediately from per-link free-at cursors and schedules nothing.
-// The event engine serializes dispatch in canonical (cycle, seq) order at
-// every shard count, so the cursors advance deterministically and cluster
-// results are bit-identical between sequential and sharded runs. The model
+// The event engine dispatches in (cycle, seq) order, so the cursors advance
+// deterministically and cluster reruns are bit-identical. The model
 // follows DRackSim's rack-scale decomposition: per-hop wire latency, a
 // switch traversal cost, and bandwidth-driven queuing at the congested
 // output port.

@@ -8,7 +8,6 @@ package machine
 
 import (
 	"fmt"
-	"runtime"
 
 	"sweeper/internal/cache"
 	"sweeper/internal/core"
@@ -71,9 +70,9 @@ type Config struct {
 	SweepTX bool
 
 	// MemTier configures the hybrid second memory tier (ROADMAP item 4a).
-	// The zero value keeps the machine DRAM-only. Like Shards, MemTier is
-	// not machine geometry: the tier structures are rebuilt on every
-	// configure, so pooled machines may toggle tiering across Resets.
+	// The zero value keeps the machine DRAM-only. MemTier is not machine
+	// geometry: the tier structures are rebuilt on every configure, so
+	// pooled machines may toggle tiering across Resets.
 	MemTier mem.TierConfig
 
 	// Traffic: OfferedMrps drives the open-loop arrival process; a
@@ -125,13 +124,8 @@ type Config struct {
 	// workloads that opt in (workload.LLCWarmer) are affected.
 	WarmLLC bool
 
-	// Shards selects the event engine's parallel mode: 0 or 1 run the
-	// sequential engine, N > 1 partitions the engine into N core-sharded
-	// timing wheels advanced by conservative epochs (shard 0 hosts the
-	// shared NIC/LLC/DRAM domain, the rest split the cores), and -1 picks
-	// min(cores+1, GOMAXPROCS) automatically. Results are bit-identical at
-	// every shard count; Shards is not part of the machine geometry, so
-	// pooled machines may change it freely across Resets.
+	// Shards is kept only so perfbench/unit.go compiles; Validate rejects
+	// any non-zero value and nothing else reads it.
 	Shards int
 
 	// Sampling selects the sampled-simulation mode: instead of timing every
@@ -146,8 +140,8 @@ type Config struct {
 	// size. Standalone machines leave both zero; cluster.New stamps them
 	// onto every node it assembles (New rejects ClusterNodes > 1 — a
 	// multi-node machine only makes sense behind the cluster layer, which
-	// owns the shared engine and the fabric). NodeID offsets engine shard
-	// placement and seeds so homogeneous nodes stay decorrelated.
+	// owns the shared engine and the fabric). NodeID offsets seeds so
+	// homogeneous nodes stay decorrelated.
 	NodeID       int
 	ClusterNodes int
 
@@ -292,6 +286,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("machine: TXSlots must be positive, got %d", c.TXSlots)
 	case c.TXSlots&(c.TXSlots-1) != 0:
 		return fmt.Errorf("machine: TXSlots must be a power of two, got %d", c.TXSlots)
+	case c.Mem.Channels <= 0:
+		return fmt.Errorf("machine: Mem.Channels must be positive, got %d", c.Mem.Channels)
 	case c.NICMode == nic.ModeDDIO && (c.DDIOWays <= 0 || c.DDIOWays > c.Cache.LLCWays) && c.NICWayMask == 0:
 		return fmt.Errorf("machine: DDIOWays %d out of range [1,%d]", c.DDIOWays, c.Cache.LLCWays)
 	case c.OfferedMrps <= 0 && c.ClosedLoopDepth <= 0:
@@ -300,8 +296,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("machine: ClosedLoopDepth %d exceeds RingSlots %d", c.ClosedLoopDepth, c.RingSlots)
 	case c.SpikeProb < 0 || c.SpikeProb > 1:
 		return fmt.Errorf("machine: SpikeProb %g outside [0,1]", c.SpikeProb)
-	case c.Shards < -1:
-		return fmt.Errorf("machine: Shards must be -1 (auto), 0/1 (sequential) or a shard count, got %d", c.Shards)
+	case c.Shards != 0:
+		return fmt.Errorf("machine: Shards %d: the sharded event engine was removed; leave it zero", c.Shards)
 	case c.ClusterNodes < 0:
 		return fmt.Errorf("machine: ClusterNodes must be non-negative, got %d", c.ClusterNodes)
 	case c.NodeID < 0 || c.NodeID >= max(c.ClusterNodes, 1):
@@ -352,42 +348,3 @@ func (c *Config) xmemName() string {
 func (c *Config) respSlotBytes() uint64 {
 	return workload.TXSlotBytes(c.Workload, c.params())
 }
-
-// resolveShards maps the Shards knob to a concrete shard count: -1 (auto)
-// becomes min(cores+1, GOMAXPROCS) — one shard per simulated core plus the
-// shared domain, never more than the host can run — and anything below 2
-// selects the sequential engine.
-func (c *Config) resolveShards() int {
-	return c.EngineShards(c.NetCores + c.XMemCores)
-}
-
-// EngineShards resolves the Shards knob for an engine driving totalCores
-// simulated cores. A standalone machine passes its own core count; the
-// cluster layer passes the sum across nodes, so the auto setting scales the
-// shared engine with the whole rack.
-func (c *Config) EngineShards(totalCores int) int {
-	n := c.Shards
-	if n == -1 {
-		n = totalCores + 1
-		if mp := runtime.GOMAXPROCS(0); n > mp {
-			n = mp
-		}
-	}
-	if n < 2 {
-		return 1
-	}
-	return n
-}
-
-// lookaheadCycles derives the conservative epoch width for the parallel
-// engine: the minimum cross-shard service latency. The floor is an LLC hit
-// as seen from a core — NoC traversal plus LLC access — because no
-// interaction between a core and the shared domain (or another core through
-// it) completes faster than that.
-func (c *Config) lookaheadCycles() uint64 {
-	return c.Cache.NoCLat + c.Cache.LLCLat
-}
-
-// LookaheadCycles exposes the conservative epoch width to external engine
-// owners (the cluster layer configures the shared engine itself).
-func (c *Config) LookaheadCycles() uint64 { return c.lookaheadCycles() }

@@ -97,8 +97,8 @@ type Machine struct {
 	lastWarmup, lastMeasure uint64
 }
 
-// New assembles a standalone machine from cfg: the machine owns (and
-// shards) its event engine and drives its own traffic generator.
+// New assembles a standalone machine from cfg: the machine owns its event
+// engine and drives its own traffic generator.
 func New(cfg Config) (*Machine, error) {
 	if cfg.ClusterNodes > 1 {
 		return nil, fmt.Errorf("machine: ClusterNodes %d on a standalone machine (assemble through cluster.New)", cfg.ClusterNodes)
@@ -120,10 +120,8 @@ type NodeOptions struct {
 }
 
 // NewNode assembles a machine as one node of a cluster, running on a
-// borrowed engine the cluster layer owns and has already sharded. The node
-// never reconfigures or resets the engine, places its cores on shards by
-// cluster-global core index, and is started through StartNode rather than
-// Run.
+// borrowed engine the cluster layer owns. The node never resets the engine
+// and is started through StartNode rather than Run.
 func NewNode(cfg Config, eng *sim.Engine, opts NodeOptions) (*Machine, error) {
 	if eng == nil {
 		panic("machine: NewNode needs the cluster's engine")
@@ -179,17 +177,6 @@ func (m *Machine) configure(cfg Config) error {
 	// Reconfiguration may replace cores and generators, so any previously
 	// built registry holds stale closures; drop it for lazy rebuild.
 	m.metrics = nil
-
-	// Shard the engine before anything schedules: shard 0 hosts the shared
-	// NIC/LLC/DRAM domain (generators, dynamic-DDIO controller, sampler),
-	// the remaining shards split the cores. Placement only decides which
-	// timing wheel holds an event — dispatch order is canonical (at, seq)
-	// regardless — so results are bit-identical at every shard count.
-	// Cluster nodes run on a borrowed engine the cluster layer has already
-	// configured for the whole rack.
-	if m.ownsEngine {
-		m.eng.ConfigureShards(cfg.resolveShards(), cfg.lookaheadCycles())
-	}
 
 	m.dp.configure(cfg)
 
@@ -253,7 +240,6 @@ func (m *Machine) configure(cfg Config) error {
 			TXBase:      m.dp.space.TXBase(i),
 			SweepTX:     cfg.SweepTX,
 			MLP:         cfg.MLPWidth,
-			Shard:       m.shardOf(i),
 		}
 		if m.cores[i] != nil {
 			m.cores[i].Reset(ccfg)
@@ -401,15 +387,6 @@ func (m *Machine) warmChurnPressure(cfg Config, tenantLines, lineBudget uint64) 
 	}
 }
 
-// shardOf places a simulated core on an engine shard by cluster-global core
-// index, so every node of a rack sharing one engine spreads its cores
-// across the shards. Standalone machines have NodeID 0 and reduce to the
-// original per-machine placement.
-func (m *Machine) shardOf(coreID int) int {
-	global := m.cfg.NodeID*(m.cfg.NetCores+m.cfg.XMemCores) + coreID
-	return sim.CoreShard(m.eng.NumShards(), global)
-}
-
 // geometry captures every allocation-shaping parameter of a Config: the
 // parts of a machine that Reset reuses in place rather than reconfigures.
 // Two configs with equal geometry can share one pooled machine.
@@ -442,8 +419,8 @@ func geometryOf(cfg Config) geometry {
 // per-key arrays. The new configuration must have the same geometry as the
 // one the machine was built with (same core counts, ring shapes, cache and
 // DRAM sizing); non-geometric knobs — seeds, rates, modes, way masks,
-// Sweeper settings, shard counts — may differ freely. Reset-then-Run is
-// bit-identical to fresh-build-then-Run.
+// Sweeper settings — may differ freely. Reset-then-Run is bit-identical to
+// fresh-build-then-Run.
 func (m *Machine) Reset(cfg Config) error {
 	if !m.ownsEngine {
 		return fmt.Errorf("machine: cluster nodes run on a borrowed engine and are not poolable; build a fresh cluster")

@@ -46,6 +46,8 @@ func TestConfigValidation(t *testing.T) {
 		"tx not pow2":      func(c *Config) { c.TXSlots = 100 },
 		"unknown workload": func(c *Config) { c.Workload = "no-such-app" },
 		"unknown stream":   func(c *Config) { c.XMemCores = 2; c.XMemWorkload = "no-such-stream" },
+		"no mem channels":  func(c *Config) { c.Mem.Channels = 0 },
+		"removed shards":   func(c *Config) { c.Shards = 2 },
 	}
 	for name, mutate := range cases {
 		cfg := DefaultConfig()

@@ -6,7 +6,6 @@ import (
 	"sweeper/internal/core"
 	"sweeper/internal/nic"
 	"sweeper/internal/obs"
-	"sweeper/internal/sim"
 	"sweeper/internal/stats"
 )
 
@@ -105,28 +104,23 @@ type windowSnap struct {
 	start      uint64
 }
 
-// start wires every component's initial event onto its engine shard: cores
-// (and tenant cores) on their own shards, the traffic generators and the
-// dynamic-DDIO controller on the shared-domain shard 0. Self-rescheduling
-// events inherit their shard from the dispatching event afterwards.
+// start schedules every component's initial event: cores, tenant cores,
+// the traffic generator and the dynamic-DDIO controller, in that order.
 func (m *Machine) start() { m.startWith(nil) }
 
 // startWith is start with the generator slot pluggable: startGen, when
 // non-nil, runs at exactly the point the machine's own open-loop generator
-// would start — after the cores, on the shared-domain shard, before the
-// dynamic-DDIO controller. The cluster front end occupies this slot on
-// external-traffic nodes, so event sequence numbers (and therefore
-// dispatch order) match a standalone machine exactly.
+// would start — after the cores, before the dynamic-DDIO controller. The
+// cluster front end occupies this slot on external-traffic nodes, so event
+// sequence numbers (and therefore dispatch order) match a standalone machine
+// exactly.
 func (m *Machine) startWith(startGen func()) {
-	for i, c := range m.cores {
-		m.eng.SetShard(m.shardOf(i))
+	for _, c := range m.cores {
 		c.Start()
 	}
-	for i, x := range m.xmem {
-		m.eng.SetShard(m.shardOf(m.cfg.NetCores + i))
+	for _, x := range m.xmem {
 		x.Start()
 	}
-	m.eng.SetShard(sim.SharedShard)
 	switch {
 	case m.cgen != nil:
 		m.cgen.Start(m.eng.Now())

@@ -149,26 +149,26 @@ func TestSampledTieredWithinErrorBound(t *testing.T) {
 	withinBound(t, "tiered amat", s.AMAT.Mean, s.AMAT.HalfWidth, full.AMATCycles)
 }
 
-// TestSampledDeterministicAcrossShards: sampling composes with the parallel
-// engine — a sampled run is bit-identical at every shard count, like any
-// other run.
-func TestSampledDeterministicAcrossShards(t *testing.T) {
+// TestSampledReproducesAfterReset: a sampled run is deterministic like any
+// other — a second fresh machine and a pooled machine Reset to the same
+// config both reproduce it bit for bit.
+func TestSampledReproducesAfterReset(t *testing.T) {
 	cfg := scenarioConfig(t, "kvs")
 	cfg.Sampling.Mode = "fixed"
 
-	var base machine.Results
-	for i, shards := range []int{1, 4} {
-		c := cfg
-		c.Shards = shards
-		r := machine.MustNew(c).Run(fullWarmup, fullMeasure)
-		if i == 0 {
-			base = r
-			continue
-		}
-		if !reflect.DeepEqual(r, base) {
-			t.Fatalf("sampled run diverged between shards=1 and shards=%d:\n%+v\nvs\n%+v",
-				shards, base, r)
-		}
+	m := machine.MustNew(cfg)
+	want := m.Run(fullWarmup, fullMeasure)
+	if want.Sampled == nil {
+		t.Fatal("sampled run returned no SamplingSummary")
+	}
+	if got := machine.MustNew(cfg).Run(fullWarmup, fullMeasure); !reflect.DeepEqual(got, want) {
+		t.Fatalf("sampled run diverged on a fresh machine:\n%+v\nvs\n%+v", want, got)
+	}
+	if err := m.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Run(fullWarmup, fullMeasure); !reflect.DeepEqual(got, want) {
+		t.Fatalf("sampled run diverged after Reset:\n%+v\nvs\n%+v", want, got)
 	}
 }
 

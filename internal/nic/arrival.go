@@ -131,8 +131,8 @@ func (s ArrivalSpec) validate() error {
 }
 
 // ArrivalGen is one open-loop arrival process, scheduled on the event
-// engine's shared-domain shard. Generators are single-run like machines;
-// Reset restores the just-constructed state for pooled reuse.
+// engine. Generators are single-run like machines; Reset restores the
+// just-constructed state for pooled reuse.
 type ArrivalGen interface {
 	// Start schedules the first arrival.
 	Start()

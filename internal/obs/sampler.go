@@ -23,12 +23,9 @@ type Series struct {
 // preserves their relative dispatch order.
 //
 // Cadence is exact by construction: each firing reschedules at now+every, and
-// the engine dispatches events at their exact timestamps — sequentially and
-// under the sharded engine alike, since the parallel runtime merges shards
-// into one canonical (at, seq) order before dispatching. Sampled time-series
-// are therefore bit-identical across shard counts. A sample landing off the
-// expected grid would mean the engine dispatched an event at the wrong cycle;
-// the debug build asserts against exactly that drift.
+// the engine dispatches events at their exact timestamps. A sample landing
+// off the expected grid would mean the engine dispatched an event at the
+// wrong cycle; the debug build asserts against exactly that drift.
 type Sampler struct {
 	eng   *sim.Engine
 	reg   *Registry

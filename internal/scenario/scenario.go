@@ -277,8 +277,6 @@ func applyMachineKnob(cfg *machine.Config, knob string, v float64) error {
 		cfg.DynamicDDIOEpoch = uint64(v)
 	case "obs_sample_cycles":
 		cfg.ObsSampleCycles = uint64(v)
-	case "shards":
-		cfg.Shards = int(v)
 	case "nebula_drop_depth":
 		cfg.NeBuLaDropDepth = int(v)
 	case "arrival_burst_ratio":

@@ -63,6 +63,8 @@ func TestLoadRejectsBadSpecs(t *testing.T) {
 		"bad sample mode": `{"name": "x", "machine": {"sample_mode": "warp"}}`,
 		"bad sample tol":  `{"name": "x", "machine": {"set": {"sample_warmup_tol": 2}}}`,
 		"trailing data":   `{"name": "x"} {"name": "y"}`,
+		"no mem channels": `{"name": "x", "machine": {"set": {"mem_channels": 0}}}`,
+		"removed shards":  `{"name": "x", "machine": {"set": {"shards": 2}}}`,
 	}
 	for name, doc := range cases {
 		if _, err := Load(strings.NewReader(doc)); err == nil {

@@ -14,24 +14,17 @@
 // a bitmap-guided scan to the next occupied bucket. The rare far-future
 // events (refresh intervals, low-rate Poisson gaps) sit in a small binary
 // min-heap keyed by (cycle, sequence) and migrate into the wheel as the
-// clock approaches them. The wheel mechanics live in the queue type
-// (queue.go) so the sequential engine and every shard of the parallel
-// runtime (parallel.go) share one implementation.
+// clock approaches them.
 //
 // Event nodes are pooled: they live in one growable slab, are addressed by
 // index, and recycle through a free list, so steady-state scheduling and
 // dispatch perform no heap allocations. Handles carry a generation counter
 // to make Cancel on an already-fired (and recycled) event a safe no-op.
-//
-// # Sharded operation
-//
-// ConfigureShards partitions the engine into per-shard timing wheels
-// synchronized by conservative epochs (see parallel.go). The dispatch
-// sequence is bit-identical to the sequential engine at every shard count:
-// sequence numbers are assigned by the single-threaded coordinator and
-// events are merged in canonical (at, seq) order, never goroutine arrival
-// order.
+// Dead (cancelled) nodes are reclaimed lazily as pops and migrations walk
+// over them; compact reclaims them eagerly once they outnumber live ones.
 package sim
+
+import "math/bits"
 
 const (
 	wheelBits  = 13
@@ -79,10 +72,9 @@ type bucket struct{ head, tail int32 }
 
 // Handle identifies a scheduled event so that it can be cancelled.
 type Handle struct {
-	e     *Engine
-	idx   int32
-	gen   uint32
-	shard int32
+	e   *Engine
+	idx int32
+	gen uint32
 }
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
@@ -92,9 +84,17 @@ func (h Handle) Cancel() {
 	if h.e == nil {
 		return
 	}
-	q := h.e.queueFor(h.shard)
-	if q.cancel(h.idx, h.gen) {
-		q.maybeCompact()
+	e := h.e
+	n := &e.nodes[h.idx]
+	if n.gen != h.gen || n.dead {
+		return
+	}
+	n.dead = true
+	n.fn, n.sink = nil, nil
+	e.live--
+	e.dead++
+	if e.dead > e.live && e.dead >= compactMin {
+		e.compact()
 	}
 }
 
@@ -104,144 +104,65 @@ type Engine struct {
 	now Cycle
 	seq uint64
 
-	q queue // the sequential event queue (unused while sharded)
+	nodes []eventNode
+	free  int32 // free-list head
 
-	// par is the sharded runtime; nil selects the sequential path.
-	par *parRuntime
+	buckets    [wheelSize]bucket
+	occ        [wheelWords]uint64 // bit set iff bucket non-empty
+	wheelCount int                // nodes resident in buckets (incl. dead)
 
-	// parMin is the minimum events harvested last epoch before shard
-	// harvests engage the worker pool instead of running inline.
-	parMin int
+	overflow []int32 // min-heap by (at, seq): events beyond the wheel
+
+	live int // scheduled, non-cancelled events
+	dead int // cancelled events awaiting reclamation
 }
 
 // NewEngine returns an engine with the clock at cycle zero and no pending
 // events.
 func NewEngine() *Engine {
-	e := &Engine{parMin: defaultParMin}
-	e.q.init()
+	e := &Engine{free: noNode}
+	for i := range e.buckets {
+		e.buckets[i] = bucket{head: noNode, tail: noNode}
+	}
 	return e
 }
 
-// queueFor resolves a Handle's shard to the queue holding its node.
-func (e *Engine) queueFor(shard int32) *queue {
-	if e.par == nil {
-		return &e.q
-	}
-	return &e.par.shards[shard].q
-}
-
 // Reset returns the engine to its just-constructed observable state — clock
-// at zero, no pending events — while retaining the node slabs and heap
-// capacity (of every shard, when sharded). Every node's generation is bumped
-// and its callback cleared, so Handles from before the Reset cannot cancel
-// recycled events and captured state is released to the GC; free lists are
-// rebuilt in slab order so allocation proceeds exactly as in a fresh engine.
-// The shard configuration itself is retained; ConfigureShards changes it.
+// at zero, no pending events — while retaining the node slab and overflow
+// heap capacity. Every node's generation is bumped and its callback cleared,
+// so Handles from before the Reset cannot cancel recycled events and
+// captured state is released to the GC; the free list is rebuilt in slab
+// order so allocation proceeds exactly as in a fresh engine.
 func (e *Engine) Reset() {
-	e.q.reset()
+	for w := 0; w < wheelWords; w++ {
+		word := e.occ[w]
+		for word != 0 {
+			bkt := w<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			e.buckets[bkt] = bucket{head: noNode, tail: noNode}
+		}
+		e.occ[w] = 0
+	}
+	e.free = noNode
+	for i := len(e.nodes) - 1; i >= 0; i-- {
+		n := &e.nodes[i]
+		n.fn, n.sink = nil, nil
+		n.dead = false
+		n.gen++
+		n.next = e.free
+		e.free = int32(i)
+	}
+	e.overflow = e.overflow[:0]
+	e.wheelCount = 0
 	e.now, e.seq = 0, 0
-	if e.par != nil {
-		e.par.reset()
-	}
-}
-
-// ConfigureShards partitions the engine into n per-shard timing wheels
-// advanced by conservative epochs of the given lookahead (see parallel.go),
-// or restores the sequential path when n <= 1 or the lookahead is zero
-// (degenerate lookahead would make every epoch a single cycle, so it falls
-// back to sequential dispatch outright). Dispatch order is bit-identical to
-// the sequential engine in either case.
-//
-// The engine must be empty (no pending events): shard assignment happens at
-// schedule time, so events scheduled before reconfiguration would be
-// stranded. Machines configure shards before wiring any components.
-func (e *Engine) ConfigureShards(n int, lookahead Cycle) {
-	if e.Pending() != 0 {
-		panic("sim: ConfigureShards requires an empty engine")
-	}
-	if n <= 1 || lookahead == 0 {
-		e.par = nil
-		return
-	}
-	if n > maxShards {
-		n = maxShards
-	}
-	if e.par != nil && len(e.par.shards) == n {
-		// Same geometry: keep the shard slabs (they were reset with the
-		// engine) and just adopt the new epoch width.
-		e.par.lookahead = lookahead
-		return
-	}
-	e.par = newParRuntime(n, lookahead)
-}
-
-// NumShards reports the configured shard count (1 on the sequential path).
-func (e *Engine) NumShards() int {
-	if e.par == nil {
-		return 1
-	}
-	return len(e.par.shards)
-}
-
-// Lookahead reports the conservative epoch width in cycles (0 on the
-// sequential path).
-func (e *Engine) Lookahead() Cycle {
-	if e.par == nil {
-		return 0
-	}
-	return e.par.lookahead
-}
-
-// SetShard selects the shard that receives events scheduled from outside a
-// callback (component setup, between RunUntil calls). During dispatch the
-// context is the firing event's own shard, so callbacks inherit placement
-// automatically; ScheduleOnShard overrides it per event. No-op on the
-// sequential path.
-func (e *Engine) SetShard(s int) {
-	if e.par == nil {
-		return
-	}
-	if s < 0 || s >= len(e.par.shards) {
-		panic("sim: SetShard out of range")
-	}
-	e.par.setupShard = s
-	if !e.par.inEpoch {
-		e.par.ctxShard = s
-	}
-}
-
-// CurrentShard reports the shard that would receive an event scheduled right
-// now: the firing event's shard during dispatch, the SetShard selection
-// otherwise. Always 0 on the sequential path.
-func (e *Engine) CurrentShard() int {
-	if e.par == nil {
-		return 0
-	}
-	return e.par.ctxShard
-}
-
-// SetParallelHarvestThreshold sets the minimum number of events harvested in
-// the previous epoch before shard harvests run on the worker pool instead of
-// inline on the coordinator. Zero forces the pool on every epoch (used by
-// race tests); the default avoids paying barrier latency on small epochs.
-func (e *Engine) SetParallelHarvestThreshold(n int) {
-	e.parMin = n
+	e.live, e.dead = 0, 0
 }
 
 // Now reports the current simulated cycle.
 func (e *Engine) Now() Cycle { return e.now }
 
 // Pending reports the number of scheduled (non-cancelled) events.
-func (e *Engine) Pending() int {
-	if e.par == nil {
-		return e.q.live
-	}
-	total := 0
-	for i := range e.par.shards {
-		total += e.par.shards[i].q.live
-	}
-	return total
-}
+func (e *Engine) Pending() int { return e.live }
 
 // At schedules fn to run at the absolute cycle at. Scheduling in the past
 // (at < Now) clamps to the current cycle: the event runs before the clock
@@ -267,47 +188,185 @@ func (e *Engine) ScheduleAfter(delay Cycle, s Sink, arg uint64) Handle {
 	return e.schedule(e.now+delay, nil, s, arg)
 }
 
-// ScheduleOnShard schedules s.OnEvent(at, arg) with explicit shard affinity,
-// overriding the ambient context. Cross-domain wakes (the NIC delivering to
-// a core) use it so the event lives on its consumer's wheel. Equivalent to
-// Schedule on the sequential path; shard affinity never changes dispatch
-// order, only which wheel holds the event.
-func (e *Engine) ScheduleOnShard(shard int, at Cycle, s Sink, arg uint64) Handle {
-	if e.par == nil {
-		return e.schedule(at, nil, s, arg)
-	}
-	if shard < 0 || shard >= len(e.par.shards) {
-		panic("sim: ScheduleOnShard out of range")
-	}
-	if at < e.now {
-		at = e.now
-	}
-	seq := e.seq
-	e.seq++
-	return e.par.place(e, shard, at, seq, nil, s, arg)
-}
-
 func (e *Engine) schedule(at Cycle, fn Event, sink Sink, arg uint64) Handle {
 	if at < e.now {
 		at = e.now
 	}
-	seq := e.seq
+	i := e.alloc()
+	n := &e.nodes[i]
+	n.at, n.seq, n.arg = at, e.seq, arg
+	n.fn, n.sink = fn, sink
+	n.next, n.dead = noNode, false
 	e.seq++
-	if e.par != nil {
-		return e.par.place(e, e.par.ctxShard, at, seq, fn, sink, arg)
+	e.live++
+	if at-e.now < wheelSize {
+		e.wheelPush(i, at)
+	} else {
+		e.overflowPush(i)
 	}
-	i := e.q.insert(e.now, at, seq, fn, sink, arg)
-	return Handle{e: e, idx: i, gen: e.q.nodes[i].gen}
+	return Handle{e: e, idx: i, gen: n.gen}
+}
+
+func (e *Engine) alloc() int32 {
+	if e.free != noNode {
+		i := e.free
+		e.free = e.nodes[i].next
+		return i
+	}
+	e.nodes = append(e.nodes, eventNode{})
+	return int32(len(e.nodes) - 1)
+}
+
+// freeNode recycles a node. Bumping the generation invalidates outstanding
+// handles; clearing the callbacks releases captured state to the GC.
+func (e *Engine) freeNode(i int32) {
+	n := &e.nodes[i]
+	n.fn, n.sink = nil, nil
+	n.gen++
+	n.next = e.free
+	e.free = i
+}
+
+// reclaim frees a cancelled node encountered during dispatch or compaction.
+func (e *Engine) reclaim(i int32) {
+	e.dead--
+	e.freeNode(i)
+}
+
+// wheelPush appends node i to the bucket for cycle at (FIFO order).
+func (e *Engine) wheelPush(i int32, at Cycle) {
+	bkt := int(at) & wheelMask
+	b := &e.buckets[bkt]
+	if b.head == noNode {
+		b.head = i
+		e.occ[bkt>>6] |= 1 << (uint(bkt) & 63)
+	} else {
+		e.nodes[b.tail].next = i
+	}
+	b.tail = i
+	e.wheelCount++
+}
+
+// bucketPopHead unlinks and returns the bucket's first node.
+func (e *Engine) bucketPopHead(bkt int) int32 {
+	b := &e.buckets[bkt]
+	i := b.head
+	b.head = e.nodes[i].next
+	if b.head == noNode {
+		b.tail = noNode
+		e.occ[bkt>>6] &^= 1 << (uint(bkt) & 63)
+	}
+	e.wheelCount--
+	return i
+}
+
+// scanBucket finds the occupied bucket closest to the clock. Buckets map
+// one-to-one onto the cycles [now, now+wheelSize), so a circular bitmap scan
+// starting at now's own bucket visits them in time order.
+func (e *Engine) scanBucket() (bkt int, dist int, ok bool) {
+	s := int(e.now) & wheelMask
+	w0 := s >> 6
+	if word := e.occ[w0] & (^uint64(0) << (uint(s) & 63)); word != 0 {
+		b := w0<<6 + bits.TrailingZeros64(word)
+		return b, b - s, true
+	}
+	for k := 1; k <= wheelWords; k++ {
+		w := (w0 + k) & (wheelWords - 1)
+		if e.occ[w] != 0 {
+			b := w<<6 + bits.TrailingZeros64(e.occ[w])
+			d := b - s
+			if d < 0 {
+				d += wheelSize
+			}
+			return b, d, true
+		}
+	}
+	return 0, 0, false
+}
+
+// migrate moves overflow events that entered the wheel's horizon into their
+// buckets. It must run every time the clock advances, before any callback
+// gets a chance to schedule: heap order is (at, seq), and every event a
+// callback schedules afterwards has a larger seq, so bucket FIFO order
+// equals global (at, seq) order.
+func (e *Engine) migrate() {
+	for len(e.overflow) > 0 {
+		top := e.overflow[0]
+		n := &e.nodes[top]
+		if n.dead {
+			e.overflowPop()
+			e.reclaim(top)
+			continue
+		}
+		if n.at-e.now >= wheelSize {
+			return
+		}
+		e.overflowPop()
+		n.next = noNode
+		e.wheelPush(top, n.at)
+	}
+}
+
+// pop advances to the next live event at or before limit and unlinks it,
+// returning its node index. It reports false when no such event exists; the
+// clock is only advanced when an event is committed for dispatch.
+func (e *Engine) pop(limit Cycle) (int32, bool) {
+	for e.live > 0 {
+		if e.wheelCount == 0 {
+			if len(e.overflow) == 0 {
+				return 0, false
+			}
+			top := e.overflow[0]
+			n := &e.nodes[top]
+			if n.dead {
+				e.overflowPop()
+				e.reclaim(top)
+				continue
+			}
+			if n.at > limit {
+				return 0, false
+			}
+			// Jump the clock to the far-future event and pull it (and
+			// everything else now in horizon) into the wheel.
+			e.now = n.at
+			e.migrate()
+			continue
+		}
+		bkt, dist, ok := e.scanBucket()
+		if !ok {
+			// Unreachable: wheelCount > 0 implies an occupancy bit.
+			return 0, false
+		}
+		t := e.now + Cycle(dist)
+		b := &e.buckets[bkt]
+		for b.head != noNode {
+			i := b.head
+			if e.nodes[i].dead {
+				e.bucketPopHead(bkt)
+				e.reclaim(i)
+				continue
+			}
+			if t > limit {
+				return 0, false
+			}
+			e.now = t
+			e.migrate()
+			e.bucketPopHead(bkt)
+			return i, true
+		}
+		// Bucket held only cancelled events; rescan.
+	}
+	return 0, false
 }
 
 // dispatch fires node i's callback at the current cycle. The node is
 // recycled first so a callback rescheduling itself reuses it without
 // touching the allocator.
 func (e *Engine) dispatch(i int32) {
-	n := &e.q.nodes[i]
+	n := &e.nodes[i]
 	fn, sink, arg := n.fn, n.sink, n.arg
-	e.q.live--
-	e.q.freeNode(i)
+	e.live--
+	e.freeNode(i)
 	if sink != nil {
 		sink.OnEvent(e.now, arg)
 		return
@@ -316,14 +375,9 @@ func (e *Engine) dispatch(i int32) {
 }
 
 // Step dispatches the single earliest pending event, advancing the clock to
-// its timestamp. It reports false when no events remain. Step is a
-// sequential-path primitive; sharded engines advance by epochs, so Step
-// panics when shards are configured — use RunUntil or Drain.
+// its timestamp. It reports false when no events remain.
 func (e *Engine) Step() bool {
-	if e.par != nil {
-		panic("sim: Step is unsupported with shards configured; use RunUntil")
-	}
-	i, ok := e.q.pop(&e.now, maxCycle)
+	i, ok := e.pop(maxCycle)
 	if !ok {
 		return false
 	}
@@ -335,16 +389,12 @@ func (e *Engine) Step() bool {
 // event lies strictly beyond limit. The clock finishes at min(limit, time of
 // last dispatched event); events at exactly limit are dispatched.
 func (e *Engine) RunUntil(limit Cycle) {
-	if e.par != nil {
-		e.par.runUntil(e, limit)
-	} else {
-		for {
-			i, ok := e.q.pop(&e.now, limit)
-			if !ok {
-				break
-			}
-			e.dispatch(i)
+	for {
+		i, ok := e.pop(limit)
+		if !ok {
+			break
 		}
+		e.dispatch(i)
 	}
 	if e.now < limit {
 		e.now = limit
@@ -354,15 +404,109 @@ func (e *Engine) RunUntil(limit Cycle) {
 // Drain dispatches every remaining event. Use only in tests or teardown:
 // components that perpetually reschedule themselves will never drain.
 func (e *Engine) Drain() {
-	if e.par != nil {
-		e.par.runUntil(e, maxCycle)
-		return
+	for e.Step() {
 	}
+}
+
+// compact reclaims cancelled events eagerly once they outnumber live ones,
+// bounding the memory a cancel-heavy workload can pin.
+func (e *Engine) compact() {
+	for w := 0; w < wheelWords; w++ {
+		word := e.occ[w]
+		for word != 0 {
+			bkt := w<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			e.compactBucket(bkt)
+		}
+	}
+	kept := e.overflow[:0]
+	for _, i := range e.overflow {
+		if e.nodes[i].dead {
+			e.reclaim(i)
+		} else {
+			kept = append(kept, i)
+		}
+	}
+	e.overflow = kept
+	for k := len(kept)/2 - 1; k >= 0; k-- {
+		e.siftDown(k)
+	}
+}
+
+func (e *Engine) compactBucket(bkt int) {
+	b := &e.buckets[bkt]
+	prev := noNode
+	for i := b.head; i != noNode; {
+		next := e.nodes[i].next
+		if e.nodes[i].dead {
+			if prev == noNode {
+				b.head = next
+			} else {
+				e.nodes[prev].next = next
+			}
+			if next == noNode {
+				b.tail = prev
+			}
+			e.wheelCount--
+			e.reclaim(i)
+		} else {
+			prev = i
+		}
+		i = next
+	}
+	if b.head == noNode {
+		e.occ[bkt>>6] &^= 1 << (uint(bkt) & 63)
+	}
+}
+
+// Overflow heap: a plain binary min-heap over node indices ordered by
+// (at, seq), implemented directly to avoid container/heap's interface
+// boxing on the hot path.
+
+func (e *Engine) overflowLess(a, b int32) bool {
+	na, nb := &e.nodes[a], &e.nodes[b]
+	if na.at != nb.at {
+		return na.at < nb.at
+	}
+	return na.seq < nb.seq
+}
+
+func (e *Engine) overflowPush(i int32) {
+	e.overflow = append(e.overflow, i)
+	c := len(e.overflow) - 1
+	for c > 0 {
+		p := (c - 1) / 2
+		if !e.overflowLess(e.overflow[c], e.overflow[p]) {
+			break
+		}
+		e.overflow[c], e.overflow[p] = e.overflow[p], e.overflow[c]
+		c = p
+	}
+}
+
+func (e *Engine) overflowPop() {
+	last := len(e.overflow) - 1
+	e.overflow[0] = e.overflow[last]
+	e.overflow = e.overflow[:last]
+	if last > 0 {
+		e.siftDown(0)
+	}
+}
+
+func (e *Engine) siftDown(p int) {
+	n := len(e.overflow)
 	for {
-		i, ok := e.q.pop(&e.now, maxCycle)
-		if !ok {
+		c := 2*p + 1
+		if c >= n {
 			return
 		}
-		e.dispatch(i)
+		if r := c + 1; r < n && e.overflowLess(e.overflow[r], e.overflow[c]) {
+			c = r
+		}
+		if !e.overflowLess(e.overflow[c], e.overflow[p]) {
+			return
+		}
+		e.overflow[c], e.overflow[p] = e.overflow[p], e.overflow[c]
+		p = c
 	}
 }

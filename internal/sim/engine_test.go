@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -196,5 +197,66 @@ func TestRandomScheduleDispatchOrder(t *testing.T) {
 				t.Fatalf("trial %d: timestamps differ at %d", trial, i)
 			}
 		}
+	}
+}
+
+// TestResetReproduces stops a workload with events still pending, Resets,
+// and reruns it: the engine must come back empty at cycle zero, reproduce
+// the first trace exactly (the pooled-machine contract), and ignore a
+// Handle from before the Reset whose node the rerun reuses.
+func TestResetReproduces(t *testing.T) {
+	type firing struct {
+		At Cycle
+		ID int
+	}
+	const limit = 6 * wheelSize
+	e := NewEngine()
+	var trace []firing
+	// run schedules a sentinel beyond limit first, so it takes node 0, then
+	// self-rescheduling chains whose gaps straddle the wheel horizon.
+	run := func() Handle {
+		trace = nil
+		rng := rand.New(rand.NewSource(3))
+		sentinel := e.At(limit+1, func(now Cycle) { trace = append(trace, firing{now, -1}) })
+		id := 0
+		var spawn func(at Cycle, budget int)
+		spawn = func(at Cycle, budget int) {
+			my := id
+			id++
+			e.At(at, func(now Cycle) {
+				trace = append(trace, firing{now, my})
+				if budget > 0 {
+					spawn(now+Cycle(rng.Intn(2*wheelSize)), budget-1)
+				}
+			})
+		}
+		for i := 0; i < 20; i++ {
+			spawn(Cycle(rng.Intn(wheelSize)), 4)
+		}
+		e.RunUntil(limit)
+		return sentinel
+	}
+	stale := run()
+	first := trace
+	e.Reset()
+	if e.Now() != 0 || e.Pending() != 0 {
+		t.Fatalf("Reset left now=%d pending=%d", e.Now(), e.Pending())
+	}
+	sentinel := run()
+	if !reflect.DeepEqual(trace, first) {
+		t.Fatalf("trace not reproduced after Reset (len %d vs %d)", len(trace), len(first))
+	}
+	if sentinel.idx != stale.idx {
+		t.Fatalf("rerun placed the sentinel on node %d, the stale handle names node %d", sentinel.idx, stale.idx)
+	}
+	pending := e.Pending()
+	stale.Cancel()
+	if e.Pending() != pending {
+		t.Fatalf("a pre-Reset handle cancelled an event of the new run")
+	}
+	n := len(trace)
+	e.Drain()
+	if trace[n] != (firing{limit + 1, -1}) {
+		t.Fatalf("first firing past the limit is %+v, want the sentinel at %d", trace[n], limit+1)
 	}
 }

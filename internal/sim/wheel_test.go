@@ -126,13 +126,13 @@ func TestCancelledEventsReclaimed(t *testing.T) {
 		h := e.At(Cycle(200+i%512), nop)
 		h.Cancel()
 	}
-	if e.q.dead >= compactMin {
-		t.Fatalf("dead events not compacted: %d retained", e.q.dead)
+	if e.dead >= compactMin {
+		t.Fatalf("dead events not compacted: %d retained", e.dead)
 	}
 	if e.Pending() != 1 {
 		t.Fatalf("Pending() = %d, want 1", e.Pending())
 	}
-	if got := len(e.q.nodes); got > 4*compactMin {
+	if got := len(e.nodes); got > 4*compactMin {
 		t.Fatalf("node slab grew to %d entries despite compaction", got)
 	}
 	e.Drain()
