@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race bench bench-engine bench-mem bench-e2e bench-sampling bench-cluster bench-tiers check results obs-smoke sampling-smoke cluster-smoke traffic-smoke tiers-smoke golden-fig8 test-debug
+.PHONY: all build test vet lint race perfbench-test bench bench-engine bench-mem bench-e2e bench-sampling bench-cluster bench-tiers check results obs-smoke sampling-smoke cluster-smoke traffic-smoke tiers-smoke golden-fig8 test-debug
 
 all: check
 
@@ -31,6 +31,12 @@ lint:
 # the default 10m test timeout on small machines.
 race:
 	$(GO) test -race -timeout 45m ./...
+
+# The benchmark is a Go module of its own (perfbench/go.mod), so `go test
+# ./...` never builds it; vet and test it here, since it compiles against
+# the simulator's internal APIs.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Engine microbenchmarks: allocs/op must stay at 0 for the steady state.
 bench-engine:
@@ -67,7 +73,7 @@ bench-tiers:
 
 bench: bench-engine bench-mem bench-e2e bench-sampling bench-cluster bench-tiers
 
-check: build vet lint test race bench-engine sampling-smoke cluster-smoke traffic-smoke tiers-smoke
+check: build vet lint test race perfbench-test bench-engine sampling-smoke cluster-smoke traffic-smoke tiers-smoke
 
 # Observability smoke: drive the CLI with every exporter enabled against the
 # kvs scenario, then validate the artifacts (CSV/JSON structure) in-process.

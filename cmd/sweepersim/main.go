@@ -145,11 +145,7 @@ func main() {
 	if *txSlots > 0 {
 		cfg.TXSlots = *txSlots
 	}
-	cfg.Sweeper = core.Config{RXSweep: *sweeperOn, IssueCyclesPerLine: 1}
-	cfg.SweepTX = *sweepTX
-	if *sweepTX {
-		cfg.Sweeper.TXSweep = true
-	}
+	cfg.Sweeper = core.Config{RXSweep: *sweeperOn, TXSweep: *sweepTX, IssueCyclesPerLine: 1}
 	cfg.Sweeper.Insn = *insn
 	cfg.Sweeper.SIMFBatchLines = *simfBatch
 	cfg.Sweeper.SIMFSetupCycles = *simfSetup
@@ -252,7 +248,6 @@ func list(w *os.File) {
 		fmt.Fprintf(w, "  %-12s %s (%d runs)\n", s.Name, s.Description, len(runs))
 	}
 	fmt.Fprintf(w, "registered workloads:          %s\n", strings.Join(workload.Names(), ", "))
-	fmt.Fprintf(w, "registered background streams: %s\n", strings.Join(workload.StreamNames(), ", "))
 	fmt.Fprintf(w, "registered arrival processes:  %s\n", strings.Join(nic.ArrivalNames(), ", "))
 	fmt.Fprintf(w, "invalidation instructions:     %s\n", strings.Join(core.InsnNames(), ", "))
 	fmt.Fprintf(w, "memory tier policies:          %s\n", strings.Join(mem.TierPolicies(), ", "))

@@ -2,7 +2,8 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+
+	"sweeper/internal/registry"
 )
 
 // Policy picks the destination node for each request the load-balancer
@@ -23,10 +24,12 @@ const DefaultPolicy = "flow-hash"
 
 // policies is the registry scenario knobs and flags resolve against; new
 // policies plug in here without touching the front end.
-var policies = map[string]func() Policy{
-	"round-robin":  func() Policy { return &roundRobin{} },
-	"flow-hash":    func() Policy { return flowHash{} },
-	"least-loaded": func() Policy { return leastLoaded{} },
+var policies = registry.New[func() Policy]("lb_policy")
+
+func init() {
+	policies.Add("round-robin", func() Policy { return &roundRobin{} })
+	policies.Add("flow-hash", func() Policy { return flowHash{} })
+	policies.Add("least-loaded", func() Policy { return leastLoaded{} })
 }
 
 // NewPolicy builds the named policy; the empty name selects DefaultPolicy.
@@ -34,23 +37,16 @@ func NewPolicy(name string) (Policy, error) {
 	if name == "" {
 		name = DefaultPolicy
 	}
-	mk, ok := policies[name]
-	if !ok {
-		return nil, fmt.Errorf("cluster: unknown lb_policy %q (have %v)", name, PolicyNames())
+	mk, err := policies.Get(name)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	return mk(), nil
 }
 
 // PolicyNames lists the registered policies, sorted, for error messages
 // and validation.
-func PolicyNames() []string {
-	names := make([]string, 0, len(policies))
-	for n := range policies {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func PolicyNames() []string { return policies.Names() }
 
 // roundRobin cycles through the nodes in order, ignoring tags and load.
 type roundRobin struct{ next uint64 }

@@ -2,9 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
+
+	"sweeper/internal/registry"
 )
 
 // This file generalizes the relinquish path from the hardwired clsweep
@@ -51,49 +50,23 @@ type InsnRegistration struct {
 	Validate func(cfg Config) error
 }
 
-var insnReg = struct {
-	sync.RWMutex
-	m map[string]*InsnRegistration
-}{m: map[string]*InsnRegistration{}}
+var insns = registry.New[*InsnRegistration]("invalidation instruction")
 
 // RegisterInsn adds an invalidation instruction to the registry. It panics on
-// an empty name, a duplicate registration, or missing hooks — all programmer
+// missing hooks, an empty name or a duplicate registration — all programmer
 // errors at init time.
 func RegisterInsn(reg InsnRegistration) {
-	if reg.Name == "" {
-		panic("core: RegisterInsn with empty name")
-	}
 	if reg.Line == nil || reg.IssueCycles == nil {
 		panic(fmt.Sprintf("core: instruction %q registered without Line/IssueCycles hooks", reg.Name))
 	}
-	insnReg.Lock()
-	defer insnReg.Unlock()
-	if _, dup := insnReg.m[reg.Name]; dup {
-		panic(fmt.Sprintf("core: instruction %q registered twice", reg.Name))
-	}
-	r := reg
-	insnReg.m[reg.Name] = &r
+	insns.Add(reg.Name, &reg)
 }
 
 // LookupInsn returns the registration for name, if any.
-func LookupInsn(name string) (*InsnRegistration, bool) {
-	insnReg.RLock()
-	defer insnReg.RUnlock()
-	r, ok := insnReg.m[name]
-	return r, ok
-}
+func LookupInsn(name string) (*InsnRegistration, bool) { return insns.Lookup(name) }
 
 // InsnNames returns the registered instruction names, sorted.
-func InsnNames() []string {
-	insnReg.RLock()
-	defer insnReg.RUnlock()
-	names := make([]string, 0, len(insnReg.m))
-	for name := range insnReg.m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func InsnNames() []string { return insns.Names() }
 
 // insnName resolves the configured instruction, defaulting to clsweep so the
 // zero Config keeps the seed's semantics.
@@ -125,10 +98,9 @@ func (c Config) simfBatchCycles() uint64 {
 // instruction names and bad instruction knobs. machine.Config.Validate calls
 // it, so bad combinations fail before any simulation runs.
 func (c Config) Validate() error {
-	reg, ok := LookupInsn(c.insnName())
-	if !ok {
-		return fmt.Errorf("core: unknown invalidation instruction %q (have %s)",
-			c.Insn, strings.Join(InsnNames(), ", "))
+	reg, err := insns.Get(c.insnName())
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	if c.SIMFBatchLines < 0 {
 		return fmt.Errorf("core: simf batch lines %d must be non-negative", c.SIMFBatchLines)

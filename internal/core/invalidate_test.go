@@ -5,41 +5,26 @@ import (
 	"testing"
 )
 
-// TestInsnRegistry checks the registry surface itself: the four shipped
-// instructions are present, names come back sorted, and lookups of unknown
-// names fail cleanly.
+// TestInsnRegistry checks the four shipped instructions are registered
+// under their names; the table itself is tested in package registry.
 func TestInsnRegistry(t *testing.T) {
-	names := InsnNames()
 	for _, want := range []string{InsnCLSweep, InsnCLFlush, InsnCLWB, InsnSIMF} {
 		reg, ok := LookupInsn(want)
 		if !ok || reg.Name != want {
 			t.Fatalf("instruction %q not registered", want)
 		}
 	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("InsnNames not sorted: %v", names)
-		}
-	}
-	if _, ok := LookupInsn("nonesuch"); ok {
-		t.Fatal("unknown instruction resolved")
-	}
 }
 
+// TestRegisterInsnRejectsBadRegistrations checks the hook check RegisterInsn
+// adds on top of the table's name checks.
 func TestRegisterInsnRejectsBadRegistrations(t *testing.T) {
-	mustPanic := func(name string, reg InsnRegistration) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: RegisterInsn did not panic", name)
-			}
-		}()
-		RegisterInsn(reg)
-	}
-	line := func(hw Sweepable, now uint64, owner int, a uint64) (bool, bool) { return false, false }
-	mustPanic("empty name", InsnRegistration{Line: line, IssueCycles: perLineCycles})
-	mustPanic("missing hooks", InsnRegistration{Name: "hookless"})
-	mustPanic("duplicate", InsnRegistration{Name: InsnCLSweep, Line: line, IssueCycles: perLineCycles})
+	defer func() {
+		if recover() == nil {
+			t.Error("RegisterInsn accepted an instruction without hooks")
+		}
+	}()
+	RegisterInsn(InsnRegistration{Name: "hookless"})
 }
 
 // TestInsnCounterConsistency is the closed-loop accounting property across

@@ -3,7 +3,6 @@ package machine
 import (
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"sweeper/internal/nic"
@@ -68,40 +67,11 @@ func arrivalCases(t *testing.T) map[string]Config {
 }
 
 // TestArrivalPooledReset checks the pool/Reset contract per process: a
-// machine recycled through Reset — including across process switches — must
-// reproduce fresh-machine Results bit-identically.
+// machine recycled through Reset — including across process switches, which
+// replace the generator — must reproduce fresh-machine Results
+// bit-identically.
 func TestArrivalPooledReset(t *testing.T) {
-	cases := arrivalCases(t)
-	fresh := map[string]Results{}
-	for name, cfg := range cases {
-		r := MustNew(cfg).Run(300_000, 250_000)
-		if r.Offered == 0 {
-			t.Fatalf("%s: no offered load; generator never ran", name)
-		}
-		fresh[name] = r
-	}
-
-	// One machine walks every process in registry order, then repeats the
-	// walk: both generator reuse (same process) and generator replacement
-	// (process switch) paths must stay bit-identical.
-	names := nic.ArrivalNames()
-	if len(names) == 0 {
-		t.Fatal("no registered arrival processes")
-	}
-	m := MustNew(cases[names[0]])
-	for pass := 0; pass < 2; pass++ {
-		for i, name := range names {
-			if !(pass == 0 && i == 0) {
-				if err := m.Reset(cases[name]); err != nil {
-					t.Fatalf("pass %d: Reset to %s: %v", pass, name, err)
-				}
-			}
-			if got := m.Run(300_000, 250_000); !reflect.DeepEqual(got, fresh[name]) {
-				t.Fatalf("pass %d: pooled %s diverged from fresh:\n  fresh:  %+v\n  pooled: %+v",
-					pass, name, fresh[name], got)
-			}
-		}
-	}
+	checkPooledWalk(t, nic.ArrivalNames(), arrivalCases(t), nil)
 }
 
 // TestArrivalConfigValidation exercises the machine-level arrival plumbing

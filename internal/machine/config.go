@@ -60,14 +60,10 @@ type Config struct {
 	Workload  string
 	ItemBytes uint64
 
-	// XMemWorkload names the background-tenant stream run on XMemCores;
-	// empty selects the default X-Mem instance (workload.NameXMem).
-	XMemWorkload string
-
-	// Sweeper configures the paper's mechanism; SweepTX additionally
-	// sets the Work Queue SweepBuffer bit on every transmission.
+	// Sweeper configures the paper's mechanism. Its TXSweep switch also
+	// sets the Work Queue SweepBuffer bit on every transmission, so the
+	// NIC sweeps transmitted buffers (§V-D).
 	Sweeper core.Config
-	SweepTX bool
 
 	// MemTier configures the hybrid second memory tier (ROADMAP item 4a).
 	// The zero value keeps the machine DRAM-only. MemTier is not machine
@@ -292,10 +288,16 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("machine: DDIOWays %d out of range [1,%d]", c.DDIOWays, c.Cache.LLCWays)
 	case c.OfferedMrps <= 0 && c.ClosedLoopDepth <= 0:
 		return fmt.Errorf("machine: need OfferedMrps > 0 or ClosedLoopDepth > 0")
+	case c.ClosedLoopDepth < 0:
+		return fmt.Errorf("machine: ClosedLoopDepth must be non-negative, got %d", c.ClosedLoopDepth)
 	case c.ClosedLoopDepth > c.RingSlots:
 		return fmt.Errorf("machine: ClosedLoopDepth %d exceeds RingSlots %d", c.ClosedLoopDepth, c.RingSlots)
 	case c.SpikeProb < 0 || c.SpikeProb > 1:
 		return fmt.Errorf("machine: SpikeProb %g outside [0,1]", c.SpikeProb)
+	case c.SpikeMinCycles > c.SpikeMaxCycles:
+		return fmt.Errorf("machine: SpikeMinCycles %d exceeds SpikeMaxCycles %d", c.SpikeMinCycles, c.SpikeMaxCycles)
+	case c.MLPWidth < 0:
+		return fmt.Errorf("machine: MLPWidth must be non-negative, got %d", c.MLPWidth)
 	case c.Shards != 0:
 		return fmt.Errorf("machine: Shards %d: the sharded event engine was removed; leave it zero", c.Shards)
 	case c.ClusterNodes < 0:
@@ -321,26 +323,12 @@ func (c *Config) Validate() error {
 	if err := workload.ValidateParams(c.Workload, c.params()); err != nil {
 		return fmt.Errorf("machine: workload %q: %w", c.Workload, err)
 	}
-	if c.XMemCores > 0 {
-		if _, ok := workload.LookupStream(c.xmemName()); !ok {
-			return fmt.Errorf("machine: unknown background stream %q (registered: %v)",
-				c.xmemName(), workload.StreamNames())
-		}
-	}
 	return nil
 }
 
 // params extracts the workload-facing parameterization of the config.
 func (c *Config) params() workload.Params {
 	return workload.Params{PacketBytes: c.PacketBytes, ItemBytes: c.ItemBytes}
-}
-
-// xmemName resolves the background-stream registry name.
-func (c *Config) xmemName() string {
-	if c.XMemWorkload != "" {
-		return c.XMemWorkload
-	}
-	return workload.NameXMem
 }
 
 // respSlotBytes returns the TX slot size: the largest response the workload

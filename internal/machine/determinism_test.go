@@ -8,14 +8,12 @@ import (
 	"sweeper/internal/nic"
 )
 
-// TestResultsBitIdenticalAcrossFreshMachines is the engine-rewrite safety
-// net: two fresh machines built from the same Config must produce Results
-// that are identical in every field — counters, derived floats and full
-// latency CDFs — across representative configurations (open loop, closed
-// loop, Sweeper, collocation, dynamic DDIO). Any event-ordering change in
-// the engine shows up here before it can perturb committed figures.
-func TestResultsBitIdenticalAcrossFreshMachines(t *testing.T) {
-	cases := map[string]func(*Config){
+// determinismCases are six representative configurations (open loop,
+// closed loop, Sweeper, DMA, collocation, dynamic DDIO), each a mutation of
+// quickCfg, shared by the fresh-machine and pooled-machine determinism
+// tests.
+func determinismCases() map[string]func(*Config) {
+	return map[string]func(*Config){
 		"open-loop-ddio": func(c *Config) {},
 		"sweeper": func(c *Config) {
 			c.Sweeper = core.Config{RXSweep: true, IssueCyclesPerLine: 1}
@@ -35,7 +33,15 @@ func TestResultsBitIdenticalAcrossFreshMachines(t *testing.T) {
 			c.DynamicDDIOEpoch = 50_000
 		},
 	}
-	for name, mutate := range cases {
+}
+
+// TestResultsBitIdenticalAcrossFreshMachines is the engine-rewrite safety
+// net: two fresh machines built from the same Config must produce Results
+// that are identical in every field — counters, derived floats and full
+// latency CDFs — across the determinism cases. Any event-ordering change in
+// the engine shows up here before it can perturb committed figures.
+func TestResultsBitIdenticalAcrossFreshMachines(t *testing.T) {
+	for name, mutate := range determinismCases() {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			cfg := quickCfg()

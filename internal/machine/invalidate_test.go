@@ -51,40 +51,11 @@ func insnCases(t *testing.T) map[string]Config {
 // tiering on/off transitions — must reproduce fresh-machine Results
 // bit-identically.
 func TestInvalidatePooledReset(t *testing.T) {
-	cases := insnCases(t)
-	fresh := map[string]Results{}
-	for name, cfg := range cases {
-		r := MustNew(cfg).Run(300_000, 250_000)
-		if r.Offered == 0 {
-			t.Fatalf("%s: no offered load; generator never ran", name)
-		}
+	checkPooledWalk(t, core.InsnNames(), insnCases(t), func(name string, r Results) {
 		if r.Sweeper.SweptLines == 0 {
 			t.Fatalf("%s: relinquish path never ran; instruction untested", name)
 		}
-		fresh[name] = r
-	}
-
-	// One machine walks every instruction in registry order, then repeats
-	// the walk: instruction switches and MemTier toggles (the cases mix
-	// DRAM-only and hybrid configs) must leave no residue.
-	names := core.InsnNames()
-	if len(names) == 0 {
-		t.Fatal("no registered invalidation instructions")
-	}
-	m := MustNew(cases[names[0]])
-	for pass := 0; pass < 2; pass++ {
-		for i, name := range names {
-			if !(pass == 0 && i == 0) {
-				if err := m.Reset(cases[name]); err != nil {
-					t.Fatalf("pass %d: Reset to %s: %v", pass, name, err)
-				}
-			}
-			if got := m.Run(300_000, 250_000); !reflect.DeepEqual(got, fresh[name]) {
-				t.Fatalf("pass %d: pooled %s diverged from fresh:\n  fresh:  %+v\n  pooled: %+v",
-					pass, name, fresh[name], got)
-			}
-		}
-	}
+	})
 }
 
 // TestDefaultInsnMatchesExplicitCLSweep locks the backward-compatibility

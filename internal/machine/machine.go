@@ -34,7 +34,6 @@ type Machine struct {
 	drv       workload.Driver
 	drvName   string
 	drvParams workload.Params
-	xmemName  string
 
 	cores []*cpu.Core
 	xmem  []*cpu.XMemCore
@@ -238,7 +237,7 @@ func (m *Machine) configure(cfg Config) error {
 			TXSlots:     cfg.TXSlots,
 			TXSlotBytes: cfg.respSlotBytes(),
 			TXBase:      m.dp.space.TXBase(i),
-			SweepTX:     cfg.SweepTX,
+			SweepTX:     cfg.Sweeper.TXSweep,
 			MLP:         cfg.MLPWidth,
 		}
 		if m.cores[i] != nil {
@@ -250,23 +249,18 @@ func (m *Machine) configure(cfg Config) error {
 	if len(m.xmem) != cfg.XMemCores {
 		m.xmem = make([]*cpu.XMemCore, cfg.XMemCores)
 	}
-	xname := cfg.xmemName()
 	for i := range m.xmem {
 		id := cfg.NetCores + i
 		seed := uint64(cfg.Seed) + uint64(id)*977
-		if m.xmem[i] != nil && m.xmemName == xname {
+		if m.xmem[i] != nil {
 			m.xmem[i].Stream().Layout(m.dp.space, seed)
 			m.xmem[i].Reset()
 		} else {
-			stream, err := workload.NewStream(xname, p)
-			if err != nil {
-				return err
-			}
+			stream := workload.NewXMem(workload.DefaultXMemConfig())
 			stream.Layout(m.dp.space, seed)
 			m.xmem[i] = cpu.NewXMemCore(id, m.eng, m, stream)
 		}
 	}
-	m.xmemName = xname
 
 	// Content-aware warming runs after every Layout call so the emitted
 	// addresses are this configuration's. Resident sets install most-

@@ -45,9 +45,11 @@ func TestConfigValidation(t *testing.T) {
 		"ring not pow2":    func(c *Config) { c.RingSlots = 1000 },
 		"tx not pow2":      func(c *Config) { c.TXSlots = 100 },
 		"unknown workload": func(c *Config) { c.Workload = "no-such-app" },
-		"unknown stream":   func(c *Config) { c.XMemCores = 2; c.XMemWorkload = "no-such-stream" },
 		"no mem channels":  func(c *Config) { c.Mem.Channels = 0 },
 		"removed shards":   func(c *Config) { c.Shards = 2 },
+		"neg depth":        func(c *Config) { c.ClosedLoopDepth = -3 },
+		"neg mlp":          func(c *Config) { c.MLPWidth = -4 },
+		"spike range":      func(c *Config) { c.SpikeProb, c.SpikeMinCycles, c.SpikeMaxCycles = 0.5, 100, 10 },
 	}
 	for name, mutate := range cases {
 		cfg := DefaultConfig()
@@ -351,7 +353,6 @@ func TestSweepTXEliminatesTXEvictions(t *testing.T) {
 
 	swept := base
 	swept.Sweeper = core.Config{RXSweep: true, TXSweep: true, IssueCyclesPerLine: 1}
-	swept.SweepTX = true
 	r2 := quickRun(t, swept)
 
 	if r1.AccessesPerRequest[stats.TXEvct] < 0.5 {
@@ -378,9 +379,6 @@ func TestBuiltinWorkloadsRegistered(t *testing.T) {
 		if _, ok := workload.Lookup(name); !ok {
 			t.Errorf("builtin workload %q not registered", name)
 		}
-	}
-	if _, ok := workload.LookupStream(workload.NameXMem); !ok {
-		t.Error("builtin stream \"xmem\" not registered")
 	}
 }
 

@@ -8,32 +8,6 @@ import (
 	"sweeper/internal/nic"
 )
 
-// poolCases mirrors the fresh-machine determinism matrix: the same six
-// representative configurations must behave identically when served by a
-// recycled machine.
-func poolCases() map[string]func(*Config) {
-	return map[string]func(*Config){
-		"open-loop-ddio": func(c *Config) {},
-		"sweeper": func(c *Config) {
-			c.Sweeper = core.Config{RXSweep: true, IssueCyclesPerLine: 1}
-		},
-		"closed-loop": func(c *Config) {
-			c.OfferedMrps = 0
-			c.ClosedLoopDepth = 64
-		},
-		"dma": func(c *Config) {
-			c.NICMode = nic.ModeDMA
-		},
-		"collocated-xmem": func(c *Config) {
-			c.NetCores = 8
-			c.XMemCores = 4
-		},
-		"dynamic-ddio": func(c *Config) {
-			c.DynamicDDIOEpoch = 50_000
-		},
-	}
-}
-
 // dirtyVariant derives a same-geometry configuration that differs in every
 // non-geometric dimension we can easily flip — seed, Sweeper, NIC mode and
 // even the traffic-generator kind — so the recycled machine's prior life
@@ -57,11 +31,12 @@ func dirtyVariant(cfg Config) Config {
 	return d
 }
 
-// TestPooledMachineBitIdenticalToFresh is the pooling safety net: a machine
-// recycled from an unrelated (same-geometry) run must produce Results that
-// are identical in every field to a freshly built machine's.
+// TestPooledMachineBitIdenticalToFresh is the pooling safety net: across
+// the determinism cases, a machine recycled from an unrelated
+// (same-geometry) run must produce Results that are identical in every
+// field to a freshly built machine's.
 func TestPooledMachineBitIdenticalToFresh(t *testing.T) {
-	for name, mutate := range poolCases() {
+	for name, mutate := range determinismCases() {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			cfg := quickCfg()
@@ -82,6 +57,43 @@ func TestPooledMachineBitIdenticalToFresh(t *testing.T) {
 				t.Fatalf("pooled run diverged from fresh:\n  fresh:  %+v\n  pooled: %+v", fresh, pooled)
 			}
 		})
+	}
+}
+
+// checkPooledWalk is the pool/Reset contract over a registry: every case
+// runs on a fresh machine (which must see offered load and pass check, when
+// non-nil), then one machine walks the registered names in order twice
+// through Reset. Both reuse of a part (same name) and its replacement (name
+// switch) must reproduce the fresh Results bit-identically.
+func checkPooledWalk(t *testing.T, names []string, cases map[string]Config, check func(name string, r Results)) {
+	t.Helper()
+	fresh := map[string]Results{}
+	for name, cfg := range cases {
+		r := MustNew(cfg).Run(300_000, 250_000)
+		if r.Offered == 0 {
+			t.Fatalf("%s: no offered load; generator never ran", name)
+		}
+		if check != nil {
+			check(name, r)
+		}
+		fresh[name] = r
+	}
+	if len(names) == 0 {
+		t.Fatal("empty registry")
+	}
+	m := MustNew(cases[names[0]])
+	for pass := 0; pass < 2; pass++ {
+		for i, name := range names {
+			if !(pass == 0 && i == 0) {
+				if err := m.Reset(cases[name]); err != nil {
+					t.Fatalf("pass %d: Reset to %s: %v", pass, name, err)
+				}
+			}
+			if got := m.Run(300_000, 250_000); !reflect.DeepEqual(got, fresh[name]) {
+				t.Fatalf("pass %d: pooled %s diverged from fresh:\n  fresh:  %+v\n  pooled: %+v",
+					pass, name, fresh[name], got)
+			}
+		}
 	}
 }
 

@@ -195,7 +195,7 @@ func (m *Machine) FFServe(now uint64, c int, p nic.Packet, txAddr uint64) (uint6
 			Owner:       c,
 			BufAddr:     txAddr,
 			Size:        txBytes,
-			SweepBuffer: m.cfg.SweepTX,
+			SweepBuffer: m.cfg.Sweeper.TXSweep,
 		})
 	}
 

@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
-	"sync"
 
 	"sweeper/internal/obs"
+	"sweeper/internal/registry"
 	"sweeper/internal/sim"
 )
 
@@ -74,10 +73,9 @@ func (c ArrivalConfig) processName() string {
 // machine validates configs long before assembly; file I/O errors of the
 // trace process surface at construction instead).
 func (c ArrivalConfig) Validate() error {
-	reg, ok := LookupArrival(c.processName())
-	if !ok {
-		return fmt.Errorf("nic: unknown arrival process %q (registered: %v)",
-			c.processName(), ArrivalNames())
+	reg, err := arrivals.Get(c.processName())
+	if err != nil {
+		return fmt.Errorf("nic: %w", err)
 	}
 	switch {
 	case c.BurstRatio != 0 && c.BurstRatio < 1:
@@ -163,45 +161,23 @@ type ArrivalRegistration struct {
 	Validate func(cfg ArrivalConfig) error
 }
 
-var (
-	arrivalMu  sync.RWMutex
-	arrivalReg = map[string]ArrivalRegistration{}
-)
+var arrivals = registry.New[ArrivalRegistration]("arrival process")
 
-// RegisterArrival adds an arrival process to the registry, panicking on
-// duplicate or empty names (registration is an init-time programming act,
-// like workload.Register).
+// RegisterArrival adds an arrival process to the registry. A missing
+// constructor, or an empty or duplicate name, panics: registration is an
+// init-time programming act, like workload.Register.
 func RegisterArrival(r ArrivalRegistration) {
-	if r.Name == "" || r.New == nil {
-		panic("nic: arrival registration needs a name and a constructor")
+	if r.New == nil {
+		panic(fmt.Sprintf("nic: arrival process %q registered without a constructor", r.Name))
 	}
-	arrivalMu.Lock()
-	defer arrivalMu.Unlock()
-	if _, dup := arrivalReg[r.Name]; dup {
-		panic(fmt.Sprintf("nic: arrival process %q registered twice", r.Name))
-	}
-	arrivalReg[r.Name] = r
+	arrivals.Add(r.Name, r)
 }
 
 // LookupArrival finds a registered arrival process by name.
-func LookupArrival(name string) (ArrivalRegistration, bool) {
-	arrivalMu.RLock()
-	defer arrivalMu.RUnlock()
-	r, ok := arrivalReg[name]
-	return r, ok
-}
+func LookupArrival(name string) (ArrivalRegistration, bool) { return arrivals.Lookup(name) }
 
 // ArrivalNames lists the registered arrival processes in sorted order.
-func ArrivalNames() []string {
-	arrivalMu.RLock()
-	defer arrivalMu.RUnlock()
-	names := make([]string, 0, len(arrivalReg))
-	for n := range arrivalReg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func ArrivalNames() []string { return arrivals.Names() }
 
 // NewArrival builds the spec's configured arrival process through the
 // registry.

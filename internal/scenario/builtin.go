@@ -73,8 +73,7 @@ func l3fwdKnobs() Knobs {
 // L1-resident table collocated with 12 X-Mem instances.
 func collocationKnobs() Knobs {
 	return Knobs{
-		Workload:     workload.NameL3FwdL1,
-		XMemWorkload: workload.NameXMem,
+		Workload: workload.NameL3FwdL1,
 		Set: map[string]float64{
 			"net_cores":    12,
 			"xmem_cores":   12,

@@ -7,6 +7,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"sweeper/internal/cache"
@@ -42,8 +43,6 @@ type Knobs struct {
 	// Workload names the networked application in the workload registry;
 	// empty keeps the default (the KVS).
 	Workload string `json:"workload,omitempty"`
-	// XMemWorkload names the background stream for collocated cores.
-	XMemWorkload string `json:"xmem_workload,omitempty"`
 	// SampleMode selects sampled simulation ("fixed" or "ci"; empty or
 	// "off" runs fully detailed). The numeric sampling knobs
 	// (sample_detailed_cycles, sample_ff_cycles, ...) live in Set.
@@ -197,9 +196,6 @@ func (v Variant) Apply(cfg machine.Config) (machine.Config, error) {
 	cfg.Sweeper.RXSweep = v.Sweeper
 	cfg.Sweeper.TXSweep = v.TXSweep
 	cfg.Sweeper.IssueCyclesPerLine = 1
-	if v.TXSweep {
-		cfg.SweepTX = true
-	}
 	return cfg, nil
 }
 
@@ -216,125 +212,155 @@ type runConfig struct {
 // targets an independent field (partition_split reads only the immutable
 // LLC way count), so a knob set may be applied in any order.
 func applyKnob(cfg *runConfig, knob string, v float64) error {
-	switch knob {
-	case "nodes":
-		cfg.nodes = int(v)
-		return nil
-	case "fabric_link_gbps":
-		cfg.fabric.LinkGBps = v
-		return nil
-	case "fabric_link_lat_cycles":
-		cfg.fabric.LinkLatCycles = uint64(v)
-		return nil
-	case "fabric_switch_lat_cycles":
-		cfg.fabric.SwitchLatCycles = uint64(v)
-		return nil
-	case "fabric_queue_depth":
-		cfg.fabric.QueueDepth = int(v)
-		return nil
-	case "fabric_retry_cycles":
-		cfg.fabric.RetryCycles = uint64(v)
-		return nil
-	}
-	return applyMachineKnob(&cfg.m, knob, v)
-}
-
-func applyMachineKnob(cfg *machine.Config, knob string, v float64) error {
-	switch knob {
-	case "net_cores":
-		cfg.NetCores = int(v)
-	case "xmem_cores":
-		cfg.XMemCores = int(v)
-	case "ring_slots":
-		cfg.RingSlots = int(v)
-	case "tx_slots":
-		cfg.TXSlots = int(v)
-	case "packet_bytes":
-		cfg.PacketBytes = uint64(v)
-	case "item_bytes":
-		cfg.ItemBytes = uint64(v)
-	case "ddio_ways":
-		cfg.DDIOWays = int(v)
-	case "offered_mrps":
-		cfg.OfferedMrps = v
-	case "closed_loop_depth":
-		cfg.ClosedLoopDepth = int(v)
-	case "mem_channels":
-		cfg.Mem.Channels = int(v)
-	case "spike_prob":
-		cfg.SpikeProb = v
-	case "spike_min_cycles":
-		cfg.SpikeMinCycles = uint64(v)
-	case "spike_max_cycles":
-		cfg.SpikeMaxCycles = uint64(v)
-	case "poll_cycles":
-		cfg.PollCycles = uint64(v)
-	case "mlp_width":
-		cfg.MLPWidth = int(v)
-	case "seed":
-		cfg.Seed = int64(v)
-	case "dynamic_ddio_epoch":
-		cfg.DynamicDDIOEpoch = uint64(v)
-	case "obs_sample_cycles":
-		cfg.ObsSampleCycles = uint64(v)
-	case "nebula_drop_depth":
-		cfg.NeBuLaDropDepth = int(v)
-	case "arrival_burst_ratio":
-		cfg.Arrival.BurstRatio = v
-	case "arrival_burst_dwell":
-		cfg.Arrival.BurstDwellCycles = uint64(v)
-	case "arrival_diurnal_period":
-		cfg.Arrival.DiurnalPeriodCycles = uint64(v)
-	case "arrival_diurnal_amp":
-		cfg.Arrival.DiurnalAmplitude = v
-	case "arrival_flows":
-		cfg.Arrival.Flows = int(v)
-	case "sample_detailed_cycles":
-		cfg.Sampling.DetailedCycles = uint64(v)
-	case "sample_ff_cycles":
-		cfg.Sampling.FastForwardCycles = uint64(v)
-	case "sample_intervals":
-		cfg.Sampling.Intervals = int(v)
-	case "sample_max_intervals":
-		cfg.Sampling.MaxIntervals = int(v)
-	case "sample_warmup_window":
-		cfg.Sampling.WarmupWindowCycles = uint64(v)
-	case "sample_warmup_tol":
-		cfg.Sampling.WarmupMetricTol = v
-	case "sample_warmup_windows":
-		cfg.Sampling.WarmupWindows = int(v)
-	case "sample_max_rel_ci":
-		cfg.Sampling.MaxRelCI = v
-	case "mem_tier_split":
-		cfg.MemTier.DRAMBytes = uint64(v)
-	case "mem_tier_read_lat":
-		cfg.MemTier.ReadLatency = uint64(v)
-	case "mem_tier_write_lat":
-		cfg.MemTier.WriteLatency = uint64(v)
-	case "mem_tier_bw_gbps":
-		cfg.MemTier.BandwidthGBps = v
-	case "mem_tier_hot_thresh":
-		cfg.MemTier.HotPageThreshold = int(v)
-	case "mem_tier_hot_epoch":
-		cfg.MemTier.HotPageEpochCycles = uint64(v)
-	case "simf_batch_lines":
-		cfg.Sweeper.SIMFBatchLines = int(v)
-	case "simf_batch_cycles":
-		cfg.Sweeper.SIMFBatchCycles = int(v)
-	case "simf_setup_cycles":
-		cfg.Sweeper.SIMFSetupCycles = int(v)
-	case "partition_split":
+	if knob == "partition_split" {
 		// The §VI-E disjoint partition: the NIC and networked cores get
 		// the first n LLC ways, collocated tenants the rest.
-		n := int(v)
-		if n <= 0 || n >= cfg.Cache.LLCWays {
-			return fmt.Errorf("scenario: partition_split %d outside (0,%d)", n, cfg.Cache.LLCWays)
+		var n int
+		if err := setKnob(&n, knob, v); err != nil {
+			return err
 		}
-		cfg.NICWayMask = cache.MaskAll(n)
-		cfg.NetCPUWayMask = cache.MaskAll(n)
-		cfg.XMemWayMask = cache.MaskRange(n, cfg.Cache.LLCWays)
-	default:
+		m := &cfg.m
+		if n <= 0 || n >= m.Cache.LLCWays {
+			return fmt.Errorf("scenario: partition_split %d outside (0,%d)", n, m.Cache.LLCWays)
+		}
+		m.NICWayMask = cache.MaskAll(n)
+		m.NetCPUWayMask = cache.MaskAll(n)
+		m.XMemWayMask = cache.MaskRange(n, m.Cache.LLCWays)
+		return nil
+	}
+	field := knobField(cfg, knob)
+	if field == nil {
 		return fmt.Errorf("scenario: unknown knob %q", knob)
+	}
+	return setKnob(field, knob, v)
+}
+
+// setKnob stores v in the field, converted to its type. Integer fields
+// reject a fractional v and unsigned ones a negative v, instead of
+// truncating or wrapping it.
+func setKnob(field any, knob string, v float64) error {
+	if f, ok := field.(*float64); ok {
+		*f = v
+		return nil
+	}
+	if v != math.Trunc(v) {
+		return fmt.Errorf("scenario: knob %q needs an integer, got %g", knob, v)
+	}
+	switch f := field.(type) {
+	case *int:
+		*f = int(v)
+	case *int64:
+		*f = int64(v)
+	case *uint64:
+		if v < 0 {
+			return fmt.Errorf("scenario: knob %q must be non-negative, got %g", knob, v)
+		}
+		*f = uint64(v)
+	default:
+		panic(fmt.Sprintf("scenario: knob %q writes an unsupported %T", knob, field))
+	}
+	return nil
+}
+
+// knobField returns the field a numeric knob writes, or nil for an unknown
+// knob.
+func knobField(cfg *runConfig, knob string) any {
+	m := &cfg.m
+	switch knob {
+	case "nodes":
+		return &cfg.nodes
+	case "fabric_link_gbps":
+		return &cfg.fabric.LinkGBps
+	case "fabric_link_lat_cycles":
+		return &cfg.fabric.LinkLatCycles
+	case "fabric_switch_lat_cycles":
+		return &cfg.fabric.SwitchLatCycles
+	case "fabric_queue_depth":
+		return &cfg.fabric.QueueDepth
+	case "fabric_retry_cycles":
+		return &cfg.fabric.RetryCycles
+	case "net_cores":
+		return &m.NetCores
+	case "xmem_cores":
+		return &m.XMemCores
+	case "ring_slots":
+		return &m.RingSlots
+	case "tx_slots":
+		return &m.TXSlots
+	case "packet_bytes":
+		return &m.PacketBytes
+	case "item_bytes":
+		return &m.ItemBytes
+	case "ddio_ways":
+		return &m.DDIOWays
+	case "offered_mrps":
+		return &m.OfferedMrps
+	case "closed_loop_depth":
+		return &m.ClosedLoopDepth
+	case "mem_channels":
+		return &m.Mem.Channels
+	case "spike_prob":
+		return &m.SpikeProb
+	case "spike_min_cycles":
+		return &m.SpikeMinCycles
+	case "spike_max_cycles":
+		return &m.SpikeMaxCycles
+	case "poll_cycles":
+		return &m.PollCycles
+	case "mlp_width":
+		return &m.MLPWidth
+	case "seed":
+		return &m.Seed
+	case "dynamic_ddio_epoch":
+		return &m.DynamicDDIOEpoch
+	case "obs_sample_cycles":
+		return &m.ObsSampleCycles
+	case "nebula_drop_depth":
+		return &m.NeBuLaDropDepth
+	case "arrival_burst_ratio":
+		return &m.Arrival.BurstRatio
+	case "arrival_burst_dwell":
+		return &m.Arrival.BurstDwellCycles
+	case "arrival_diurnal_period":
+		return &m.Arrival.DiurnalPeriodCycles
+	case "arrival_diurnal_amp":
+		return &m.Arrival.DiurnalAmplitude
+	case "arrival_flows":
+		return &m.Arrival.Flows
+	case "sample_detailed_cycles":
+		return &m.Sampling.DetailedCycles
+	case "sample_ff_cycles":
+		return &m.Sampling.FastForwardCycles
+	case "sample_intervals":
+		return &m.Sampling.Intervals
+	case "sample_max_intervals":
+		return &m.Sampling.MaxIntervals
+	case "sample_warmup_window":
+		return &m.Sampling.WarmupWindowCycles
+	case "sample_warmup_tol":
+		return &m.Sampling.WarmupMetricTol
+	case "sample_warmup_windows":
+		return &m.Sampling.WarmupWindows
+	case "sample_max_rel_ci":
+		return &m.Sampling.MaxRelCI
+	case "mem_tier_split":
+		return &m.MemTier.DRAMBytes
+	case "mem_tier_read_lat":
+		return &m.MemTier.ReadLatency
+	case "mem_tier_write_lat":
+		return &m.MemTier.WriteLatency
+	case "mem_tier_bw_gbps":
+		return &m.MemTier.BandwidthGBps
+	case "mem_tier_hot_thresh":
+		return &m.MemTier.HotPageThreshold
+	case "mem_tier_hot_epoch":
+		return &m.MemTier.HotPageEpochCycles
+	case "simf_batch_lines":
+		return &m.Sweeper.SIMFBatchLines
+	case "simf_batch_cycles":
+		return &m.Sweeper.SIMFBatchCycles
+	case "simf_setup_cycles":
+		return &m.Sweeper.SIMFSetupCycles
 	}
 	return nil
 }
@@ -346,9 +372,6 @@ func (s Spec) baseConfig() (runConfig, error) {
 	rc := runConfig{m: machine.DefaultConfig(), fabric: fabric.DefaultConfig()}
 	if s.Machine.Workload != "" {
 		rc.m.Workload = s.Machine.Workload
-	}
-	if s.Machine.XMemWorkload != "" {
-		rc.m.XMemWorkload = s.Machine.XMemWorkload
 	}
 	if s.Machine.SampleMode != "" {
 		rc.m.Sampling.Mode = s.Machine.SampleMode

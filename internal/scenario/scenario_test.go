@@ -65,11 +65,26 @@ func TestLoadRejectsBadSpecs(t *testing.T) {
 		"trailing data":   `{"name": "x"} {"name": "y"}`,
 		"no mem channels": `{"name": "x", "machine": {"set": {"mem_channels": 0}}}`,
 		"removed shards":  `{"name": "x", "machine": {"set": {"shards": 2}}}`,
+		"removed xmem_workload": `{"name": "x", "machine": {"workload": "l3fwd-l1", "xmem_workload": "xmem",
+			"set": {"xmem_cores": 2}}}`,
+		"spike range": `{"name": "x", "machine": {"set": {"spike_prob": 0.5,
+			"spike_min_cycles": 100, "spike_max_cycles": 10}}}`,
+		"negative packet":      `{"name": "x", "machine": {"set": {"packet_bytes": -64}}}`,
+		"negative poll":        `{"name": "x", "machine": {"set": {"poll_cycles": -1}}}`,
+		"fractional ring":      `{"name": "x", "machine": {"set": {"ring_slots": 1024.7}}}`,
+		"negative mlp":         `{"name": "x", "machine": {"set": {"mlp_width": -4}}}`,
+		"negative depth":       `{"name": "x", "machine": {"set": {"closed_loop_depth": -3}}}`,
+		"fractional nodes":     `{"name": "x", "machine": {"set": {"nodes": 2.5}}}`,
+		"negative fabric lat":  `{"name": "x", "machine": {"set": {"nodes": 2, "fabric_link_lat_cycles": -5}}}`,
+		"fractional partition": `{"name": "x", "machine": {"set": {"partition_split": 4.5}}}`,
 	}
 	for name, doc := range cases {
 		if _, err := Load(strings.NewReader(doc)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+	if _, err := Load(strings.NewReader(`{"name": "x", "machine": {"set": {"seed": -3}}}`)); err != nil {
+		t.Errorf("negative seed rejected: %v", err)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package sim provides the discrete-event simulation engine used by every
 // other subsystem: a cycle-granular clock and a deterministic event queue.
 //
-// Components schedule callbacks at absolute cycle times; the engine
-// dispatches them in time order, breaking ties by insertion order so that
-// runs are fully reproducible.
+// Components implement Sink and schedule themselves at absolute cycle
+// times; the engine dispatches them in time order, breaking ties by
+// insertion order so that runs are fully reproducible.
 //
 // # Internals
 //
@@ -18,10 +18,7 @@
 //
 // Event nodes are pooled: they live in one growable slab, are addressed by
 // index, and recycle through a free list, so steady-state scheduling and
-// dispatch perform no heap allocations. Handles carry a generation counter
-// to make Cancel on an already-fired (and recycled) event a safe no-op.
-// Dead (cancelled) nodes are reclaimed lazily as pops and migrations walk
-// over them; compact reclaims them eagerly once they outnumber live ones.
+// dispatch perform no heap allocations.
 package sim
 
 import "math/bits"
@@ -31,9 +28,6 @@ const (
 	wheelSize  = 1 << wheelBits // cycles of near-future horizon
 	wheelMask  = wheelSize - 1
 	wheelWords = wheelSize / 64
-
-	// compactMin bounds how small a queue bothers compacting dead events.
-	compactMin = 1024
 )
 
 const (
@@ -44,13 +38,9 @@ const (
 // Cycle is a point in simulated time, measured in CPU clock cycles.
 type Cycle = uint64
 
-// Event is a callback scheduled to run at a specific cycle.
-type Event func(now Cycle)
-
-// Sink is the allocation-free callback form: components implement OnEvent
-// once and schedule themselves with Engine.Schedule, passing an arg that
-// selects the action. Unlike closures, a Sink scheduling itself repeatedly
-// costs zero heap allocations.
+// Sink is an event target: components implement OnEvent once and schedule
+// themselves with Engine.Schedule, passing an arg that selects the action.
+// A Sink scheduling itself repeatedly costs zero heap allocations.
 type Sink interface {
 	OnEvent(now Cycle, arg uint64)
 }
@@ -61,42 +51,11 @@ type eventNode struct {
 	at   Cycle
 	seq  uint64
 	arg  uint64
-	fn   Event
 	sink Sink
 	next int32
-	gen  uint32
-	dead bool
 }
 
 type bucket struct{ head, tail int32 }
-
-// Handle identifies a scheduled event so that it can be cancelled.
-type Handle struct {
-	e   *Engine
-	idx int32
-	gen uint32
-}
-
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op. The callback and its captured state
-// are released immediately.
-func (h Handle) Cancel() {
-	if h.e == nil {
-		return
-	}
-	e := h.e
-	n := &e.nodes[h.idx]
-	if n.gen != h.gen || n.dead {
-		return
-	}
-	n.dead = true
-	n.fn, n.sink = nil, nil
-	e.live--
-	e.dead++
-	if e.dead > e.live && e.dead >= compactMin {
-		e.compact()
-	}
-}
 
 // Engine is a discrete-event simulator. The zero value is not usable; create
 // one with NewEngine.
@@ -109,12 +68,9 @@ type Engine struct {
 
 	buckets    [wheelSize]bucket
 	occ        [wheelWords]uint64 // bit set iff bucket non-empty
-	wheelCount int                // nodes resident in buckets (incl. dead)
+	wheelCount int                // nodes resident in buckets
 
 	overflow []int32 // min-heap by (at, seq): events beyond the wheel
-
-	live int // scheduled, non-cancelled events
-	dead int // cancelled events awaiting reclamation
 }
 
 // NewEngine returns an engine with the clock at cycle zero and no pending
@@ -129,10 +85,9 @@ func NewEngine() *Engine {
 
 // Reset returns the engine to its just-constructed observable state — clock
 // at zero, no pending events — while retaining the node slab and overflow
-// heap capacity. Every node's generation is bumped and its callback cleared,
-// so Handles from before the Reset cannot cancel recycled events and
-// captured state is released to the GC; the free list is rebuilt in slab
-// order so allocation proceeds exactly as in a fresh engine.
+// heap capacity. Every node's sink is cleared so the GC can release it, and
+// the free list is rebuilt in slab order so allocation proceeds exactly as
+// in a fresh engine.
 func (e *Engine) Reset() {
 	for w := 0; w < wheelWords; w++ {
 		word := e.occ[w]
@@ -145,66 +100,41 @@ func (e *Engine) Reset() {
 	}
 	e.free = noNode
 	for i := len(e.nodes) - 1; i >= 0; i-- {
-		n := &e.nodes[i]
-		n.fn, n.sink = nil, nil
-		n.dead = false
-		n.gen++
-		n.next = e.free
+		e.nodes[i] = eventNode{next: e.free}
 		e.free = int32(i)
 	}
 	e.overflow = e.overflow[:0]
 	e.wheelCount = 0
 	e.now, e.seq = 0, 0
-	e.live, e.dead = 0, 0
 }
 
 // Now reports the current simulated cycle.
 func (e *Engine) Now() Cycle { return e.now }
 
-// Pending reports the number of scheduled (non-cancelled) events.
-func (e *Engine) Pending() int { return e.live }
+// Pending reports the number of scheduled events.
+func (e *Engine) Pending() int { return e.wheelCount + len(e.overflow) }
 
-// At schedules fn to run at the absolute cycle at. Scheduling in the past
-// (at < Now) clamps to the current cycle: the event runs before the clock
-// advances further.
-func (e *Engine) At(at Cycle, fn Event) Handle {
-	return e.schedule(at, fn, nil, 0)
-}
-
-// After schedules fn to run delay cycles from now.
-func (e *Engine) After(delay Cycle, fn Event) Handle {
-	return e.schedule(e.now+delay, fn, nil, 0)
-}
-
-// Schedule schedules s.OnEvent(at, arg) at the absolute cycle at. This is
-// the allocation-free path: no closure is created, and the event node comes
-// from the engine's pool.
-func (e *Engine) Schedule(at Cycle, s Sink, arg uint64) Handle {
-	return e.schedule(at, nil, s, arg)
-}
-
-// ScheduleAfter schedules s.OnEvent delay cycles from now.
-func (e *Engine) ScheduleAfter(delay Cycle, s Sink, arg uint64) Handle {
-	return e.schedule(e.now+delay, nil, s, arg)
-}
-
-func (e *Engine) schedule(at Cycle, fn Event, sink Sink, arg uint64) Handle {
+// Schedule schedules s.OnEvent(at, arg) at the absolute cycle at; the event
+// node comes from the engine's pool. Scheduling in the past (at < Now)
+// clamps to the current cycle: the event runs before the clock advances
+// further.
+func (e *Engine) Schedule(at Cycle, s Sink, arg uint64) {
 	if at < e.now {
 		at = e.now
 	}
 	i := e.alloc()
-	n := &e.nodes[i]
-	n.at, n.seq, n.arg = at, e.seq, arg
-	n.fn, n.sink = fn, sink
-	n.next, n.dead = noNode, false
+	e.nodes[i] = eventNode{at: at, seq: e.seq, arg: arg, sink: s, next: noNode}
 	e.seq++
-	e.live++
 	if at-e.now < wheelSize {
 		e.wheelPush(i, at)
 	} else {
 		e.overflowPush(i)
 	}
-	return Handle{e: e, idx: i, gen: n.gen}
+}
+
+// ScheduleAfter schedules s.OnEvent delay cycles from now.
+func (e *Engine) ScheduleAfter(delay Cycle, s Sink, arg uint64) {
+	e.Schedule(e.now+delay, s, arg)
 }
 
 func (e *Engine) alloc() int32 {
@@ -217,20 +147,12 @@ func (e *Engine) alloc() int32 {
 	return int32(len(e.nodes) - 1)
 }
 
-// freeNode recycles a node. Bumping the generation invalidates outstanding
-// handles; clearing the callbacks releases captured state to the GC.
+// freeNode recycles a node, clearing its sink so the GC can release it.
 func (e *Engine) freeNode(i int32) {
 	n := &e.nodes[i]
-	n.fn, n.sink = nil, nil
-	n.gen++
+	n.sink = nil
 	n.next = e.free
 	e.free = i
-}
-
-// reclaim frees a cancelled node encountered during dispatch or compaction.
-func (e *Engine) reclaim(i int32) {
-	e.dead--
-	e.freeNode(i)
 }
 
 // wheelPush appends node i to the bucket for cycle at (FIFO order).
@@ -293,11 +215,6 @@ func (e *Engine) migrate() {
 	for len(e.overflow) > 0 {
 		top := e.overflow[0]
 		n := &e.nodes[top]
-		if n.dead {
-			e.overflowPop()
-			e.reclaim(top)
-			continue
-		}
 		if n.at-e.now >= wheelSize {
 			return
 		}
@@ -307,71 +224,41 @@ func (e *Engine) migrate() {
 	}
 }
 
-// pop advances to the next live event at or before limit and unlinks it,
+// pop advances to the next event at or before limit and unlinks it,
 // returning its node index. It reports false when no such event exists; the
 // clock is only advanced when an event is committed for dispatch.
 func (e *Engine) pop(limit Cycle) (int32, bool) {
-	for e.live > 0 {
-		if e.wheelCount == 0 {
-			if len(e.overflow) == 0 {
-				return 0, false
-			}
-			top := e.overflow[0]
-			n := &e.nodes[top]
-			if n.dead {
-				e.overflowPop()
-				e.reclaim(top)
-				continue
-			}
-			if n.at > limit {
-				return 0, false
-			}
-			// Jump the clock to the far-future event and pull it (and
-			// everything else now in horizon) into the wheel.
-			e.now = n.at
-			e.migrate()
-			continue
-		}
-		bkt, dist, ok := e.scanBucket()
-		if !ok {
-			// Unreachable: wheelCount > 0 implies an occupancy bit.
+	if e.wheelCount == 0 {
+		if len(e.overflow) == 0 {
 			return 0, false
 		}
-		t := e.now + Cycle(dist)
-		b := &e.buckets[bkt]
-		for b.head != noNode {
-			i := b.head
-			if e.nodes[i].dead {
-				e.bucketPopHead(bkt)
-				e.reclaim(i)
-				continue
-			}
-			if t > limit {
-				return 0, false
-			}
-			e.now = t
-			e.migrate()
-			e.bucketPopHead(bkt)
-			return i, true
+		at := e.nodes[e.overflow[0]].at
+		if at > limit {
+			return 0, false
 		}
-		// Bucket held only cancelled events; rescan.
+		// Jump the clock to the far-future event and pull it (and
+		// everything else now in horizon) into the wheel.
+		e.now = at
+		e.migrate()
 	}
-	return 0, false
+	bkt, dist, _ := e.scanBucket()
+	t := e.now + Cycle(dist)
+	if t > limit {
+		return 0, false
+	}
+	e.now = t
+	e.migrate()
+	return e.bucketPopHead(bkt), true
 }
 
-// dispatch fires node i's callback at the current cycle. The node is
-// recycled first so a callback rescheduling itself reuses it without
-// touching the allocator.
+// dispatch fires node i's sink at the current cycle. The node is recycled
+// first so a sink rescheduling itself reuses it without touching the
+// allocator.
 func (e *Engine) dispatch(i int32) {
 	n := &e.nodes[i]
-	fn, sink, arg := n.fn, n.sink, n.arg
-	e.live--
+	sink, arg := n.sink, n.arg
 	e.freeNode(i)
-	if sink != nil {
-		sink.OnEvent(e.now, arg)
-		return
-	}
-	fn(e.now)
+	sink.OnEvent(e.now, arg)
 }
 
 // Step dispatches the single earliest pending event, advancing the clock to
@@ -408,57 +295,6 @@ func (e *Engine) Drain() {
 	}
 }
 
-// compact reclaims cancelled events eagerly once they outnumber live ones,
-// bounding the memory a cancel-heavy workload can pin.
-func (e *Engine) compact() {
-	for w := 0; w < wheelWords; w++ {
-		word := e.occ[w]
-		for word != 0 {
-			bkt := w<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			e.compactBucket(bkt)
-		}
-	}
-	kept := e.overflow[:0]
-	for _, i := range e.overflow {
-		if e.nodes[i].dead {
-			e.reclaim(i)
-		} else {
-			kept = append(kept, i)
-		}
-	}
-	e.overflow = kept
-	for k := len(kept)/2 - 1; k >= 0; k-- {
-		e.siftDown(k)
-	}
-}
-
-func (e *Engine) compactBucket(bkt int) {
-	b := &e.buckets[bkt]
-	prev := noNode
-	for i := b.head; i != noNode; {
-		next := e.nodes[i].next
-		if e.nodes[i].dead {
-			if prev == noNode {
-				b.head = next
-			} else {
-				e.nodes[prev].next = next
-			}
-			if next == noNode {
-				b.tail = prev
-			}
-			e.wheelCount--
-			e.reclaim(i)
-		} else {
-			prev = i
-		}
-		i = next
-	}
-	if b.head == noNode {
-		e.occ[bkt>>6] &^= 1 << (uint(bkt) & 63)
-	}
-}
-
 // Overflow heap: a plain binary min-heap over node indices ordered by
 // (at, seq), implemented directly to avoid container/heap's interface
 // boxing on the hot path.
@@ -485,17 +321,10 @@ func (e *Engine) overflowPush(i int32) {
 }
 
 func (e *Engine) overflowPop() {
-	last := len(e.overflow) - 1
-	e.overflow[0] = e.overflow[last]
-	e.overflow = e.overflow[:last]
-	if last > 0 {
-		e.siftDown(0)
-	}
-}
-
-func (e *Engine) siftDown(p int) {
-	n := len(e.overflow)
-	for {
+	n := len(e.overflow) - 1
+	e.overflow[0] = e.overflow[n]
+	e.overflow = e.overflow[:n]
+	for p := 0; ; {
 		c := 2*p + 1
 		if c >= n {
 			return

@@ -4,26 +4,34 @@ import "testing"
 
 // The benchmarks model the engine's real workload: many concurrent
 // self-rescheduling chains (cores, generators) with short scheduling deltas,
-// plus occasional cancels and far-future events. They are written against
-// the public API only, so before/after numbers across engine rewrites are
-// directly comparable.
+// plus occasional far-future events. They are written against the public
+// API only, so before/after numbers across engine rewrites are directly
+// comparable.
+
+// chain is a component that reschedules itself period cycles ahead on
+// every event, the way cores and generators do.
+type chain struct {
+	e      *Engine
+	period Cycle
+	n      int
+}
+
+func (c *chain) OnEvent(now Cycle, _ uint64) {
+	c.n++
+	c.e.Schedule(now+c.period, c, 0)
+}
 
 // BenchmarkEngineScheduleDispatch measures pure schedule+dispatch churn:
 // one event in flight, rescheduled a short delta ahead each dispatch.
 func BenchmarkEngineScheduleDispatch(b *testing.B) {
 	e := NewEngine()
-	n := 0
-	var tick Event
-	tick = func(now Cycle) {
-		n++
-		e.At(now+3, tick)
-	}
-	e.At(0, tick)
+	c := &chain{e: e, period: 3}
+	e.Schedule(0, c, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()
 	}
-	b.ReportMetric(float64(n), "events")
+	b.ReportMetric(float64(c.n), "events")
 }
 
 // BenchmarkEngineChains64 runs 64 interleaved self-rescheduling chains with
@@ -31,13 +39,8 @@ func BenchmarkEngineScheduleDispatch(b *testing.B) {
 func BenchmarkEngineChains64(b *testing.B) {
 	e := NewEngine()
 	periods := []Cycle{3, 5, 7, 11, 13, 17, 19, 23}
-	ticks := make([]Event, 64)
-	for c := 0; c < 64; c++ {
-		p := periods[c%len(periods)]
-		var tick Event
-		tick = func(now Cycle) { e.At(now+p, tick) }
-		ticks[c] = tick
-		e.At(Cycle(c), tick)
+	for i := 0; i < 64; i++ {
+		e.Schedule(Cycle(i), &chain{e: e, period: periods[i%len(periods)]}, 0)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -45,38 +48,25 @@ func BenchmarkEngineChains64(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineCancelChurn measures schedule+cancel pairs: half the
-// scheduled events are cancelled before they fire, exercising dead-event
-// handling.
-func BenchmarkEngineCancelChurn(b *testing.B) {
-	e := NewEngine()
-	nop := Event(func(Cycle) {})
-	var live Event
-	live = func(now Cycle) {
-		h := e.At(now+4, nop)
-		h.Cancel()
-		e.At(now+2, live)
+// farTicker reschedules itself a short delta ahead and, every 16 cycles,
+// also schedules a no-op event (arg 1) far beyond the wheel.
+type farTicker struct{ e *Engine }
+
+func (f *farTicker) OnEvent(now Cycle, arg uint64) {
+	if arg == 1 {
+		return
 	}
-	e.At(0, live)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
+	if now%16 == 0 {
+		f.e.Schedule(now+25_000, f, 1)
 	}
+	f.e.Schedule(now+4, f, 0)
 }
 
 // BenchmarkEngineFarFuture mixes short deltas with far-future events
 // (refresh-interval scale), exercising the long-horizon path.
 func BenchmarkEngineFarFuture(b *testing.B) {
 	e := NewEngine()
-	nop := Event(func(Cycle) {})
-	var tick Event
-	tick = func(now Cycle) {
-		if now%16 == 0 {
-			e.At(now+25_000, nop)
-		}
-		e.At(now+4, tick)
-	}
-	e.At(0, tick)
+	e.Schedule(0, &farTicker{e: e}, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()

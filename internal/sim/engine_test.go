@@ -7,6 +7,14 @@ import (
 	"testing"
 )
 
+// fn adapts a closure to Sink so tests can schedule inline callbacks.
+type fn func(now Cycle)
+
+func (f fn) OnEvent(now Cycle, _ uint64) { f(now) }
+
+// at schedules f at cycle c.
+func at(e *Engine, c Cycle, f fn) { e.Schedule(c, f, 0) }
+
 func TestEngineStartsAtZero(t *testing.T) {
 	e := NewEngine()
 	if e.Now() != 0 {
@@ -20,9 +28,8 @@ func TestEngineStartsAtZero(t *testing.T) {
 func TestEventsDispatchInTimeOrder(t *testing.T) {
 	e := NewEngine()
 	var order []Cycle
-	for _, at := range []Cycle{30, 10, 20} {
-		at := at
-		e.At(at, func(now Cycle) { order = append(order, now) })
+	for _, c := range []Cycle{30, 10, 20} {
+		at(e, c, func(now Cycle) { order = append(order, now) })
 	}
 	e.Drain()
 	want := []Cycle{10, 20, 30}
@@ -37,8 +44,7 @@ func TestSameCycleEventsDispatchInScheduleOrder(t *testing.T) {
 	e := NewEngine()
 	var order []int
 	for i := 0; i < 10; i++ {
-		i := i
-		e.At(100, func(Cycle) { order = append(order, i) })
+		at(e, 100, func(Cycle) { order = append(order, i) })
 	}
 	e.Drain()
 	for i, v := range order {
@@ -51,20 +57,20 @@ func TestSameCycleEventsDispatchInScheduleOrder(t *testing.T) {
 func TestAfterSchedulesRelative(t *testing.T) {
 	e := NewEngine()
 	var fired Cycle
-	e.At(50, func(now Cycle) {
-		e.After(25, func(now Cycle) { fired = now })
+	at(e, 50, func(Cycle) {
+		e.ScheduleAfter(25, fn(func(now Cycle) { fired = now }), 0)
 	})
 	e.Drain()
 	if fired != 75 {
-		t.Fatalf("After fired at %d, want 75", fired)
+		t.Fatalf("ScheduleAfter fired at %d, want 75", fired)
 	}
 }
 
 func TestSchedulingInPastClampsToNow(t *testing.T) {
 	e := NewEngine()
 	var fired Cycle
-	e.At(100, func(now Cycle) {
-		e.At(10, func(now Cycle) { fired = now }) // in the past
+	at(e, 100, func(Cycle) {
+		at(e, 10, func(now Cycle) { fired = now }) // in the past
 	})
 	e.Drain()
 	if fired != 100 {
@@ -72,37 +78,11 @@ func TestSchedulingInPastClampsToNow(t *testing.T) {
 	}
 }
 
-func TestCancelPreventsDispatch(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	h := e.At(10, func(Cycle) { fired = true })
-	h.Cancel()
-	e.Drain()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	// Cancelling twice is a no-op.
-	h.Cancel()
-}
-
-func TestCancelOneOfMany(t *testing.T) {
-	e := NewEngine()
-	var got []int
-	e.At(5, func(Cycle) { got = append(got, 1) })
-	h := e.At(6, func(Cycle) { got = append(got, 2) })
-	e.At(7, func(Cycle) { got = append(got, 3) })
-	h.Cancel()
-	e.Drain()
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("got %v, want [1 3]", got)
-	}
-}
-
 func TestRunUntilStopsAtLimit(t *testing.T) {
 	e := NewEngine()
 	var fired []Cycle
-	for _, at := range []Cycle{10, 20, 30, 40} {
-		e.At(at, func(now Cycle) { fired = append(fired, now) })
+	for _, c := range []Cycle{10, 20, 30, 40} {
+		at(e, c, func(now Cycle) { fired = append(fired, now) })
 	}
 	e.RunUntil(25)
 	if len(fired) != 2 {
@@ -119,7 +99,7 @@ func TestRunUntilStopsAtLimit(t *testing.T) {
 func TestRunUntilInclusiveAtLimit(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	e.At(25, func(Cycle) { fired = true })
+	at(e, 25, func(Cycle) { fired = true })
 	e.RunUntil(25)
 	if !fired {
 		t.Fatal("event at exactly the limit did not fire")
@@ -137,8 +117,8 @@ func TestRunUntilAdvancesClockWithoutEvents(t *testing.T) {
 func TestStepDispatchesSingleEvent(t *testing.T) {
 	e := NewEngine()
 	n := 0
-	e.At(1, func(Cycle) { n++ })
-	e.At(2, func(Cycle) { n++ })
+	at(e, 1, func(Cycle) { n++ })
+	at(e, 2, func(Cycle) { n++ })
 	if !e.Step() || n != 1 {
 		t.Fatalf("first Step: n = %d", n)
 	}
@@ -153,14 +133,14 @@ func TestStepDispatchesSingleEvent(t *testing.T) {
 func TestSelfReschedulingChain(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	var tick func(now Cycle)
-	tick = func(now Cycle) {
+	var tick fn
+	tick = func(Cycle) {
 		count++
 		if count < 100 {
-			e.After(10, tick)
+			e.ScheduleAfter(10, tick, 0)
 		}
 	}
-	e.After(0, tick)
+	e.ScheduleAfter(0, tick, 0)
 	e.RunUntil(2000)
 	if count != 100 {
 		t.Fatalf("count = %d, want 100", count)
@@ -171,7 +151,7 @@ func TestSelfReschedulingChain(t *testing.T) {
 }
 
 // Property: for any random schedule, dispatch order is a non-decreasing
-// sequence of timestamps covering every non-cancelled event.
+// sequence of timestamps covering every scheduled event.
 func TestRandomScheduleDispatchOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -180,9 +160,9 @@ func TestRandomScheduleDispatchOrder(t *testing.T) {
 		times := make([]Cycle, n)
 		var fired []Cycle
 		for i := range times {
-			at := Cycle(rng.Intn(1000))
-			times[i] = at
-			e.At(at, func(now Cycle) { fired = append(fired, now) })
+			c := Cycle(rng.Intn(1000))
+			times[i] = c
+			at(e, c, func(now Cycle) { fired = append(fired, now) })
 		}
 		e.Drain()
 		if len(fired) != n {
@@ -201,9 +181,9 @@ func TestRandomScheduleDispatchOrder(t *testing.T) {
 }
 
 // TestResetReproduces stops a workload with events still pending, Resets,
-// and reruns it: the engine must come back empty at cycle zero, reproduce
-// the first trace exactly (the pooled-machine contract), and ignore a
-// Handle from before the Reset whose node the rerun reuses.
+// and reruns it: the engine must come back empty at cycle zero and
+// reproduce the first trace exactly (the pooled-machine contract), with the
+// events still pending after the rerun intact.
 func TestResetReproduces(t *testing.T) {
 	type firing struct {
 		At Cycle
@@ -214,16 +194,16 @@ func TestResetReproduces(t *testing.T) {
 	var trace []firing
 	// run schedules a sentinel beyond limit first, so it takes node 0, then
 	// self-rescheduling chains whose gaps straddle the wheel horizon.
-	run := func() Handle {
+	run := func() {
 		trace = nil
 		rng := rand.New(rand.NewSource(3))
-		sentinel := e.At(limit+1, func(now Cycle) { trace = append(trace, firing{now, -1}) })
+		at(e, limit+1, func(now Cycle) { trace = append(trace, firing{now, -1}) })
 		id := 0
-		var spawn func(at Cycle, budget int)
-		spawn = func(at Cycle, budget int) {
+		var spawn func(c Cycle, budget int)
+		spawn = func(c Cycle, budget int) {
 			my := id
 			id++
-			e.At(at, func(now Cycle) {
+			at(e, c, func(now Cycle) {
 				trace = append(trace, firing{now, my})
 				if budget > 0 {
 					spawn(now+Cycle(rng.Intn(2*wheelSize)), budget-1)
@@ -234,25 +214,16 @@ func TestResetReproduces(t *testing.T) {
 			spawn(Cycle(rng.Intn(wheelSize)), 4)
 		}
 		e.RunUntil(limit)
-		return sentinel
 	}
-	stale := run()
+	run()
 	first := trace
 	e.Reset()
 	if e.Now() != 0 || e.Pending() != 0 {
 		t.Fatalf("Reset left now=%d pending=%d", e.Now(), e.Pending())
 	}
-	sentinel := run()
+	run()
 	if !reflect.DeepEqual(trace, first) {
 		t.Fatalf("trace not reproduced after Reset (len %d vs %d)", len(trace), len(first))
-	}
-	if sentinel.idx != stale.idx {
-		t.Fatalf("rerun placed the sentinel on node %d, the stale handle names node %d", sentinel.idx, stale.idx)
-	}
-	pending := e.Pending()
-	stale.Cancel()
-	if e.Pending() != pending {
-		t.Fatalf("a pre-Reset handle cancelled an event of the new run")
 	}
 	n := len(trace)
 	e.Drain()

@@ -2,7 +2,7 @@ package workload
 
 // Canonical registry names of the paper's workloads. Machine configurations
 // and scenario specs refer to workloads by these strings; new workloads pick
-// a fresh name and call Register/RegisterStream from their own package.
+// a fresh name and call Register from their own package.
 const (
 	// NameKVS is the MICA-like key-value store (§IV-A).
 	NameKVS = "kvs"
@@ -10,8 +10,6 @@ const (
 	NameL3Fwd = "l3fwd"
 	// NameL3FwdL1 is the L1-resident-table forwarder (§VI-E).
 	NameL3FwdL1 = "l3fwd-l1"
-	// NameXMem is the memory-intensive collocated tenant (§VI-E).
-	NameXMem = "xmem"
 )
 
 func init() {
@@ -36,12 +34,6 @@ func init() {
 		Name: NameL3FwdL1,
 		New: func(p Params) (Driver, error) {
 			return NewL3Fwd(L1ResidentL3FwdConfig()), nil
-		},
-	})
-	RegisterStream(StreamRegistration{
-		Name: NameXMem,
-		New: func(p Params) (Stream, error) {
-			return NewXMem(DefaultXMemConfig()), nil
 		},
 	})
 }

@@ -98,8 +98,8 @@ type StateWarmer interface {
 }
 
 // Stream is one background (non-networked) tenant's memory access stream:
-// the collocated-core counterpart of Driver. X-Mem implements it; further
-// tenants plug in through the stream registry without touching the machine.
+// the collocated-core counterpart of Driver. X-Mem implements it, and the
+// machine builds one instance per collocated core.
 type Stream interface {
 	// Name labels the stream in reports.
 	Name() string

@@ -2,8 +2,8 @@ package workload
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+
+	"sweeper/internal/registry"
 )
 
 // Params carries the machine-level knobs a driver factory may consume. It is
@@ -34,87 +34,23 @@ type Registration struct {
 	Validate func(p Params) error
 }
 
-// StreamRegistration describes one named background-tenant stream.
-type StreamRegistration struct {
-	Name string
-	// New builds one stream instance (one per collocated core); the
-	// machine seeds and lays it out afterwards via Stream.Layout.
-	New func(p Params) (Stream, error)
-}
+var drivers = registry.New[Registration]("workload")
 
-var (
-	regMu   sync.RWMutex
-	drivers = map[string]Registration{}
-	streams = map[string]StreamRegistration{}
-)
-
-// Register adds a workload to the driver registry. Registering an empty or
-// duplicate name panics: registration is a program-initialization error, not
-// a runtime condition.
+// Register adds a workload to the driver registry. A missing factory, or an
+// empty or duplicate name, panics: registration is a program-initialization
+// error, not a runtime condition.
 func Register(r Registration) {
-	if r.Name == "" || r.New == nil {
-		panic("workload: Register needs a name and a factory")
+	if r.New == nil {
+		panic(fmt.Sprintf("workload: %q registered without a factory", r.Name))
 	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := drivers[r.Name]; dup {
-		panic(fmt.Sprintf("workload: driver %q registered twice", r.Name))
-	}
-	drivers[r.Name] = r
+	drivers.Add(r.Name, r)
 }
 
 // Lookup returns the registration for name.
-func Lookup(name string) (Registration, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	r, ok := drivers[name]
-	return r, ok
-}
+func Lookup(name string) (Registration, bool) { return drivers.Lookup(name) }
 
 // Names returns the registered workload names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(drivers))
-	for n := range drivers {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// RegisterStream adds a background-tenant stream to the registry.
-func RegisterStream(r StreamRegistration) {
-	if r.Name == "" || r.New == nil {
-		panic("workload: RegisterStream needs a name and a factory")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := streams[r.Name]; dup {
-		panic(fmt.Sprintf("workload: stream %q registered twice", r.Name))
-	}
-	streams[r.Name] = r
-}
-
-// LookupStream returns the stream registration for name.
-func LookupStream(name string) (StreamRegistration, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	r, ok := streams[name]
-	return r, ok
-}
-
-// StreamNames returns the registered stream names, sorted.
-func StreamNames() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(streams))
-	for n := range streams {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return drivers.Names() }
 
 // TXSlotBytes reports the TX slot size for a named workload under p: the
 // registered RespSlotBytes hook, defaulting to the packet size. Unknown
@@ -129,35 +65,21 @@ func TXSlotBytes(name string, p Params) uint64 {
 
 // NewDriver builds a driver for a registered workload name.
 func NewDriver(name string, p Params) (Driver, error) {
-	r, ok := Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("workload: unknown workload %q (registered: %v)", name, Names())
+	if err := ValidateParams(name, p); err != nil {
+		return nil, err
 	}
-	if r.Validate != nil {
-		if err := r.Validate(p); err != nil {
-			return nil, err
-		}
-	}
+	r, _ := drivers.Lookup(name)
 	return r.New(p)
 }
 
 // ValidateParams runs a registered workload's parameter validation.
 func ValidateParams(name string, p Params) error {
-	r, ok := Lookup(name)
-	if !ok {
-		return fmt.Errorf("workload: unknown workload %q (registered: %v)", name, Names())
+	r, err := drivers.Get(name)
+	if err != nil {
+		return fmt.Errorf("workload: %w", err)
 	}
 	if r.Validate != nil {
 		return r.Validate(p)
 	}
 	return nil
-}
-
-// NewStream builds one background-tenant stream instance.
-func NewStream(name string, p Params) (Stream, error) {
-	r, ok := LookupStream(name)
-	if !ok {
-		return nil, fmt.Errorf("workload: unknown stream %q (registered: %v)", name, StreamNames())
-	}
-	return r.New(p)
 }

@@ -12,7 +12,7 @@
 //	cfg := sweeper.DefaultConfig()
 //	cfg.NICMode = sweeper.ModeDDIO
 //	cfg.DDIOWays = 2
-//	cfg.EnableSweeper()
+//	sweeper.EnableSweeper(&cfg)
 //	res := sweeper.Run(cfg, 8_000_000, 2_000_000)
 //	fmt.Println(res.ThroughputMrps, res.MemBWGBps)
 //
@@ -21,7 +21,6 @@
 package sweeper
 
 import (
-	"sweeper/internal/core"
 	"sweeper/internal/machine"
 	"sweeper/internal/nic"
 	"sweeper/internal/workload"
@@ -64,16 +63,17 @@ const (
 func DefaultConfig() Config { return machine.DefaultConfig() }
 
 // EnableSweeper turns on application-driven RX buffer relinquishing (§V-A)
-// for a configuration.
+// for a configuration. The other Sweeper settings (instruction, TX
+// sweeping) are left as they are.
 func EnableSweeper(cfg *Config) {
-	cfg.Sweeper = core.Config{RXSweep: true, IssueCyclesPerLine: 1}
+	cfg.Sweeper.RXSweep = true
+	cfg.Sweeper.IssueCyclesPerLine = 1
 }
 
 // EnableTXSweep additionally sets the Work Queue SweepBuffer bit so the NIC
 // sweeps transmit buffers after sending them (§V-D).
 func EnableTXSweep(cfg *Config) {
 	cfg.Sweeper.TXSweep = true
-	cfg.SweepTX = true
 }
 
 // New assembles a machine, validating the configuration.

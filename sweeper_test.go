@@ -24,8 +24,18 @@ func TestFacadeEnableSweeper(t *testing.T) {
 		t.Fatal("EnableSweeper")
 	}
 	sweeper.EnableTXSweep(&cfg)
-	if !cfg.Sweeper.TXSweep || !cfg.SweepTX {
+	if !cfg.Sweeper.TXSweep {
 		t.Fatal("EnableTXSweep")
+	}
+
+	// Enabling RX sweeping keeps the instruction and TX sweeping already
+	// selected.
+	cfg = sweeper.DefaultConfig()
+	cfg.Sweeper.Insn = "simf"
+	sweeper.EnableTXSweep(&cfg)
+	sweeper.EnableSweeper(&cfg)
+	if !cfg.Sweeper.RXSweep || !cfg.Sweeper.TXSweep || cfg.Sweeper.Insn != "simf" {
+		t.Fatalf("EnableSweeper clobbered the Sweeper config: %+v", cfg.Sweeper)
 	}
 }
 
