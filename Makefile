@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race perfbench-test bench bench-engine bench-mem bench-e2e bench-sampling bench-cluster bench-tiers check results obs-smoke sampling-smoke cluster-smoke traffic-smoke tiers-smoke golden-fig8 test-debug
+.PHONY: all build test vet lint race perfbench-test bench bench-engine bench-mem bench-e2e bench-sampling check results obs-smoke sampling-smoke traffic-smoke tiers-smoke golden-fig8 test-debug
 
 all: check
 
@@ -59,21 +59,9 @@ bench-e2e:
 bench-sampling:
 	$(GO) run ./cmd/benchsampling -out BENCH_sampling.json
 
-# Cluster node-count scaling: records simcyc/s and remote-memory traffic at
-# 1/2/4/8 nodes to BENCH_cluster.json (with a bit-identical rerun check).
-bench-cluster:
-	$(GO) run ./cmd/benchcluster -out BENCH_cluster.json
+bench: bench-engine bench-mem bench-e2e bench-sampling
 
-# Hybrid-memory datapath cost: tiers off vs on, clsweep vs simf, recorded to
-# BENCH_tiers.json. The tiers-off points guard the fast path — with
-# Config.MemTier disabled the datapath must cost what it did before tiering
-# existed.
-bench-tiers:
-	$(GO) run ./cmd/benchtiers -out BENCH_tiers.json
-
-bench: bench-engine bench-mem bench-e2e bench-sampling bench-cluster bench-tiers
-
-check: build vet lint test race perfbench-test bench-engine sampling-smoke cluster-smoke traffic-smoke tiers-smoke
+check: build vet lint test race perfbench-test bench-engine sampling-smoke traffic-smoke tiers-smoke
 
 # Observability smoke: drive the CLI with every exporter enabled against the
 # kvs scenario, then validate the artifacts (CSV/JSON structure) in-process.
@@ -91,17 +79,6 @@ sampling-smoke:
 	$(GO) run ./cmd/sweepersim -scenario examples/scenarios/kvs.json \
 		-warmup 500000 -measure 100000 -sample-mode fixed
 	$(GO) test ./internal/machine -run TestSamplingSmokeBuiltins -count=1
-
-# Cluster smoke: drive the CLI through the shipped 4-node rack scenario with
-# the manifest exporter on, then validate the manifest (per-node, fabric and
-# balancer metrics) in-process.
-cluster-smoke:
-	mkdir -p artifacts
-	$(GO) run ./cmd/sweepersim -scenario examples/scenarios/cluster_kvs.json \
-		-warmup 200000 -measure 150000 \
-		-manifest artifacts/cluster_manifest.json
-	SWEEPER_CLUSTER_MANIFEST=$(CURDIR)/artifacts/cluster_manifest.run01.json \
-		$(GO) test ./internal/cluster -run TestClusterManifestSmoke -count=1 -v
 
 # Traffic-realism smoke: synthesize a bursty trace with tracegen, replay it
 # through the CLI with -arrival trace and validate the manifest in-process,

@@ -17,7 +17,6 @@ import (
 	"sweeper"
 	"sweeper/internal/addr"
 	"sweeper/internal/cache"
-	"sweeper/internal/cluster"
 	"sweeper/internal/experiments"
 	"sweeper/internal/machine"
 	"sweeper/internal/mem"
@@ -375,35 +374,11 @@ func BenchmarkRunOncePooled(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterRunOnce is the rack-scale end-to-end benchmark: one
-// complete 4-node cluster run (build, warmup, measure) — the sharded KVS
-// behind the flow-hash balancer, remote reads crossing the fabric. Compare
-// against BenchmarkRunOnce for the per-node overhead of the cluster layer;
-// `make bench-cluster` records the node-count scaling sweep to
-// BENCH_cluster.json.
-func BenchmarkClusterRunOnce(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		node := sweeper.DefaultConfig()
-		node.OfferedMrps = 8
-		cl := cluster.MustNew(cluster.Config{Node: node, Nodes: 4})
-		r := cl.Run(200_000, 400_000)
-		if r.Served == 0 {
-			b.Fatal("cluster served nothing")
-		}
-		if r.RemoteReads == 0 {
-			b.Fatal("cluster run never crossed the fabric")
-		}
-	}
-}
-
 // BenchmarkTieredRunOnce is the hybrid-memory end-to-end benchmark: one
 // complete run with hot-page placement over a DRAM+tier-1 split and the SIMF
-// bulk-invalidation instruction — the full ROADMAP item 4 datapath. Compare
-// against BenchmarkRunOnce for the tier-routing overhead; with tiers off the
-// datapath takes a nil-check-only fast path, so BenchmarkRunOnce itself must
-// not move. `make bench-tiers` records the off/on comparison to
-// BENCH_tiers.json.
+// bulk-invalidation instruction. Compare against BenchmarkRunOnce for the
+// tier-routing overhead; with tiers off the datapath takes a nil-check-only
+// fast path, so BenchmarkRunOnce itself must not move.
 func BenchmarkTieredRunOnce(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

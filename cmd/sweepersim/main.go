@@ -19,7 +19,6 @@ import (
 	"strings"
 	"time"
 
-	"sweeper/internal/cluster"
 	"sweeper/internal/core"
 	"sweeper/internal/machine"
 	"sweeper/internal/mem"
@@ -70,9 +69,6 @@ func main() {
 		warmup       = flag.Uint64("warmup", 400_000, "warmup cycles")
 		measure      = flag.Uint64("measure", 800_000, "measurement cycles")
 		seed         = flag.Int64("seed", 1, "random seed")
-		nodes        = flag.Int("nodes", 1, "cluster nodes: N>1 simulates a rack behind a load balancer")
-		topology     = flag.String("topology", "", "cluster fabric topology (empty = star)")
-		lbPolicy     = flag.String("lb", "", "cluster load-balancer policy: "+strings.Join(cluster.PolicyNames(), ", "))
 		mlp          = flag.Int("mlp", 0, "memory-level parallelism width (0 = default)")
 		nebula       = flag.Int("nebula", 0, "NeBuLa-style drop threshold (0 = off)")
 		spikeProb    = flag.Float64("spike-prob", 0, "per-request service spike probability (§VI-F)")
@@ -187,22 +183,6 @@ func main() {
 	}
 	cfg.NICMode = mode
 
-	if *nodes > 1 {
-		if *dramTrace != "" {
-			log.Fatal("-dram-trace applies to single-machine runs only")
-		}
-		ccfg := cluster.Config{Node: cfg, Nodes: *nodes, Topology: *topology, LBPolicy: *lbPolicy}
-		cl, err := cluster.New(ccfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		r := cl.Run(*warmup, *measure)
-		ob.exportCluster(cl, fmt.Sprintf("%s %s x%d", cfg.Workload, cfg.NICMode, *nodes), r, 0, 1)
-		printClusterResults(cl.Config(), r)
-		_ = os.Stdout.Sync()
-		return
-	}
-
 	m, err := machine.New(cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -279,20 +259,6 @@ func runScenario(path string, warmup, measure uint64, sampling machine.SamplingC
 		if r.Param != "" {
 			label += " " + r.Param
 		}
-		if r.Cluster != nil {
-			if sampling.Mode != "" {
-				log.Fatal("sampled simulation is not supported for cluster runs")
-			}
-			ccfg := *r.Cluster
-			cl, err := cluster.New(ccfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			res := cl.Run(warmup, measure)
-			ob.exportCluster(cl, label, res, i, len(runs))
-			printClusterResults(ccfg, res)
-			continue
-		}
 		m, err := machine.New(r.Config)
 		if err != nil {
 			log.Fatal(err)
@@ -349,23 +315,6 @@ func (o obsFlags) export(m *machine.Machine, cfg machine.Config, label string, r
 	}
 }
 
-// exportCluster writes the manifest for a completed rack run. The metric
-// and trace time-series exporters are single-machine instruments, so they
-// reject cluster runs rather than silently recording one node's view.
-func (o obsFlags) exportCluster(cl *cluster.Cluster, label string, r cluster.Results, runIdx, nRuns int) {
-	if o.metrics != "" || o.trace != "" {
-		log.Fatal("-metrics and -trace are single-machine exporters; cluster runs support -manifest")
-	}
-	if o.manifest == "" {
-		return
-	}
-	man := cl.BuildManifest(label, r)
-	man.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
-	writeArtifact(obsOutPath(o.manifest, runIdx, nRuns), func(f *os.File) error {
-		return obs.WriteManifest(f, man)
-	})
-}
-
 // obsOutPath inserts a ".runNN" tag before the extension for multi-run
 // scenarios: out.json -> out.run03.json.
 func obsOutPath(path string, runIdx, nRuns int) string {
@@ -388,34 +337,6 @@ func writeArtifact(path string, write func(*os.File) error) {
 	}
 	if err := f.Close(); err != nil {
 		log.Fatal(err)
-	}
-}
-
-// printClusterResults prints the rack-wide aggregates, the fabric's
-// traffic, then one summary line per node.
-func printClusterResults(cfg cluster.Config, r cluster.Results) {
-	topo := cfg.Topology
-	if topo == "" {
-		topo = "star"
-	}
-	pol := cfg.LBPolicy
-	if pol == "" {
-		pol = cluster.DefaultPolicy
-	}
-	fmt.Printf("cluster: %d nodes, %s fabric, %s balancer, %s %s per node\n",
-		cfg.Nodes, topo, pol, cfg.Node.Workload, cfg.Node.NICMode)
-	fmt.Printf("throughput:      %8.2f Mrps (%d requests served)\n", r.ThroughputMrps, r.Served)
-	fmt.Printf("memory bw:       %8.2f GB/s across the rack\n", r.MemBWGBps)
-	fmt.Printf("worst p99:       %8d cycles\n", r.ReqLatP99Max)
-	if r.Offered > 0 {
-		fmt.Printf("drops:           %d / %d offered (%.4f%%)\n", r.Dropped, r.Offered, 100*r.DropRate)
-	}
-	fmt.Printf("remote memory:   %d reads over the fabric\n", r.RemoteReads)
-	fmt.Printf("fabric:          %d messages, %d bytes, %d drops, %d retries\n",
-		r.Fabric.Messages, r.Fabric.Bytes, r.Fabric.Drops, r.Fabric.Retries)
-	for i, nr := range r.Nodes {
-		fmt.Printf("  node %d: %7.2f Mrps, %6.2f GB/s, p99 %d cycles, %d/%d dropped\n",
-			i, nr.ThroughputMrps, nr.MemBWGBps, nr.ReqLatP99, nr.Dropped, nr.Offered)
 	}
 }
 

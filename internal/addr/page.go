@@ -11,7 +11,7 @@ const (
 // PageOf returns the page number containing a.
 func PageOf(a uint64) uint64 { return a >> PageShift }
 
-// MaxLocalAddr is the largest local address the remote encoding can carry;
-// tier boundaries must stay at or below it so tiered addresses survive the
-// cluster's remote packing.
-const MaxLocalAddr = maxLocal
+// MaxLocalAddr is the largest address a tier split may name. It lies far
+// above any simulated space (spaces start at 1 GiB and grow by at most a few
+// GiB), so a larger split is a configuration error.
+const MaxLocalAddr = uint64(1)<<48 - 1

@@ -450,27 +450,6 @@ func (h *Hierarchy) CPUWriteFull(now uint64, core int, a uint64) uint64 {
 	return now + h.cfg.L1Lat
 }
 
-// RemoteRead serves a line request that arrived over the cluster fabric
-// from a peer node. The home node's memory side looks exactly like a local
-// application access minus the private caches (the requester is not a local
-// core): probe the shared LLC, miss to DRAM through the sink, and install
-// the fetched line under the full way mask so remote-hot lines stay cached
-// at their home. write marks the line dirty at the home node — ownership
-// never migrates across the fabric, so the eventual eviction writes it back
-// locally. Returns the completion cycle at the home memory system; fabric
-// latency is the caller's to add.
-func (h *Hierarchy) RemoteRead(now uint64, a uint64, write bool) uint64 {
-	if h.llc.Lookup(a) != Invalid {
-		if write {
-			h.llc.SetDirty(a)
-		}
-		return now + h.cfg.NoCLat + h.cfg.LLCLat
-	}
-	done := h.demandRead(now+h.cfg.NoCLat+h.cfg.LLCLat, a, SrcCPU)
-	h.llcInsert(now, a, write, MaskAll(h.cfg.LLCWays))
-	return done
-}
-
 // NICWriteDDIO injects one full line of an incoming packet through DDIO:
 // update-in-place on LLC hit, write-allocate into the DDIO ways on miss
 // (evicting — and writing back — a dirty victim), never touching DRAM for

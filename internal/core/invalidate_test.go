@@ -102,7 +102,7 @@ func TestInsnIssueLatency(t *testing.T) {
 }
 
 // TestInsnConfigValidate is the table-driven knob validation for the
-// instruction family (mirrors the cluster-knob validation tests).
+// instruction family.
 func TestInsnConfigValidate(t *testing.T) {
 	cases := []struct {
 		name    string

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/csv"
 	"strings"
 	"testing"
 
@@ -236,14 +237,15 @@ func TestTableCSV(t *testing.T) {
 	cell := Cell{Param: "p", Config: "c", Mrps: 1.5, GBps: 2.5}
 	cell.Breakdown[stats.RXEvct] = 4.25
 	cell = cell.WithExtra("zzz", 9).WithExtra("aaa", 8)
-	tbl.Cells = append(tbl.Cells, cell)
+	// fig9a's params hold a comma, so the writer must quote them.
+	tbl.Cells = append(tbl.Cells, cell, Cell{Param: "(2,10)", Config: "c"})
 
 	var buf bytes.Buffer
 	if err := tbl.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
+	if len(lines) != 3 {
 		t.Fatalf("csv lines = %d", len(lines))
 	}
 	header := lines[0]
@@ -256,6 +258,18 @@ func TestTableCSV(t *testing.T) {
 	}
 	if !strings.Contains(lines[1], "4.2500") {
 		t.Fatalf("row %q", lines[1])
+	}
+	rows, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatalf("csv does not read back: %v", err)
+	}
+	for i, r := range rows {
+		if len(r) != len(rows[0]) {
+			t.Fatalf("row %d has %d fields under a %d-column header", i, len(r), len(rows[0]))
+		}
+	}
+	if rows[2][1] != "(2,10)" {
+		t.Fatalf("param read back as %q", rows[2][1])
 	}
 }
 
@@ -297,7 +311,7 @@ func TestCellFromResults(t *testing.T) {
 
 func TestRegistryNames(t *testing.T) {
 	names := Names()
-	want := []string{"alternatives", "cluster", "fig1", "fig10", "fig2", "fig5",
+	want := []string{"alternatives", "fig1", "fig10", "fig2", "fig5",
 		"fig6", "fig7", "fig8", "fig9", "policies", "slo", "tiers"}
 	if len(names) != len(want) {
 		t.Fatalf("names = %v", names)

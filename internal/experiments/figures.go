@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"sort"
@@ -171,18 +172,21 @@ func Fig6(sc Scale) Fig6Result {
 // (config,context,at_mrps,latency_cycles,cdf), the format committed under
 // results/fig6_cdf.csv.
 func WriteCDFCSV(w io.Writer, r Fig6Result) error {
-	if _, err := fmt.Fprintln(w, "config,context,at_mrps,latency_cycles,cdf"); err != nil {
+	cw := csv.NewWriter(w)
+	if err := cw.Write([]string{"config", "context", "at_mrps", "latency_cycles", "cdf"}); err != nil {
 		return err
 	}
 	for _, c := range r.Curves {
 		for _, p := range c.CDF {
-			if _, err := fmt.Fprintf(w, "%s,%s,%.3f,%d,%.6f\n",
-				c.Config, c.Context, c.AtMrps, p.Value, p.Fraction); err != nil {
+			row := []string{c.Config, c.Context, fmt.Sprintf("%.3f", c.AtMrps),
+				fmt.Sprintf("%d", p.Value), fmt.Sprintf("%.6f", p.Fraction)}
+			if err := cw.Write(row); err != nil {
 				return err
 			}
 		}
 	}
-	return nil
+	cw.Flush()
+	return cw.Error()
 }
 
 // Fig7 reproduces Figure 7: Sweeper under premature buffer evictions (the
@@ -366,7 +370,6 @@ func Registry() map[string]func(Scale) []Table {
 		"fig10":        Fig10,
 		"policies":     Policies,
 		"alternatives": Alternatives,
-		"cluster":      ClusterScaling,
 		"slo":          SLOCurve,
 		"tiers":        Tiers,
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"sort"
@@ -174,7 +175,8 @@ func (t *Table) RenderBreakdown(w io.Writer) {
 }
 
 // WriteCSV emits the table in long form: one line per (param, config) with
-// every metric as a column.
+// every metric as a column. Fields are quoted where RFC 4180 needs it, so a
+// param such as "(2,10)" stays one field.
 func (t *Table) WriteCSV(w io.Writer) error {
 	extraKeys := map[string]bool{}
 	for _, c := range t.Cells {
@@ -195,7 +197,8 @@ func (t *Table) WriteCSV(w io.Writer) error {
 		cols = append(cols, "acc_"+name)
 	}
 	cols = append(cols, extras...)
-	if _, err := fmt.Fprintln(w, strings.Join(cols, ",")); err != nil {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(cols); err != nil {
 		return err
 	}
 	for _, c := range t.Cells {
@@ -219,9 +222,10 @@ func (t *Table) WriteCSV(w io.Writer) error {
 				row = append(row, "")
 			}
 		}
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
+		if err := cw.Write(row); err != nil {
 			return err
 		}
 	}
-	return nil
+	cw.Flush()
+	return cw.Error()
 }

@@ -131,16 +131,6 @@ type Config struct {
 	// value (Mode "") runs fully detailed.
 	Sampling SamplingConfig
 
-	// NodeID and ClusterNodes place this machine in a cluster: NodeID in
-	// [0, ClusterNodes) identifies the node, ClusterNodes the cluster
-	// size. Standalone machines leave both zero; cluster.New stamps them
-	// onto every node it assembles (New rejects ClusterNodes > 1 — a
-	// multi-node machine only makes sense behind the cluster layer, which
-	// owns the shared engine and the fabric). NodeID offsets seeds so
-	// homogeneous nodes stay decorrelated.
-	NodeID       int
-	ClusterNodes int
-
 	// Seed makes runs reproducible.
 	Seed int64
 }
@@ -300,10 +290,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("machine: MLPWidth must be non-negative, got %d", c.MLPWidth)
 	case c.Shards != 0:
 		return fmt.Errorf("machine: Shards %d: the sharded event engine was removed; leave it zero", c.Shards)
-	case c.ClusterNodes < 0:
-		return fmt.Errorf("machine: ClusterNodes must be non-negative, got %d", c.ClusterNodes)
-	case c.NodeID < 0 || c.NodeID >= max(c.ClusterNodes, 1):
-		return fmt.Errorf("machine: NodeID %d outside [0,%d)", c.NodeID, max(c.ClusterNodes, 1))
 	}
 	if err := c.Sampling.validate(); err != nil {
 		return err

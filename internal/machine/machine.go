@@ -47,18 +47,6 @@ type Machine struct {
 	agenProc string
 	cgen     *nic.ClosedLoopGen
 
-	// Cluster wiring (all zero on standalone machines): ownsEngine marks
-	// the engine as this machine's (New) rather than borrowed from a
-	// cluster (NewNode); extTraffic suppresses the node's own open-loop
-	// generator because the cluster's front end injects packets directly;
-	// extOffered reads the front end's per-node offered counter in its
-	// place; remoteRead is the cluster's fabric + remote-DRAM access path
-	// for addresses flagged addr.IsRemote.
-	ownsEngine bool
-	extTraffic bool
-	extOffered func() uint64
-	remoteRead func(now uint64, core int, a uint64, write bool) uint64
-
 	rng *rand.Rand
 
 	// Request-side accounting (window deltas are taken at snap).
@@ -96,57 +84,20 @@ type Machine struct {
 	lastWarmup, lastMeasure uint64
 }
 
-// New assembles a standalone machine from cfg: the machine owns its event
-// engine and drives its own traffic generator.
+// New assembles a machine from cfg: the machine owns its event engine and
+// drives its own traffic generator.
 func New(cfg Config) (*Machine, error) {
-	if cfg.ClusterNodes > 1 {
-		return nil, fmt.Errorf("machine: ClusterNodes %d on a standalone machine (assemble through cluster.New)", cfg.ClusterNodes)
-	}
-	return newMachine(cfg, nil, NodeOptions{})
-}
-
-// NodeOptions configures a cluster-owned node.
-type NodeOptions struct {
-	// ExternalTraffic suppresses the node's own open-loop generator: the
-	// cluster's load-balancer front end injects packets directly into the
-	// node's NIC. Closed-loop nodes keep their own generators and leave
-	// this false.
-	ExternalTraffic bool
-	// Offered reads the front end's per-node injection-attempt counter,
-	// standing in for the suppressed generator's Offered() so drop rates
-	// and offered-load results stay meaningful.
-	Offered func() uint64
-}
-
-// NewNode assembles a machine as one node of a cluster, running on a
-// borrowed engine the cluster layer owns. The node never resets the engine
-// and is started through StartNode rather than Run.
-func NewNode(cfg Config, eng *sim.Engine, opts NodeOptions) (*Machine, error) {
-	if eng == nil {
-		panic("machine: NewNode needs the cluster's engine")
-	}
-	return newMachine(cfg, eng, opts)
-}
-
-func newMachine(cfg Config, eng *sim.Engine, opts NodeOptions) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	total := cfg.NetCores + cfg.XMemCores
 	cfg.Cache.NCores = total
 
-	ownsEngine := eng == nil
-	if ownsEngine {
-		eng = sim.NewEngine()
-	}
 	m := &Machine{
-		cfg:        cfg,
-		eng:        eng,
-		ownsEngine: ownsEngine,
-		extTraffic: opts.ExternalTraffic,
-		extOffered: opts.Offered,
-		rng:        rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
-		reqLat:     stats.NewHistogram(64, 8192),
+		cfg:    cfg,
+		eng:    sim.NewEngine(),
+		rng:    rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
+		reqLat: stats.NewHistogram(64, 8192),
 	}
 
 	rxBytes := uint64(cfg.RingSlots) * cfg.PacketBytes
@@ -202,17 +153,6 @@ func (m *Machine) configure(cfg Config) error {
 			return err
 		}
 		m.drv, m.drvName, m.drvParams = drv, cfg.Workload, p
-	}
-	// Cluster nodes shard the workload's primary structure across the rack
-	// before layout, so the per-node layout allocates only this node's
-	// shard and plans can emit addr.Remote references to the others.
-	if cfg.ClusterNodes > 1 {
-		cs, ok := m.drv.(workload.ClusterSharder)
-		if !ok {
-			return fmt.Errorf("machine: workload %q cannot shard across %d nodes (does not implement workload.ClusterSharder)",
-				cfg.Workload, cfg.ClusterNodes)
-		}
-		cs.SetCluster(cfg.ClusterNodes, cfg.NodeID)
 	}
 	m.drv.Layout(m.dp.space)
 	if cfg.WarmLLC {
@@ -303,10 +243,6 @@ func (m *Machine) configure(cfg Config) error {
 		if s, ok := m.drv.(workload.RequestSizer); ok {
 			m.cgen.SetSizer(s.RequestBytes)
 		}
-	} else if m.extTraffic {
-		// The cluster front end injects this node's arrivals; no local
-		// generator at all.
-		m.cgen, m.agen, m.agenProc = nil, nil, ""
 	} else {
 		m.cgen = nil
 		spec := m.arrivalSpec(cfg)
@@ -416,12 +352,6 @@ func geometryOf(cfg Config) geometry {
 // Sweeper settings — may differ freely. Reset-then-Run is bit-identical to
 // fresh-build-then-Run.
 func (m *Machine) Reset(cfg Config) error {
-	if !m.ownsEngine {
-		return fmt.Errorf("machine: cluster nodes run on a borrowed engine and are not poolable; build a fresh cluster")
-	}
-	if cfg.ClusterNodes > 1 {
-		return fmt.Errorf("machine: ClusterNodes %d on a standalone machine (assemble through cluster.New)", cfg.ClusterNodes)
-	}
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -530,48 +460,18 @@ func (m *Machine) RXRead(now uint64, c int, a uint64) uint64 {
 	return m.noteAccess(now, m.dp.hier.CPURead(now, c, a))
 }
 
-// SetRemoteAccess installs the cluster's remote-memory path: application
-// accesses to addresses flagged addr.IsRemote are routed to fn, which pays
-// fabric plus remote-DRAM latency and returns the completion cycle. Only
-// the cluster layer calls this; a remote address on a machine without the
-// hook panics, because it means a sharded workload escaped its cluster.
-func (m *Machine) SetRemoteAccess(fn func(now uint64, core int, a uint64, write bool) uint64) {
-	m.remoteRead = fn
-}
-
-// remoteAccess routes one remote application access through the installed
-// cluster hook.
-func (m *Machine) remoteAccess(now uint64, c int, a uint64, write bool) uint64 {
-	if m.remoteRead == nil {
-		panic(fmt.Sprintf("machine: remote address %#x outside a cluster (no remote-access hook installed)", a))
-	}
-	return m.remoteRead(now, c, a, write)
-}
-
-// AppRead implements cpu.Env. Remote addresses (a KVS item homed on
-// another node's log shard) take the cluster's fabric path; the latency
-// still lands in the AMAT accumulator, because remote memory is exactly
-// the kind of access the paper's throughput model charges the core for.
+// AppRead implements cpu.Env.
 func (m *Machine) AppRead(now uint64, c int, a uint64) uint64 {
-	if addr.IsRemote(a) {
-		return m.noteAccess(now, m.remoteAccess(now, c, a, false))
-	}
 	return m.noteAccess(now, m.dp.hier.CPURead(now, c, a))
 }
 
 // AppWrite implements cpu.Env.
 func (m *Machine) AppWrite(now uint64, c int, a uint64) uint64 {
-	if addr.IsRemote(a) {
-		return m.noteAccess(now, m.remoteAccess(now, c, a, true))
-	}
 	return m.noteAccess(now, m.dp.hier.CPUWrite(now, c, a))
 }
 
 // AppWriteFull implements cpu.Env.
 func (m *Machine) AppWriteFull(now uint64, c int, a uint64) uint64 {
-	if addr.IsRemote(a) {
-		return m.noteAccess(now, m.remoteAccess(now, c, a, true))
-	}
 	return m.noteAccess(now, m.dp.hier.CPUWriteFull(now, c, a))
 }
 

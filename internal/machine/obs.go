@@ -13,18 +13,13 @@ import (
 // replace the components its read closures capture.
 func (m *Machine) Metrics() *obs.Registry {
 	if m.metrics == nil {
-		r := obs.NewRegistry()
-		m.RegisterMetrics(r)
-		m.metrics = r
+		m.metrics = m.buildRegistry()
 	}
 	return m.metrics
 }
 
-// RegisterMetrics registers every machine metric on r. Standalone machines
-// get a root registry through Metrics; the cluster layer passes each node a
-// "nodeN."-prefixed view of one shared registry instead, so a rack's
-// manifest namespaces per-node metrics without the nodes knowing.
-func (m *Machine) RegisterMetrics(r *obs.Registry) {
+func (m *Machine) buildRegistry() *obs.Registry {
+	r := obs.NewRegistry()
 	m.dp.registerMetrics(r)
 	m.nicD.RegisterMetrics(r)
 	if m.agen != nil {
@@ -50,6 +45,7 @@ func (m *Machine) RegisterMetrics(r *obs.Registry) {
 		x.RegisterMetrics(r)
 	}
 	r.Histogram("req.latency", m.reqLat)
+	return r
 }
 
 // registerMetrics exposes the memory side: the per-kind DRAM transaction

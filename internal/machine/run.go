@@ -106,15 +106,7 @@ type windowSnap struct {
 
 // start schedules every component's initial event: cores, tenant cores,
 // the traffic generator and the dynamic-DDIO controller, in that order.
-func (m *Machine) start() { m.startWith(nil) }
-
-// startWith is start with the generator slot pluggable: startGen, when
-// non-nil, runs at exactly the point the machine's own open-loop generator
-// would start — after the cores, before the dynamic-DDIO controller. The
-// cluster front end occupies this slot on external-traffic nodes, so event
-// sequence numbers (and therefore dispatch order) match a standalone machine
-// exactly.
-func (m *Machine) startWith(startGen func()) {
+func (m *Machine) start() {
 	for _, c := range m.cores {
 		c.Start()
 	}
@@ -126,9 +118,6 @@ func (m *Machine) startWith(startGen func()) {
 		m.cgen.Start(m.eng.Now())
 	case m.agen != nil:
 		m.agen.Start()
-	}
-	if startGen != nil {
-		startGen()
 	}
 	if m.cfg.DynamicDDIOEpoch > 0 && m.cfg.NICMode == nic.ModeDDIO {
 		m.dp.startDynamicDDIO(m.cfg.DDIOWays)
@@ -156,8 +145,6 @@ func (m *Machine) snap() windowSnap {
 	}
 	if m.agen != nil {
 		s.offered = m.agen.Offered()
-	} else if m.extOffered != nil {
-		s.offered = m.extOffered()
 	}
 	for _, x := range m.xmem {
 		s.xmemAcc += x.Accesses()
@@ -197,24 +184,27 @@ func (m *Machine) beginRun(warmup, measure uint64) {
 	}
 }
 
-// StartNode begins a cluster node's run on the shared engine: run-once
-// bookkeeping plus every component's initial event. startGen, when
-// non-nil, runs in the node's generator slot (see startWith); the cluster
-// passes its front end's Start for exactly one node so the shared arrival
-// process enters the event sequence where a local generator would. The
-// engine is not advanced — the cluster drives RunUntil across all nodes
-// and brackets the measurement window with BeginWindow/EndWindow.
+// StartNode begins a run without advancing the engine: the run-once
+// bookkeeping and every component's initial event, exactly as Run does
+// before its first RunUntil. The caller then drives Engine().RunUntil and
+// brackets the measurement window with BeginWindow/EndWindow, which is how
+// perfbench times the phases of a run. startGen is always nil: the machine
+// starts its own generator, and the argument stays only because perfbench
+// calls the three-argument form.
 func (m *Machine) StartNode(warmup, measure uint64, startGen func()) {
+	if startGen != nil {
+		panic("machine: StartNode's startGen must be nil")
+	}
 	if m.cfg.Sampling.Enabled() {
-		panic("machine: sampled simulation is not supported on cluster nodes")
+		panic("machine: sampled simulation runs only through Run")
 	}
 	m.beginRun(warmup, measure)
-	m.startWith(startGen)
+	m.start()
 }
 
 // BeginWindow resets the window accumulators and opens the measurement
-// window. Run calls it at the warmup boundary; the cluster layer calls it
-// on every node when the shared engine reaches the cluster's warmup.
+// window. Run calls it at the warmup boundary; StartNode callers call it
+// when the engine reaches their warmup.
 func (m *Machine) BeginWindow() {
 	m.dp.dramLat.Reset()
 	m.reqLat.Reset()
@@ -284,8 +274,6 @@ func (m *Machine) collect(snap windowSnap, measure uint64) Results {
 
 	if m.agen != nil {
 		r.Offered = m.agen.Offered() - snap.offered
-	} else if m.extOffered != nil {
-		r.Offered = m.extOffered() - snap.offered
 	}
 	r.Dropped = m.nicD.Dropped() - snap.dropped
 	if r.Offered > 0 {

@@ -74,7 +74,7 @@ func DefaultTierConfig(policy string) TierConfig {
 func (c TierConfig) Enabled() bool { return c.Policy != "" }
 
 // Validate rejects contradictory tier knob combinations before any
-// simulation runs (mirrors the cluster-knob validation).
+// simulation runs.
 func (c TierConfig) Validate() error {
 	if !c.Enabled() {
 		return nil

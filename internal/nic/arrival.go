@@ -93,10 +93,9 @@ func (c ArrivalConfig) Validate() error {
 	return nil
 }
 
-// InjectFunc delivers one generated arrival. Standalone machines inject
-// into their own NIC; the cluster front end picks a destination node first.
-// Implementations must be rng-free so generator draw order is identical in
-// both placements.
+// InjectFunc delivers one generated arrival into the machine's NIC.
+// Implementations must be rng-free, so wrapping one (to time injection, say)
+// cannot change the generator's draw order.
 type InjectFunc func(now uint64, core int, size uint64, tag uint64)
 
 // ArrivalSpec is the machine-derived parameterization every arrival process
@@ -110,7 +109,7 @@ type ArrivalSpec struct {
 	// size, so trace record sizes clamp to it).
 	Size uint64
 	// MeanGap is the target mean inter-arrival gap in cycles across the
-	// whole NIC (cluster front ends pass the rack-wide gap).
+	// whole NIC.
 	MeanGap float64
 	// Seed makes the process reproducible.
 	Seed int64
@@ -217,8 +216,8 @@ type gapProcess interface {
 // optionally thinned against a diurnal envelope and spread over a fixed
 // flow population. With the zero-valued ArrivalConfig it reproduces the
 // original PoissonGen draw for draw: one ExpFloat64 at Start, then
-// Intn/Uint64/ExpFloat64 per arrival — the order the cluster front end and
-// the committed goldens depend on.
+// Intn/Uint64/ExpFloat64 per arrival — the order the committed goldens
+// depend on.
 type openLoop struct {
 	eng    *sim.Engine
 	rng    *rand.Rand

@@ -77,18 +77,7 @@ type histEntry struct {
 
 // Registry holds a machine's registered metrics in registration order. It is
 // not safe for concurrent use; the simulator is single-threaded by design.
-//
-// A Registry is a (possibly prefixed) view over shared storage: Sub derives
-// a view that prepends a namespace to every registration, which is how one
-// cluster-wide registry holds N nodes' metrics as node0.*, node1.*, ...
-// without the components knowing they are namespaced.
 type Registry struct {
-	prefix string
-	s      *regState
-}
-
-// regState is the storage every view of one registry shares.
-type regState struct {
 	metrics []metric
 	byName  map[string]bool
 	hists   []histEntry
@@ -96,27 +85,18 @@ type regState struct {
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{s: &regState{byName: map[string]bool{}}}
-}
-
-// Sub returns a view of the registry that prepends prefix to every metric
-// and histogram registered through it ("node0." -> node0.llc.hits). Views
-// share the parent's storage, so sampling and export see one flat,
-// registration-ordered namespace.
-func (r *Registry) Sub(prefix string) *Registry {
-	return &Registry{prefix: r.prefix + prefix, s: r.s}
+	return &Registry{byName: map[string]bool{}}
 }
 
 func (r *Registry) add(name string, kind Kind, read func(now uint64) float64) {
 	if name == "" || read == nil {
 		panic("obs: metric needs a name and a read function")
 	}
-	name = r.prefix + name
-	if r.s.byName[name] {
+	if r.byName[name] {
 		panic(fmt.Sprintf("obs: duplicate metric %q", name))
 	}
-	r.s.byName[name] = true
-	r.s.metrics = append(r.s.metrics, metric{name: name, kind: kind, read: read})
+	r.byName[name] = true
+	r.metrics = append(r.metrics, metric{name: name, kind: kind, read: read})
 }
 
 // Counter registers a cumulative count read from fn.
@@ -136,22 +116,21 @@ func (r *Registry) Histogram(name string, h *stats.Histogram) {
 	if name == "" || h == nil {
 		panic("obs: histogram needs a name and an instance")
 	}
-	name = r.prefix + name
-	for _, e := range r.s.hists {
+	for _, e := range r.hists {
 		if e.name == name {
 			panic(fmt.Sprintf("obs: duplicate histogram %q", name))
 		}
 	}
-	r.s.hists = append(r.s.hists, histEntry{name: name, h: h})
+	r.hists = append(r.hists, histEntry{name: name, h: h})
 }
 
 // Len returns the number of registered sampled metrics (histograms excluded).
-func (r *Registry) Len() int { return len(r.s.metrics) }
+func (r *Registry) Len() int { return len(r.metrics) }
 
 // Names returns the sampled metric names in registration order.
 func (r *Registry) Names() []string {
-	out := make([]string, len(r.s.metrics))
-	for i, m := range r.s.metrics {
+	out := make([]string, len(r.metrics))
+	for i, m := range r.metrics {
 		out[i] = m.name
 	}
 	return out
@@ -159,8 +138,8 @@ func (r *Registry) Names() []string {
 
 // Kinds returns the sampled metric kinds in registration order.
 func (r *Registry) Kinds() []Kind {
-	out := make([]Kind, len(r.s.metrics))
-	for i, m := range r.s.metrics {
+	out := make([]Kind, len(r.metrics))
+	for i, m := range r.metrics {
 		out[i] = m.kind
 	}
 	return out
@@ -168,16 +147,16 @@ func (r *Registry) Kinds() []Kind {
 
 // readInto fills row (len == Len) with the current metric values.
 func (r *Registry) readInto(now uint64, row []float64) {
-	for i := range r.s.metrics {
-		row[i] = r.s.metrics[i].read(now)
+	for i := range r.metrics {
+		row[i] = r.metrics[i].read(now)
 	}
 }
 
 // Final returns every sampled metric's value at cycle now, keyed by name.
 // Manifests embed it as the run's closing totals.
 func (r *Registry) Final(now uint64) map[string]float64 {
-	out := make(map[string]float64, len(r.s.metrics))
-	for _, m := range r.s.metrics {
+	out := make(map[string]float64, len(r.metrics))
+	for _, m := range r.metrics {
 		out[m.name] = m.read(now)
 	}
 	return out
@@ -199,8 +178,8 @@ type HistogramSummary struct {
 // HistogramSummaries summarizes every registered histogram, in registration
 // order.
 func (r *Registry) HistogramSummaries() []HistogramSummary {
-	out := make([]HistogramSummary, 0, len(r.s.hists))
-	for _, e := range r.s.hists {
+	out := make([]HistogramSummary, 0, len(r.hists))
+	for _, e := range r.hists {
 		out = append(out, HistogramSummary{
 			Name:  e.name,
 			Count: e.h.Count(),

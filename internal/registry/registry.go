@@ -1,7 +1,7 @@
 // Package registry provides the name-keyed table behind the simulator's
-// pluggable parts: workload drivers, arrival processes, invalidation
-// instructions and load-balancer policies. Each package keeps one Table and
-// exposes it through its own Register/Lookup/Names functions.
+// pluggable parts: workload drivers, arrival processes and invalidation
+// instructions. Each package keeps one Table and exposes it through its own
+// Register/Lookup/Names functions.
 package registry
 
 import (

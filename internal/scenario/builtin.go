@@ -85,30 +85,11 @@ func collocationKnobs() Knobs {
 	}
 }
 
-// clusterKVSKnobs is the rack-scale KVS: four Table I servers behind the
-// flow-hash balancer on the default star fabric, logs sharded by key.
-func clusterKVSKnobs() Knobs {
-	return Knobs{
-		Workload: workload.NameKVS,
-		LBPolicy: "flow-hash",
-		Set:      map[string]float64{"nodes": 4},
-	}
-}
-
 // builtins assembles the shipped scenarios: the three base machines plus the
 // sweep-style figures. Figures whose harness logic exceeds a plain sweep
 // (6, 9, 10) build on the base scenarios programmatically instead.
 func builtins() []Spec {
 	return []Spec{
-		{
-			Name:        "cluster_kvs",
-			Description: "4-node KVS rack: sharded logs, star fabric, offered load sweep",
-			Machine:     clusterKVSKnobs(),
-			Sweep: []Axis{{Name: "offered load per node", Points: []Point{
-				{Label: "4 Mrps", Set: map[string]float64{"offered_mrps": 4}},
-				{Label: "8 Mrps", Set: map[string]float64{"offered_mrps": 8}},
-			}}},
-		},
 		{
 			Name:        "kvs",
 			Description: "Table I server running the write-heavy MICA-like KVS",

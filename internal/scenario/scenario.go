@@ -11,8 +11,6 @@ import (
 	"strings"
 
 	"sweeper/internal/cache"
-	"sweeper/internal/cluster"
-	"sweeper/internal/fabric"
 	"sweeper/internal/machine"
 	"sweeper/internal/mem"
 	"sweeper/internal/nic"
@@ -56,13 +54,6 @@ type Knobs struct {
 	// Set.
 	Arrival      string `json:"arrival,omitempty"`
 	ArrivalTrace string `json:"arrival_trace,omitempty"`
-	// Topology and LBPolicy select the cluster fabric wiring and the
-	// load-balancer policy when the "nodes" knob raises the run to a
-	// rack; both default empty (star, cluster.DefaultPolicy). The node
-	// count itself and the fabric_* sizing are numeric knobs in Set, so
-	// axes can sweep them.
-	Topology string `json:"topology,omitempty"`
-	LBPolicy string `json:"lb_policy,omitempty"`
 	// InvalidateInsn names the relinquish instruction in the core
 	// registry ("clsweep", "clflush", "clwb", "simf"; empty keeps
 	// clsweep). The simf_* batch knobs live in Set.
@@ -120,17 +111,11 @@ type Run struct {
 	// Variant is the injection policy applied to Config (zero for
 	// variantless scenarios).
 	Variant Variant
-	// Config is the complete, validated machine configuration (the
-	// per-node template when Cluster is set).
+	// Config is the complete, validated machine configuration.
 	Config machine.Config
 	// ClosedLoopDepth mirrors Config.ClosedLoopDepth for harnesses that
 	// normalize traffic knobs before running.
 	ClosedLoopDepth int
-	// Cluster is non-nil when the "nodes" knob raises this run to a
-	// rack: the complete, validated cluster configuration (its Node is
-	// Config). Harnesses run it through cluster.New instead of
-	// machine.New.
-	Cluster *cluster.Config
 }
 
 // NICMode parses the variant's mode string.
@@ -199,19 +184,10 @@ func (v Variant) Apply(cfg machine.Config) (machine.Config, error) {
 	return cfg, nil
 }
 
-// runConfig is the composite configuration a sweep walks: the machine (or
-// per-node template) plus the cluster-level knobs that live outside
-// machine.Config. nodes <= 1 leaves the run a standalone machine.
-type runConfig struct {
-	m      machine.Config
-	nodes  int
-	fabric fabric.Config
-}
-
-// applyKnob writes one numeric knob into a run configuration. Every knob
-// targets an independent field (partition_split reads only the immutable
-// LLC way count), so a knob set may be applied in any order.
-func applyKnob(cfg *runConfig, knob string, v float64) error {
+// applyKnob writes one numeric knob into a machine configuration. Every
+// knob targets an independent field (partition_split reads only the
+// immutable LLC way count), so a knob set may be applied in any order.
+func applyKnob(m *machine.Config, knob string, v float64) error {
 	if knob == "partition_split" {
 		// The §VI-E disjoint partition: the NIC and networked cores get
 		// the first n LLC ways, collocated tenants the rest.
@@ -219,7 +195,6 @@ func applyKnob(cfg *runConfig, knob string, v float64) error {
 		if err := setKnob(&n, knob, v); err != nil {
 			return err
 		}
-		m := &cfg.m
 		if n <= 0 || n >= m.Cache.LLCWays {
 			return fmt.Errorf("scenario: partition_split %d outside (0,%d)", n, m.Cache.LLCWays)
 		}
@@ -228,7 +203,7 @@ func applyKnob(cfg *runConfig, knob string, v float64) error {
 		m.XMemWayMask = cache.MaskRange(n, m.Cache.LLCWays)
 		return nil
 	}
-	field := knobField(cfg, knob)
+	field := knobField(m, knob)
 	if field == nil {
 		return fmt.Errorf("scenario: unknown knob %q", knob)
 	}
@@ -264,21 +239,8 @@ func setKnob(field any, knob string, v float64) error {
 
 // knobField returns the field a numeric knob writes, or nil for an unknown
 // knob.
-func knobField(cfg *runConfig, knob string) any {
-	m := &cfg.m
+func knobField(m *machine.Config, knob string) any {
 	switch knob {
-	case "nodes":
-		return &cfg.nodes
-	case "fabric_link_gbps":
-		return &cfg.fabric.LinkGBps
-	case "fabric_link_lat_cycles":
-		return &cfg.fabric.LinkLatCycles
-	case "fabric_switch_lat_cycles":
-		return &cfg.fabric.SwitchLatCycles
-	case "fabric_queue_depth":
-		return &cfg.fabric.QueueDepth
-	case "fabric_retry_cycles":
-		return &cfg.fabric.RetryCycles
 	case "net_cores":
 		return &m.NetCores
 	case "xmem_cores":
@@ -365,97 +327,56 @@ func knobField(cfg *runConfig, knob string) any {
 	return nil
 }
 
-// baseConfig builds the spec's run configuration before axes and variants:
-// Table I defaults (and the default fabric, so partial fabric_* overrides
-// compose) overlaid with the spec's knobs.
-func (s Spec) baseConfig() (runConfig, error) {
-	rc := runConfig{m: machine.DefaultConfig(), fabric: fabric.DefaultConfig()}
+// baseConfig builds the spec's machine configuration before axes and
+// variants: Table I defaults overlaid with the spec's knobs.
+func (s Spec) baseConfig() (machine.Config, error) {
+	m := machine.DefaultConfig()
 	if s.Machine.Workload != "" {
-		rc.m.Workload = s.Machine.Workload
+		m.Workload = s.Machine.Workload
 	}
 	if s.Machine.SampleMode != "" {
-		rc.m.Sampling.Mode = s.Machine.SampleMode
+		m.Sampling.Mode = s.Machine.SampleMode
 	}
 	if s.Machine.Arrival != "" {
-		rc.m.Arrival.Process = s.Machine.Arrival
+		m.Arrival.Process = s.Machine.Arrival
 	}
 	if s.Machine.ArrivalTrace != "" {
-		rc.m.Arrival.TracePath = s.Machine.ArrivalTrace
+		m.Arrival.TracePath = s.Machine.ArrivalTrace
 	}
 	if s.Machine.WarmLLC != nil {
-		rc.m.WarmLLC = *s.Machine.WarmLLC
+		m.WarmLLC = *s.Machine.WarmLLC
 	}
 	if s.Machine.InvalidateInsn != "" {
-		rc.m.Sweeper.Insn = s.Machine.InvalidateInsn
+		m.Sweeper.Insn = s.Machine.InvalidateInsn
 	}
 	if s.Machine.MemTierPolicy != "" {
-		rc.m.MemTier = mem.DefaultTierConfig(s.Machine.MemTierPolicy)
+		m.MemTier = mem.DefaultTierConfig(s.Machine.MemTierPolicy)
 	}
 	for knob, v := range s.Machine.Set {
-		if err := applyKnob(&rc, knob, v); err != nil {
-			return rc, err
+		if err := applyKnob(&m, knob, v); err != nil {
+			return m, err
 		}
 	}
-	return rc, nil
-}
-
-// clusterConfig assembles and validates the cluster configuration for a
-// walked run configuration whose nodes knob exceeds 1.
-func (s Spec) clusterConfig(rc runConfig, node machine.Config) (*cluster.Config, error) {
-	cc := &cluster.Config{
-		Node:     node,
-		Nodes:    rc.nodes,
-		Topology: s.Machine.Topology,
-		LBPolicy: s.Machine.LBPolicy,
-		Fabric:   rc.fabric,
-	}
-	if err := cc.Validate(); err != nil {
-		return nil, err
-	}
-	return cc, nil
+	return m, nil
 }
 
 // Config expands a sweepless view of the scenario: the base machine with
 // optional extra knob overrides, no variant applied. Harnesses use it to
-// derive one-off machine configurations from a shipped scenario; scenarios
-// whose knobs raise a cluster go through ClusterConfig instead.
+// derive one-off machine configurations from a shipped scenario.
 func (s Spec) Config(overrides map[string]float64) (machine.Config, error) {
-	rc, err := s.baseConfig()
+	m, err := s.baseConfig()
 	if err != nil {
-		return rc.m, err
+		return m, err
 	}
 	for knob, v := range overrides {
-		if err := applyKnob(&rc, knob, v); err != nil {
-			return rc.m, err
+		if err := applyKnob(&m, knob, v); err != nil {
+			return m, err
 		}
 	}
-	if rc.nodes > 1 {
-		return rc.m, fmt.Errorf("scenario %q: %d nodes is a cluster; expand through ClusterConfig", s.Name, rc.nodes)
+	if err := m.Validate(); err != nil {
+		return m, err
 	}
-	if err := rc.m.Validate(); err != nil {
-		return rc.m, err
-	}
-	return rc.m, nil
-}
-
-// ClusterConfig expands a sweepless cluster view of the scenario: the base
-// machine as the node template plus the cluster knobs, with optional
-// overrides. Node counts of 0/1 yield a valid one-node cluster, so
-// harnesses can raise any scenario to a rack with a "nodes" override.
-func (s Spec) ClusterConfig(overrides map[string]float64) (*cluster.Config, error) {
-	rc, err := s.baseConfig()
-	if err != nil {
-		return nil, err
-	}
-	for knob, v := range overrides {
-		if err := applyKnob(&rc, knob, v); err != nil {
-			return nil, err
-		}
-	}
-	if rc.nodes < 1 {
-		rc.nodes = 1
-	}
-	return s.clusterConfig(rc, rc.m)
+	return m, nil
 }
 
 // Expand crosses the sweep axes (outermost-first) with the variants
@@ -473,11 +394,11 @@ func (s Spec) Expand() ([]Run, error) {
 	}
 
 	var runs []Run
-	var walk func(axis int, labels []string, rc runConfig) error
-	walk = func(axis int, labels []string, rc runConfig) error {
+	var walk func(axis int, labels []string, m machine.Config) error
+	walk = func(axis int, labels []string, m machine.Config) error {
 		if axis == len(s.Sweep) {
 			for _, v := range variants {
-				final, err := v.Apply(rc.m)
+				final, err := v.Apply(m)
 				if err != nil {
 					return err
 				}
@@ -485,27 +406,18 @@ func (s Spec) Expand() ([]Run, error) {
 					return fmt.Errorf("scenario %q, param %q, variant %q: %w",
 						s.Name, joinLabels(labels), v.DisplayName(), err)
 				}
-				run := Run{
+				runs = append(runs, Run{
 					Param:           joinLabels(labels),
 					Variant:         v,
 					Config:          final,
 					ClosedLoopDepth: final.ClosedLoopDepth,
-				}
-				if rc.nodes > 1 {
-					cc, err := s.clusterConfig(rc, final)
-					if err != nil {
-						return fmt.Errorf("scenario %q, param %q, variant %q: %w",
-							s.Name, run.Param, v.DisplayName(), err)
-					}
-					run.Cluster = cc
-				}
-				runs = append(runs, run)
+				})
 			}
 			return nil
 		}
 		ax := s.Sweep[axis]
 		for _, pt := range ax.Points {
-			c := rc
+			c := m
 			for knob, v := range pt.Set {
 				if err := applyKnob(&c, knob, v); err != nil {
 					return fmt.Errorf("scenario %q, axis %d point %q: %w", s.Name, axis, pt.Label, err)

@@ -74,9 +74,11 @@ func TestLoadRejectsBadSpecs(t *testing.T) {
 		"fractional ring":      `{"name": "x", "machine": {"set": {"ring_slots": 1024.7}}}`,
 		"negative mlp":         `{"name": "x", "machine": {"set": {"mlp_width": -4}}}`,
 		"negative depth":       `{"name": "x", "machine": {"set": {"closed_loop_depth": -3}}}`,
-		"fractional nodes":     `{"name": "x", "machine": {"set": {"nodes": 2.5}}}`,
-		"negative fabric lat":  `{"name": "x", "machine": {"set": {"nodes": 2, "fabric_link_lat_cycles": -5}}}`,
 		"fractional partition": `{"name": "x", "machine": {"set": {"partition_split": 4.5}}}`,
+		"removed nodes":        `{"name": "x", "machine": {"set": {"nodes": 2}}}`,
+		"removed fabric knob":  `{"name": "x", "machine": {"set": {"fabric_link_lat_cycles": 5}}}`,
+		"removed topology":     `{"name": "x", "machine": {"topology": "star"}}`,
+		"removed lb_policy":    `{"name": "x", "machine": {"lb_policy": "flow-hash"}}`,
 	}
 	for name, doc := range cases {
 		if _, err := Load(strings.NewReader(doc)); err == nil {
@@ -295,79 +297,9 @@ func TestParamEscaping(t *testing.T) {
 	}
 }
 
-// TestClusterExpansion checks the cluster knobs: the builtin cluster
-// scenario expands to rack runs with validated cluster configs, and the
-// nodes knob sweeps like any other.
-func TestClusterExpansion(t *testing.T) {
-	runs, err := MustSpec("cluster_kvs").Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 2 {
-		t.Fatalf("cluster_kvs: %d runs, want 2", len(runs))
-	}
-	for _, r := range runs {
-		if r.Cluster == nil {
-			t.Fatalf("run %q has no cluster config", r.Param)
-		}
-		if r.Cluster.Nodes != 4 || r.Cluster.LBPolicy != "flow-hash" {
-			t.Fatalf("run %q cluster = %d nodes, policy %q", r.Param, r.Cluster.Nodes, r.Cluster.LBPolicy)
-		}
-		if r.Cluster.Node != r.Config {
-			t.Fatalf("run %q cluster node template differs from Config", r.Param)
-		}
-		if err := r.Cluster.Validate(); err != nil {
-			t.Fatalf("run %q cluster config invalid: %v", r.Param, err)
-		}
-	}
-	if runs[0].Config.OfferedMrps != 4 || runs[1].Config.OfferedMrps != 8 {
-		t.Fatalf("offered sweep not applied: %g, %g", runs[0].Config.OfferedMrps, runs[1].Config.OfferedMrps)
-	}
-
-	// Sweeping nodes across points, including the degenerate single node.
-	spec := Spec{
-		Name:    "nodes-sweep",
-		Machine: Knobs{Set: map[string]float64{"fabric_queue_depth": 16}},
-		Sweep: []Axis{{Points: []Point{
-			{Label: "1 node", Set: map[string]float64{"nodes": 1}},
-			{Label: "2 nodes", Set: map[string]float64{"nodes": 2}},
-		}}},
-	}
-	runs, err = spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runs[0].Cluster != nil {
-		t.Error("1-node point should stay a standalone machine run")
-	}
-	if runs[1].Cluster == nil || runs[1].Cluster.Nodes != 2 {
-		t.Fatal("2-node point did not become a cluster run")
-	}
-	if got := runs[1].Cluster.Fabric.QueueDepth; got != 16 {
-		t.Errorf("fabric_queue_depth knob not threaded: %d", got)
-	}
-}
-
-// TestClusterKnobValidation checks bad cluster knobs fail expansion.
-func TestClusterKnobValidation(t *testing.T) {
-	bad := map[string]Spec{
-		"unknown policy": {Name: "x", Machine: Knobs{LBPolicy: "nope", Set: map[string]float64{"nodes": 2}}},
-		"bad topology":   {Name: "x", Machine: Knobs{Topology: "torus", Set: map[string]float64{"nodes": 2}}},
-		"bad fabric":     {Name: "x", Machine: Knobs{Set: map[string]float64{"nodes": 2, "fabric_link_gbps": -1}}},
-	}
-	for name, s := range bad {
-		if _, err := s.Expand(); err == nil {
-			t.Errorf("%s: expanded", name)
-		}
-	}
-	if _, err := (Spec{Name: "x", Machine: Knobs{Set: map[string]float64{"nodes": 2}}}).Expand(); err != nil {
-		t.Errorf("plain 2-node spec rejected: %v", err)
-	}
-}
-
-// TestTierKnobValidation mirrors TestClusterKnobValidation for the hybrid
-// memory tier and invalidation-instruction knobs: contradictory combinations
-// must fail at expansion, before any simulation runs.
+// TestTierKnobValidation checks the hybrid memory tier and
+// invalidation-instruction knobs: contradictory combinations must fail at
+// expansion, before any simulation runs.
 func TestTierKnobValidation(t *testing.T) {
 	bad := map[string]Spec{
 		"unknown instruction": {Name: "x", Machine: Knobs{InvalidateInsn: "clzap"}},
@@ -392,20 +324,5 @@ func TestTierKnobValidation(t *testing.T) {
 		Set: map[string]float64{"mem_tier_split": 1 << 24, "simf_batch_lines": 32}}}
 	if _, err := good.Expand(); err != nil {
 		t.Errorf("tiered simf spec rejected: %v", err)
-	}
-}
-
-// TestClusterConfigHelper checks the sweepless ClusterConfig view used by
-// the CLI's -nodes flag.
-func TestClusterConfigHelper(t *testing.T) {
-	cc, err := MustSpec("kvs").ClusterConfig(map[string]float64{"nodes": 3, "offered_mrps": 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cc.Nodes != 3 || cc.Node.OfferedMrps != 6 {
-		t.Fatalf("ClusterConfig = %d nodes, %g Mrps", cc.Nodes, cc.Node.OfferedMrps)
-	}
-	if _, err := MustSpec("kvs").Config(map[string]float64{"nodes": 3}); err == nil {
-		t.Fatal("Config accepted a multi-node override")
 	}
 }

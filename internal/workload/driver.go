@@ -54,20 +54,6 @@ type FastForwarder interface {
 	FastForward(tag uint64, pktBytes uint64, touch func(a uint64, write, full bool)) FFRequest
 }
 
-// ClusterSharder is implemented by drivers that can shard their primary
-// data structure across the nodes of a cluster. The machine calls
-// SetCluster exactly once, before Layout, on every node of a rack: the
-// driver then lays out only the shard homed on nodeID and emits
-// addr.Remote(node, local) references for data homed elsewhere, which the
-// machine routes over the cluster's fabric. Every node's driver must
-// compute an identical home assignment (same keys -> same homes) from
-// (nodes, nodeID) alone, so the per-node instances agree without
-// communicating. Drivers without the interface are rejected when a
-// cluster scenario selects them.
-type ClusterSharder interface {
-	SetCluster(nodes, nodeID int)
-}
-
 // RequestSizer is implemented by drivers whose request wire size varies by
 // tag (a KVS GET carries only a key, a SET the whole item); traffic
 // generators consult it to size injected packets.

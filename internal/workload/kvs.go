@@ -68,17 +68,6 @@ type KVS struct {
 	itemLines uint64
 
 	gets, sets uint64
-
-	// Cluster sharding (zero on standalone stores): the log is sharded by
-	// key across nodes — keyHome[i] is the node whose log holds key i's
-	// latest value, logHeads the simulated append cursor of every node's
-	// log. Each node runs its own KVS instance over an identical layout
-	// (same bucket and log base addresses), so every instance computes the
-	// same initial keyLoc from (nodes, key) alone and remote item reads
-	// can name the home node's log lines via addr.Remote.
-	nodes, nodeID int
-	keyHome       []uint8
-	logHeads      []uint64
 }
 
 // NewKVS allocates the store's in-memory structures (per-key arrays, Zipf
@@ -112,10 +101,6 @@ func (k *KVS) Layout(space *addr.Space) {
 	k.logBase = space.AllocApp(k.cfg.LogBytes)
 	k.logHead = 0
 	k.gets, k.sets = 0, 0
-	if k.nodes > 1 {
-		k.layoutCluster()
-		return
-	}
 	// Pre-populate: each key gets an initial log slot, in key order.
 	for i := uint64(0); i < k.cfg.Keys; i++ {
 		k.keyLoc[i] = k.logHead
@@ -124,64 +109,11 @@ func (k *KVS) Layout(space *addr.Space) {
 	}
 }
 
-// layoutCluster pre-populates a sharded store: key i is homed on node
-// i%nodes and takes the next slot of that node's log, tracked through
-// per-home cursors. The walk depends only on (nodes, key), so every
-// node's instance assigns identical homes and locations.
-func (k *KVS) layoutCluster() {
-	if len(k.keyHome) != int(k.cfg.Keys) {
-		k.keyHome = make([]uint8, k.cfg.Keys)
-	}
-	if len(k.logHeads) != k.nodes {
-		k.logHeads = make([]uint64, k.nodes)
-	} else {
-		clear(k.logHeads)
-	}
-	for i := uint64(0); i < k.cfg.Keys; i++ {
-		home := int(i % uint64(k.nodes))
-		k.keyHome[i] = uint8(home)
-		k.keyLoc[i] = k.logHeads[home]
-		k.keyVer[i] = splitmix64(i)
-		k.logHeads[home] = k.nextHead(k.logHeads[home])
-	}
-}
-
 func (k *KVS) advanceLog() {
-	k.logHead = k.nextHead(k.logHead)
-}
-
-// nextHead advances a circular-log cursor by one item.
-func (k *KVS) nextHead(h uint64) uint64 {
-	h += k.cfg.ItemBytes
-	if h+k.cfg.ItemBytes > k.cfg.LogBytes {
-		h = 0
+	k.logHead += k.cfg.ItemBytes
+	if k.logHead+k.cfg.ItemBytes > k.cfg.LogBytes {
+		k.logHead = 0
 	}
-	return h
-}
-
-// SetCluster implements ClusterSharder: subsequent Layouts shard the log
-// across nodes and PlanRequest emits addr.Remote references for items
-// homed elsewhere. The machine calls it before Layout on cluster nodes.
-func (k *KVS) SetCluster(nodes, nodeID int) {
-	if nodes < 1 || nodeID < 0 || nodeID >= nodes {
-		panic(fmt.Sprintf("workload: SetCluster(%d, %d) out of range", nodes, nodeID))
-	}
-	if nodes > addr.MaxNodes {
-		panic(fmt.Sprintf("workload: %d nodes exceeds the %d the remote-address encoding carries", nodes, addr.MaxNodes))
-	}
-	k.nodes, k.nodeID = nodes, nodeID
-}
-
-// itemAddr returns the address of a key's current value: its home log
-// lines directly when local, an addr.Remote reference otherwise.
-func (k *KVS) itemAddr(key uint64) uint64 {
-	loc := k.logBase + k.keyLoc[key]
-	if k.nodes > 1 {
-		if home := int(k.keyHome[key]); home != k.nodeID {
-			return addr.Remote(home, loc)
-		}
-	}
-	return loc
 }
 
 // Name implements Workload.
@@ -232,10 +164,9 @@ func (k *KVS) PlanRequest(tag uint64, pktBytes uint64, plan *Plan) {
 	if isGet {
 		k.gets++
 		// GETs carry only the key: the core reads just the header
-		// line of the request packet. Items homed on another node's
-		// log shard come back over the fabric (itemAddr is remote).
+		// line of the request packet.
 		plan.ReadFullPacket = false
-		loc := k.itemAddr(key)
+		loc := k.logBase + k.keyLoc[key]
 		for i := uint64(0); i < k.itemLines; i++ {
 			plan.read(loc + i*addr.LineBytes)
 		}
@@ -245,24 +176,16 @@ func (k *KVS) PlanRequest(tag uint64, pktBytes uint64, plan *Plan) {
 	k.sets++
 	plan.ReadFullPacket = true
 	plan.write(k.bucketAddr(key)) // install the new location
-	// SETs always append to the serving node's own log and re-home the
-	// key there (MICA-style local appends: writes never cross the
-	// fabric); standalone stores reduce to the single shared log.
-	head := &k.logHead
-	if k.nodes > 1 {
-		head = &k.logHeads[k.nodeID]
-		k.keyHome[key] = uint8(k.nodeID)
-	}
-	loc := k.logBase + *head
+	loc := k.logBase + k.logHead
 	for i := uint64(0); i < k.itemLines; i++ {
 		// Log appends are streaming full-line stores: no
 		// read-for-ownership fetch of soon-overwritten data.
 		plan.writeFull(loc + i*addr.LineBytes)
 	}
 	// Functional update.
-	k.keyLoc[key] = *head
+	k.keyLoc[key] = k.logHead
 	k.keyVer[key] = splitmix64(tag)
-	*head = k.nextHead(*head)
+	k.advanceLog()
 	plan.RespBytes = addr.LineBytes // acknowledgment
 }
 
@@ -318,11 +241,6 @@ func (k *KVS) WarmLines(lineBudget uint64, emit func(line uint64, dirty bool)) {
 	for r := ranks; r > 0; r-- {
 		key := k.zipf.Key(r - 1)
 		emit(k.bucketAddr(key), false)
-		if k.nodes > 1 && int(k.keyHome[key]) != k.nodeID {
-			// Remotely homed items live in another node's DRAM, not
-			// this cache; only the bucket line is warmable here.
-			continue
-		}
 		loc := k.logBase + k.keyLoc[key]
 		for l := uint64(0); l < k.itemLines; l++ {
 			emit(loc+l*addr.LineBytes, false)
