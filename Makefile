@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race perfbench-test bench bench-engine bench-mem bench-e2e bench-sampling check results obs-smoke sampling-smoke traffic-smoke tiers-smoke golden-fig8 test-debug
+.PHONY: all build test vet lint race perfbench-test bench bench-engine bench-mem bench-e2e check results obs-smoke traffic-smoke tiers-smoke golden-fig8 test-debug
 
 all: check
 
@@ -54,14 +54,9 @@ bench-mem:
 bench-e2e:
 	$(GO) test . -run=XXX -bench='BenchmarkRunOnce$$|BenchmarkRunOncePooled|BenchmarkSimulatedCyclesPerSecond' -benchtime=3x -benchmem
 
-# Sampled-simulation speedup and accuracy: full detailed runs vs sampled
-# (fixed and ci modes) on the base scenarios, recorded to BENCH_sampling.json.
-bench-sampling:
-	$(GO) run ./cmd/benchsampling -out BENCH_sampling.json
+bench: bench-engine bench-mem bench-e2e
 
-bench: bench-engine bench-mem bench-e2e bench-sampling
-
-check: build vet lint test race perfbench-test bench-engine sampling-smoke traffic-smoke tiers-smoke
+check: build vet lint test race perfbench-test bench-engine traffic-smoke tiers-smoke
 
 # Observability smoke: drive the CLI with every exporter enabled against the
 # kvs scenario, then validate the artifacts (CSV/JSON structure) in-process.
@@ -72,13 +67,6 @@ obs-smoke:
 		-metrics artifacts/metrics.csv -trace artifacts/trace.json \
 		-manifest artifacts/manifest.json
 	SWEEPER_OBS_DIR=$(CURDIR)/artifacts $(GO) test ./internal/obs -run TestObsSmoke -count=1 -v
-
-# Sampled-simulation smoke: drive the CLI's sampling flags end-to-end on the
-# kvs scenario, then the in-process smoke across every base scenario.
-sampling-smoke:
-	$(GO) run ./cmd/sweepersim -scenario examples/scenarios/kvs.json \
-		-warmup 500000 -measure 100000 -sample-mode fixed
-	$(GO) test ./internal/machine -run TestSamplingSmokeBuiltins -count=1
 
 # Traffic-realism smoke: synthesize a bursty trace with tracegen, replay it
 # through the CLI with -arrival trace and validate the manifest in-process,
@@ -118,11 +106,10 @@ golden-fig8:
 		-run TestGoldenFig8CSVs -count=1 -timeout 40m -v
 
 # Debug build with the invariant probes compiled in (ring slot conservation,
-# DRAM timing monotonicity, cache inclusion, DDIO way-mask bounds), also
-# driven through the sampled-simulation tests.
+# DRAM timing monotonicity, cache inclusion, DDIO way-mask bounds).
 test-debug:
 	$(GO) build -tags sweeperdebug ./...
-	$(GO) test -tags sweeperdebug ./internal/machine/ ./internal/obs/ -run 'TestProbe|TestObs|Sampl'
+	$(GO) test -tags sweeperdebug ./internal/machine/ ./internal/obs/ -run 'TestProbe|TestObs'
 
 # Regenerate the committed experiment artifacts (takes a while).
 results:

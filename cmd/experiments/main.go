@@ -36,8 +36,6 @@ func main() {
 		quick      = flag.Bool("quick", false, "use the reduced-fidelity quick scale")
 		outDir     = flag.String("out", "", "directory for CSV output (optional)")
 		parallel   = flag.Int("parallel", 0, "max concurrent simulations (0 = $SWEEPER_WORKERS, then GOMAXPROCS)")
-		sampleMode = flag.String("sample-mode", "", "sampled simulation per run: fixed or ci (empty = full detailed; approximate, see DESIGN.md §12)")
-		sampleCI   = flag.Bool("sample-until-ci", false, "shorthand for -sample-mode ci: adaptive interval count per run")
 		manifest   = flag.String("manifest", "", "write an invocation manifest (scale + generated tables) as JSON to this file")
 		metricsOut = flag.String("metrics", "", "write a metric time-series CSV from an instrumented reference run to this file")
 		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON from an instrumented reference run to this file")
@@ -57,10 +55,6 @@ func main() {
 		sc = experiments.QuickScale()
 	}
 	sc.Parallelism = *parallel
-	sc.Sampling.Mode = *sampleMode
-	if *sampleCI {
-		sc.Sampling.Mode = "ci"
-	}
 
 	registry := experiments.Registry()
 	var ids []string

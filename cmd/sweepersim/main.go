@@ -73,11 +73,6 @@ func main() {
 		nebula       = flag.Int("nebula", 0, "NeBuLa-style drop threshold (0 = off)")
 		spikeProb    = flag.Float64("spike-prob", 0, "per-request service spike probability (§VI-F)")
 		sanitize     = flag.Bool("sanitize", false, "flag use-after-relinquish reads")
-		sampleMode   = flag.String("sample-mode", "", "sampled simulation: fixed or ci (empty = full detailed run)")
-		sampleDet    = flag.Uint64("sample-detailed", 0, "sampled mode: detailed interval cycles (0 = default)")
-		sampleFF     = flag.Uint64("sample-ff", 0, "sampled mode: fast-forward interval cycles (0 = default)")
-		sampleN      = flag.Int("sample-intervals", 0, "sampled fixed mode: measured intervals (0 = default)")
-		sampleUntil  = flag.Bool("sample-until-ci", false, "shorthand for -sample-mode ci: add intervals until the 95% CIs tighten")
 		dramTrace    = flag.String("dram-trace", "", "write a DRAM transaction trace CSV to this file")
 		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -103,18 +98,8 @@ func main() {
 	}
 	defer stopProfiles()
 
-	sampling := machine.SamplingConfig{
-		Mode:              *sampleMode,
-		DetailedCycles:    *sampleDet,
-		FastForwardCycles: *sampleFF,
-		Intervals:         *sampleN,
-	}
-	if *sampleUntil {
-		sampling.Mode = "ci"
-	}
-
 	if *scenarioPath != "" {
-		runScenario(*scenarioPath, *warmup, *measure, sampling, ob)
+		runScenario(*scenarioPath, *warmup, *measure, ob)
 		return
 	}
 
@@ -170,9 +155,6 @@ func main() {
 	}
 	cfg.Sweeper.DebugUseAfterRelinquish = *sanitize
 	cfg.DynamicDDIOEpoch = *dynEpoch
-	if sampling.Mode != "" {
-		cfg.Sampling = sampling
-	}
 
 	// The registry validates the workload name inside machine.New; the
 	// mode string parses through the scenario grammar.
@@ -233,10 +215,8 @@ func list(w *os.File) {
 	fmt.Fprintf(w, "memory tier policies:          %s\n", strings.Join(mem.TierPolicies(), ", "))
 }
 
-// runScenario expands a spec file and simulates every run in order. A
-// -sample-mode flag overrides the spec's sampling knobs, turning any
-// scenario into a sampled (approximate, CI-reporting) run.
-func runScenario(path string, warmup, measure uint64, sampling machine.SamplingConfig, ob obsFlags) {
+// runScenario expands a spec file and simulates every run in order.
+func runScenario(path string, warmup, measure uint64, ob obsFlags) {
 	spec, err := scenario.LoadFile(path)
 	if err != nil {
 		log.Fatal(err)
@@ -252,9 +232,6 @@ func runScenario(path string, warmup, measure uint64, sampling machine.SamplingC
 			fmt.Printf("  param %s", r.Param)
 		}
 		fmt.Printf("  variant %s ---\n", r.Variant.DisplayName())
-		if sampling.Mode != "" {
-			r.Config.Sampling = sampling
-		}
 		label := spec.Name + " " + r.Variant.DisplayName()
 		if r.Param != "" {
 			label += " " + r.Param
@@ -380,18 +357,5 @@ func printResults(cfg machine.Config, r machine.Results) {
 	}
 	if r.Tier1Accesses > 0 {
 		fmt.Printf("tier1:           %d accesses, %.2f GB/s\n", r.Tier1Accesses, r.Tier1BWGBps)
-	}
-	if s := r.Sampled; s != nil {
-		detect := "budget expired"
-		if s.WarmupDetected {
-			detect = "detected"
-		}
-		fmt.Printf("sampled (%s): %d intervals x %d cycles detailed, warm-up %s at %d, %d of %d cycles measured\n",
-			s.Mode, s.Intervals, s.DetailedCycles, detect, s.WarmupEndCycle,
-			s.MeasuredCycles, s.SimulatedCycles)
-		fmt.Printf("  throughput: %8.2f ± %.2f Mrps   amat: %6.2f ± %.2f cycles (95%% CI)\n",
-			s.Throughput.Mean, s.Throughput.HalfWidth, s.AMAT.Mean, s.AMAT.HalfWidth)
-		fmt.Printf("  mem bw:     %8.2f ± %.2f GB/s   req latency mean: %.0f ± %.0f cycles\n",
-			s.MemBW.Mean, s.MemBW.HalfWidth, s.ReqLatMean.Mean, s.ReqLatMean.HalfWidth)
 	}
 }

@@ -31,20 +31,6 @@ type MemSink interface {
 	DMAWrite(now uint64, a uint64)
 }
 
-// FuncMemSink is the functional (untimed) memory side of the hierarchy,
-// used during fast-forward intervals: accesses update occupancy counters and
-// row-buffer state but never advance bus or bank timing. A sink that also
-// implements FuncMemSink can be driven in fast-forward via SetFastForward;
-// sinks that don't (e.g. test fakes) keep working for timed simulation.
-type FuncMemSink interface {
-	// FuncDemandRead records a demand read functionally.
-	FuncDemandRead(a uint64, src Requestor)
-	// FuncWriteback records a writeback functionally.
-	FuncWriteback(a uint64)
-	// FuncDMAWrite records a NIC DMA packet write functionally.
-	FuncDMAWrite(a uint64)
-}
-
 // Config sizes the hierarchy. Defaults follow the paper's Table I.
 type Config struct {
 	NCores int
@@ -95,18 +81,6 @@ type Hierarchy struct {
 	l2   []*SetAssoc
 	llc  *SetAssoc
 	sink MemSink
-
-	// Fast-forward state: while ff is set, every memory-side transaction is
-	// routed to funcSink (functional warming) and demand reads complete at
-	// the flat ffMemLat instead of modeled DRAM timing. Tag, LRU and
-	// dirtiness transitions are identical to timed operation, so the
-	// hierarchy's contents stay representative across fast-forward spans.
-	// ffLatFn, when set, overrides the flat latency per address so tiered
-	// memory stamps each page's owning tier's unloaded latency.
-	ff       bool
-	funcSink FuncMemSink
-	ffMemLat uint64
-	ffLatFn  func(a uint64) uint64
 
 	// nicMask restricts NIC write-allocations (the DDIO ways); cpuMask
 	// restricts CPU-side LLC fills per core (all ways by default, a
@@ -180,71 +154,6 @@ func (h *Hierarchy) Reset() {
 	h.sweeps, h.sweptDirty = 0, 0
 	h.flushes, h.flushWBs = 0, 0
 	h.flow = FlowStats{}
-	h.ff, h.ffMemLat, h.ffLatFn = false, 0, nil
-}
-
-// SetFastForward switches the hierarchy between timed and functional memory
-// access. While on, demand reads return now + memLat (callers pass an
-// unloaded-DRAM estimate) and all memory-side traffic goes through the
-// sink's FuncMemSink methods; enabling fast-forward on a sink that does not
-// implement FuncMemSink panics.
-func (h *Hierarchy) SetFastForward(on bool, memLat uint64) {
-	if on && h.funcSink == nil {
-		fs, ok := h.sink.(FuncMemSink)
-		if !ok {
-			panic(fmt.Sprintf("cache: sink %T does not implement FuncMemSink", h.sink))
-		}
-		h.funcSink = fs
-	}
-	h.ff = on
-	h.ffMemLat = 0
-	if on {
-		h.ffMemLat = memLat
-	} else {
-		h.ffLatFn = nil
-	}
-}
-
-// SetFastForwardLatency installs a per-address unloaded-latency function for
-// fast-forward demand reads, so a tiered memory system stamps NVM-resident
-// pages with their own tier's latency instead of the flat DRAM estimate.
-// Call it after SetFastForward(true, ...); disabling fast-forward clears it.
-func (h *Hierarchy) SetFastForwardLatency(fn func(a uint64) uint64) {
-	h.ffLatFn = fn
-}
-
-// FastForwarding reports whether the hierarchy is in functional mode.
-func (h *Hierarchy) FastForwarding() bool { return h.ff }
-
-// demandRead routes a miss to the memory sink: timed when detailed,
-// functional at a flat latency when fast-forwarding.
-func (h *Hierarchy) demandRead(now uint64, a uint64, src Requestor) uint64 {
-	if h.ff {
-		h.funcSink.FuncDemandRead(a, src)
-		if h.ffLatFn != nil {
-			return now + h.ffLatFn(a)
-		}
-		return now + h.ffMemLat
-	}
-	return h.sink.DemandRead(now, a, src)
-}
-
-// writebackEvict routes a dirty-victim writeback to the memory sink.
-func (h *Hierarchy) writebackEvict(now uint64, a uint64) {
-	if h.ff {
-		h.funcSink.FuncWriteback(a)
-		return
-	}
-	h.sink.WritebackEvict(now, a)
-}
-
-// dmaWrite routes a NIC DMA packet write to the memory sink.
-func (h *Hierarchy) dmaWrite(now uint64, a uint64) {
-	if h.ff {
-		h.funcSink.FuncDMAWrite(a)
-		return
-	}
-	h.sink.DMAWrite(now, a)
 }
 
 // LLC exposes the shared cache for occupancy checks and statistics.
@@ -328,7 +237,7 @@ func (h *Hierarchy) llcInsert(now uint64, a uint64, dirty bool, mask WayMask) {
 		h.flow.LLCMerges++
 	case v.Valid && v.Dirty:
 		h.flow.LLCEvictDirty++
-		h.writebackEvict(now, v.Addr)
+		h.sink.WritebackEvict(now, v.Addr)
 	case v.Valid:
 		h.flow.LLCEvictClean++
 	}
@@ -401,7 +310,7 @@ func (h *Hierarchy) CPURead(now uint64, core int, a uint64) uint64 {
 		h.fill(now, core, a, false, false)
 		return now + h.cfg.NoCLat + h.cfg.LLCLat
 	}
-	done := h.demandRead(now+h.cfg.NoCLat+h.cfg.LLCLat, a, SrcCPU)
+	done := h.sink.DemandRead(now+h.cfg.NoCLat+h.cfg.LLCLat, a, SrcCPU)
 	done += h.cfg.NoCLat
 	h.fill(now, core, a, false, false)
 	return done
@@ -428,7 +337,7 @@ func (h *Hierarchy) CPUWrite(now uint64, core int, a uint64) uint64 {
 		h.fill(now, core, a, true, false)
 		return now + h.cfg.NoCLat + h.cfg.LLCLat
 	}
-	done := h.demandRead(now+h.cfg.NoCLat+h.cfg.LLCLat, a, SrcCPU)
+	done := h.sink.DemandRead(now+h.cfg.NoCLat+h.cfg.LLCLat, a, SrcCPU)
 	done += h.cfg.NoCLat
 	h.fill(now, core, a, true, false)
 	return done
@@ -486,7 +395,7 @@ func (h *Hierarchy) NICWriteDMA(now uint64, owner int, a uint64) {
 	h.l1[owner].Invalidate(a)
 	h.l2[owner].Invalidate(a)
 	h.llc.Invalidate(a)
-	h.dmaWrite(now, a)
+	h.sink.DMAWrite(now, a)
 }
 
 // NICRead fetches one TX line for transmission, returning the completion
@@ -504,7 +413,7 @@ func (h *Hierarchy) NICRead(now uint64, owner int, a uint64, dma bool) uint64 {
 	if h.llc.Lookup(a) != Invalid {
 		return now + h.cfg.NoCLat + h.cfg.LLCLat
 	}
-	return h.demandRead(now+h.cfg.NoCLat+h.cfg.LLCLat, a, SrcNIC)
+	return h.sink.DemandRead(now+h.cfg.NoCLat+h.cfg.LLCLat, a, SrcNIC)
 }
 
 func (h *Hierarchy) nicReadDMA(now uint64, owner int, a uint64) uint64 {
@@ -521,10 +430,10 @@ func (h *Hierarchy) nicReadDMA(now uint64, owner int, a uint64) uint64 {
 	}
 	t := now
 	if flushed {
-		h.writebackEvict(t, a)
+		h.sink.WritebackEvict(t, a)
 		t += h.cfg.NoCLat // doorbell-to-flush serialization
 	}
-	return h.demandRead(t+h.cfg.NoCLat, a, SrcNIC)
+	return h.sink.DemandRead(t+h.cfg.NoCLat, a, SrcNIC)
 }
 
 // Sweep executes one clsweep for line a owned by core: every copy in the
@@ -569,7 +478,7 @@ func (h *Hierarchy) Flush(now uint64, owner int, a uint64) bool {
 	}
 	if dirty {
 		h.flushWBs++
-		h.writebackEvict(now, a)
+		h.sink.WritebackEvict(now, a)
 	}
 	return dirty
 }
@@ -592,7 +501,7 @@ func (h *Hierarchy) CLWB(now uint64, owner int, a uint64) bool {
 	}
 	if dirty {
 		h.flushWBs++
-		h.writebackEvict(now, a)
+		h.sink.WritebackEvict(now, a)
 	}
 	return dirty
 }

@@ -52,22 +52,6 @@ type Env interface {
 	OnRequestDone(now uint64, core int, p nic.Packet, serviceCycles uint64)
 }
 
-// FFEnv is the optional fast-forward extension of Env: an environment that
-// can execute a whole request functionally in one call. Cores detect it by
-// type assertion at construction; environments without it (test fakes)
-// simply never fast-forward.
-type FFEnv interface {
-	// FastForwarding reports whether the machine is currently inside a
-	// fast-forward interval.
-	FastForwarding() bool
-	// FFServe executes packet p functionally for core: every cache/RX/TX
-	// touch the timed pipeline would perform happens as direct calls (so
-	// the hierarchy stays warm), and the returned done approximates the
-	// request's completion cycle. usedTX reports whether a TX slot was
-	// consumed (a response was produced at txAddr).
-	FFServe(now uint64, core int, p nic.Packet, txAddr uint64) (done uint64, usedTX bool)
-}
-
 // CoreConfig tunes per-core behaviour.
 type CoreConfig struct {
 	// PollCycles is the fixed dispatch overhead per request (ring poll,
@@ -102,7 +86,6 @@ type Core struct {
 	id  int
 	eng *sim.Engine
 	env Env
-	ff  FFEnv // nil when env cannot fast-forward
 	cfg CoreConfig
 
 	idle bool
@@ -160,9 +143,7 @@ func NewCore(id int, eng *sim.Engine, env Env, cfg CoreConfig) *Core {
 	if cfg.MLP <= 0 {
 		cfg.MLP = 1
 	}
-	c := &Core{id: id, eng: eng, env: env, cfg: cfg, idle: true}
-	c.ff, _ = env.(FFEnv)
-	return c
+	return &Core{id: id, eng: eng, env: env, cfg: cfg, idle: true}
 }
 
 // Reset returns the core to its just-constructed state under a new
@@ -233,19 +214,6 @@ func (c *Core) tryServe(now uint64) {
 	}
 	c.idle = false
 	c.env.OnPop(now, c.id)
-	if c.ff != nil && c.ff.FastForwarding() {
-		// Fast-forward: the whole request collapses into one direct call
-		// (FFServe performs the functional cache touches) plus one
-		// continuation event at its approximate completion, instead of the
-		// ~10-event timed pipeline.
-		done, usedTX := c.ff.FFServe(now, c.id, p, c.txSlotAddr(c.nextTX))
-		if usedTX {
-			c.nextTX = (c.nextTX + 1) % c.cfg.TXSlots
-		}
-		c.served++
-		c.eng.Schedule(done, c, evTryServe)
-		return
-	}
 	c.beginRequest(now, p)
 }
 
@@ -384,7 +352,6 @@ type XMemCore struct {
 	id     int
 	eng    *sim.Engine
 	env    Env
-	ff     FFEnv // nil when env cannot fast-forward
 	stream workload.Stream
 
 	accesses uint64
@@ -395,16 +362,9 @@ type XMemCore struct {
 // independent accesses, not a dependent pointer chase.
 const XMemMLP = 4
 
-// ffXMemBatches is how many MLP-wide batches an X-Mem core executes per
-// event while fast-forwarding. Global time-ordering of DRAM accesses does
-// not matter functionally, so batching amortizes event overhead.
-const ffXMemBatches = 16
-
 // NewXMemCore creates an X-Mem tenant core.
 func NewXMemCore(id int, eng *sim.Engine, env Env, stream workload.Stream) *XMemCore {
-	x := &XMemCore{id: id, eng: eng, env: env, stream: stream}
-	x.ff, _ = env.(FFEnv)
-	return x
+	return &XMemCore{id: id, eng: eng, env: env, stream: stream}
 }
 
 // Reset returns the tenant core to its just-constructed state. The caller
@@ -442,24 +402,6 @@ func (x *XMemCore) Stop() { x.stopped = true }
 
 func (x *XMemCore) step(now uint64) {
 	if x.stopped {
-		return
-	}
-	if x.ff != nil && x.ff.FastForwarding() {
-		// Fast-forward: run several batches per event. Accesses still go
-		// through the hierarchy (functional warming) but complete at flat
-		// latencies, so exact inter-batch timing carries no information.
-		done := now
-		for b := 0; b < ffXMemBatches; b++ {
-			batchDone := done
-			for n := 0; n < XMemMLP; n++ {
-				if d := x.env.AppRead(done, x.id, x.stream.Next()); d > batchDone {
-					batchDone = d
-				}
-				x.accesses++
-			}
-			done = batchDone + x.stream.ComputeCycles()
-		}
-		x.eng.Schedule(done, x, 0)
 		return
 	}
 	// One batch per event keeps the DRAM model observing accesses in

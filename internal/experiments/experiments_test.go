@@ -364,6 +364,20 @@ func TestPeakSearchReportsZeroWhenInfeasible(t *testing.T) {
 	}
 }
 
+// TestPeakSearchStopsAtRateCap accepts every probe, so the search doubles
+// until it reaches one arrival per cycle, the highest open-loop rate
+// machine.Config.Validate accepts, and must stop there rather than probe
+// past it.
+func TestPeakSearchStopsAtRateCap(t *testing.T) {
+	cfg := KVSConfig(1024, 512)
+	sc := Scale{Warmup: 20_000, Measure: 20_000, SearchIters: 2, Parallelism: 1}
+	always := func(uint64) feasibility { return func(machine.Results, float64) bool { return true } }
+	pk := searchPeak(cfg, sc, 1000, always)
+	if want := cfg.FreqHz / 1e6; pk.PeakMrps != want {
+		t.Fatalf("peak = %g Mrps, want the %g Mrps cap", pk.PeakMrps, want)
+	}
+}
+
 func TestDropFreeIgnoresSLO(t *testing.T) {
 	// The §VI-F criterion gates on drops and stability only.
 	ok := dropFree()

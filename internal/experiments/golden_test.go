@@ -8,11 +8,13 @@ import (
 	"testing"
 )
 
-// TestGoldenCSVs regenerates Figure 2's panels and Figure 6 (summary +
-// latency CDFs) at the committed artifacts' fidelity and byte-compares the
-// CSVs against results/. It is the end-to-end regression gate: any drift in
-// the simulator, the scenario expansion, or the CSV writer shows up as a
-// byte diff.
+// TestGoldenCSVs regenerates Figure 2's panels, Figure 6 (summary +
+// latency CDFs), Figure 7's panels (the L3Fwd closed loop) and the tiers
+// study (the hybrid-memory datapath and the invalidation instructions) at
+// the committed artifacts' fidelity and byte-compares the CSVs against
+// results/. It is the end-to-end regression gate: any drift in the
+// simulator, the scenario expansion, or the CSV writer shows up as a byte
+// diff.
 //
 // Skipped under -short and under the race detector (the outputs are
 // deterministic regardless of scheduling, so rerunning at 10x cost buys
@@ -27,13 +29,16 @@ func TestGoldenCSVs(t *testing.T) {
 
 	sc := QuickScale() // the scale results/README.md documents
 	dir := t.TempDir()
-	for _, tb := range Fig2(sc) {
-		writeGolden(t, dir, tb.ID+".csv", tb.WriteCSV)
+	for _, fig := range []func(Scale) []Table{Fig2, Fig7, Tiers} {
+		for _, tb := range fig(sc) {
+			writeGolden(t, dir, tb.ID+".csv", tb.WriteCSV)
+		}
 	}
 	r := Fig6(sc)
 	writeGolden(t, dir, "fig6.csv", r.Summary.WriteCSV)
 	writeGolden(t, dir, "fig6_cdf.csv", func(w io.Writer) error { return WriteCDFCSV(w, r) })
-	compareGoldens(t, dir, "fig2a.csv", "fig2b.csv", "fig2c.csv", "fig6.csv", "fig6_cdf.csv")
+	compareGoldens(t, dir, "fig2a.csv", "fig2b.csv", "fig2c.csv", "fig6.csv", "fig6_cdf.csv",
+		"fig7a.csv", "fig7b.csv", "tiers.csv")
 }
 
 // TestGoldenFig8CSVs extends the golden gate to Figure 8's two panels.

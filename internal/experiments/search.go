@@ -31,13 +31,6 @@ type Scale struct {
 	// Shards is kept only so perfbench/unit.go compiles; nothing in this
 	// package reads it, and machine.Config.Validate rejects non-zero.
 	Shards int
-	// Sampling, when its Mode is set, stamps sampled-simulation knobs onto
-	// every run: detailed/fast-forward interval alternation with warm-up
-	// detection instead of full detailed windows. Warmup then acts as the
-	// warm-up budget rather than a fixed span. Sampled figures are
-	// approximations with confidence intervals — the committed results use
-	// full detailed runs.
-	Sampling machine.SamplingConfig
 }
 
 // FullScale is the fidelity used for the committed experiment results.
@@ -92,9 +85,6 @@ type PeakResult struct {
 var pool = machine.NewPool(0)
 
 func runOnce(cfg machine.Config, sc Scale) machine.Results {
-	if sc.Sampling.Mode != "" {
-		cfg.Sampling = sc.Sampling
-	}
 	m := pool.MustGet(cfg)
 	r := m.Run(sc.Warmup, sc.Measure)
 	pool.Put(m)
@@ -174,7 +164,8 @@ func dropFree() feasibility {
 
 // searchPeak finds the highest offered load accepted by the criterion that
 // mkOK builds from the calibrated SLO, via exponential expansion followed
-// by bisection.
+// by bisection. No probe exceeds one arrival per cycle, the highest open-loop
+// rate machine.Config.Validate accepts.
 func searchPeak(cfg machine.Config, sc Scale, startMrps float64, mkOK func(slo uint64) feasibility) PeakResult {
 	service, slo := Calibrate(cfg, sc)
 	ok := mkOK(slo)
@@ -188,15 +179,14 @@ func searchPeak(cfg machine.Config, sc Scale, startMrps float64, mkOK func(slo u
 		return r, ok(r, rate)
 	}
 
+	maxMrps := cfg.FreqHz / 1e6
 	lo := startMrps
 	if lo <= 0 {
 		// An optimistic capacity estimate from the unloaded service
 		// time; the search expands or shrinks from a fraction of it.
 		lo = float64(cfg.NetCores) * cfg.FreqHz / service / 1e6 * 0.25
 	}
-	if lo < 0.5 {
-		lo = 0.5
-	}
+	lo = math.Min(math.Max(lo, 0.5), maxMrps)
 	r, okLo := probe(lo)
 	for !okLo {
 		lo /= 2
@@ -210,15 +200,15 @@ func searchPeak(cfg machine.Config, sc Scale, startMrps float64, mkOK func(slo u
 	}
 	best, bestRate := r, lo
 
-	hi := lo * 2
-	for i := 0; i < 12; i++ {
+	hi := math.Min(lo*2, maxMrps)
+	for i := 0; i < 12 && hi > lo; i++ {
 		r, feas := probe(hi)
 		if !feas {
 			break
 		}
 		best, bestRate = r, hi
 		lo = hi
-		hi *= 2
+		hi = math.Min(hi*2, maxMrps)
 	}
 
 	for i := 0; i < sc.SearchIters; i++ {

@@ -124,108 +124,8 @@ type Config struct {
 	// any non-zero value and nothing else reads it.
 	Shards int
 
-	// Sampling selects the sampled-simulation mode: instead of timing every
-	// cycle of the measurement window, the run alternates short detailed
-	// intervals with functionally-executed fast-forward intervals and
-	// reports per-metric confidence intervals (Results.Sampled). The zero
-	// value (Mode "") runs fully detailed.
-	Sampling SamplingConfig
-
 	// Seed makes runs reproducible.
 	Seed int64
-}
-
-// SamplingConfig tunes the sampled-simulation mode (DESIGN.md §12). All
-// fields are plain scalars so Config stays comparable. Zero values select
-// documented defaults (see withDefaults); Mode "" or "off" disables sampling.
-type SamplingConfig struct {
-	// Mode is "" or "off" (full detailed run), "fixed" (a fixed number of
-	// detailed intervals) or "ci" (adaptive: keep adding detailed/fast-
-	// forward interval pairs until the 95% CI half-widths of throughput and
-	// AMAT fall within MaxRelCI of their means, up to MaxIntervals).
-	Mode string
-	// DetailedCycles is the length of each fully-timed measured interval.
-	// An unmeasured timed prefix of equal length precedes each one, to
-	// absorb the timing bias of entering from a fast-forward span.
-	DetailedCycles uint64
-	// FastForwardCycles is the length of each functional interval between
-	// detailed ones.
-	FastForwardCycles uint64
-	// Intervals is the detailed-interval count in "fixed" mode.
-	Intervals int
-	// MaxIntervals caps "ci" mode.
-	MaxIntervals int
-	// WarmupWindowCycles, WarmupMetricTol and WarmupWindows drive warm-up
-	// detection: the run fast-forwards until the windowed deltas of served
-	// throughput, LLC hit rate and the functional latency proxy all stay
-	// within WarmupMetricTol for WarmupWindows consecutive windows (or the
-	// warmup budget passed to Run expires). Each metric's tolerance is
-	// floored at 3x its own per-window sampling noise (Poisson for counts,
-	// binomial for the hit rate), so the knob expresses detectable drift,
-	// not shot noise.
-	WarmupWindowCycles uint64
-	WarmupMetricTol    float64
-	WarmupWindows      int
-	// MaxRelCI is the "ci"-mode target: the relative 95% CI half-width both
-	// throughput and AMAT must reach.
-	MaxRelCI float64
-}
-
-// Enabled reports whether the configuration selects sampled simulation.
-func (s SamplingConfig) Enabled() bool { return s.Mode != "" && s.Mode != samplingModeOff }
-
-const (
-	samplingModeOff   = "off"
-	samplingModeFixed = "fixed"
-	samplingModeCI    = "ci"
-)
-
-// withDefaults fills unset knobs with the tuned defaults the error-bound
-// test validates against.
-func (s SamplingConfig) withDefaults() SamplingConfig {
-	if s.DetailedCycles == 0 {
-		s.DetailedCycles = 32_768
-	}
-	if s.FastForwardCycles == 0 {
-		s.FastForwardCycles = s.DetailedCycles
-	}
-	if s.Intervals <= 0 {
-		s.Intervals = 8
-	}
-	if s.MaxIntervals <= 0 {
-		s.MaxIntervals = 64
-	}
-	if s.WarmupWindowCycles == 0 {
-		s.WarmupWindowCycles = 131_072
-	}
-	if s.WarmupMetricTol == 0 {
-		s.WarmupMetricTol = 0.005
-	}
-	if s.WarmupWindows <= 0 {
-		s.WarmupWindows = 2
-	}
-	if s.MaxRelCI == 0 {
-		s.MaxRelCI = 0.05
-	}
-	return s
-}
-
-// validate reports sampling-knob errors.
-func (s SamplingConfig) validate() error {
-	switch s.Mode {
-	case "", samplingModeOff, samplingModeFixed, samplingModeCI:
-	default:
-		return fmt.Errorf("machine: unknown sampling mode %q (want off, fixed or ci)", s.Mode)
-	}
-	switch {
-	case s.WarmupMetricTol < 0 || s.WarmupMetricTol > 1:
-		return fmt.Errorf("machine: Sampling.WarmupMetricTol %g outside [0,1]", s.WarmupMetricTol)
-	case s.MaxRelCI < 0 || s.MaxRelCI > 1:
-		return fmt.Errorf("machine: Sampling.MaxRelCI %g outside [0,1]", s.MaxRelCI)
-	case s.Intervals < 0 || s.MaxIntervals < 0 || s.WarmupWindows < 0:
-		return fmt.Errorf("machine: Sampling interval counts must be non-negative")
-	}
-	return nil
 }
 
 // DefaultConfig returns the Table I system: 24 cores at 3.2 GHz, 48KB L1d /
@@ -278,6 +178,11 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("machine: DDIOWays %d out of range [1,%d]", c.DDIOWays, c.Cache.LLCWays)
 	case c.OfferedMrps <= 0 && c.ClosedLoopDepth <= 0:
 		return fmt.Errorf("machine: need OfferedMrps > 0 or ClosedLoopDepth > 0")
+	case !(c.OfferedMrps*1e6 <= c.FreqHz):
+		// Open-loop gaps are whole cycles: past one arrival per cycle most
+		// draws truncate to zero and the clock stops advancing.
+		return fmt.Errorf("machine: OfferedMrps %g must be a number no greater than %g Mrps, the cap of one arrival per cycle at FreqHz %g",
+			c.OfferedMrps, c.FreqHz/1e6, c.FreqHz)
 	case c.ClosedLoopDepth < 0:
 		return fmt.Errorf("machine: ClosedLoopDepth must be non-negative, got %d", c.ClosedLoopDepth)
 	case c.ClosedLoopDepth > c.RingSlots:
@@ -290,9 +195,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("machine: MLPWidth must be non-negative, got %d", c.MLPWidth)
 	case c.Shards != 0:
 		return fmt.Errorf("machine: Shards %d: the sharded event engine was removed; leave it zero", c.Shards)
-	}
-	if err := c.Sampling.validate(); err != nil {
-		return err
 	}
 	if err := c.Sweeper.Validate(); err != nil {
 		return fmt.Errorf("machine: %w", err)

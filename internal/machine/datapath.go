@@ -121,34 +121,6 @@ func (dp *datapath) memWrite(now uint64, a uint64) {
 	dp.dram.Write(now, a)
 }
 
-// funcMemRead routes a functional (fast-forward) read to the owning tier.
-func (dp *datapath) funcMemRead(a uint64) {
-	if dp.tier1 != nil && dp.place.Route(dp.eng.Now(), a) {
-		dp.tier1.FuncRead(a)
-		return
-	}
-	dp.dram.FuncRead(a)
-}
-
-// funcMemWrite routes a functional write to the owning tier.
-func (dp *datapath) funcMemWrite(a uint64) {
-	if dp.tier1 != nil && dp.place.Route(dp.eng.Now(), a) {
-		dp.tier1.FuncWrite(a)
-		return
-	}
-	dp.dram.FuncWrite(a)
-}
-
-// ffLat is the fast-forward unloaded-latency stamp: the owning tier's
-// best-case read latency rather than the flat DRAM estimate, so sampled
-// runs do not silently mis-stamp NVM-resident pages.
-func (dp *datapath) ffLat(a uint64) uint64 {
-	if dp.tier1 != nil && dp.place.Resident(a) {
-		return dp.tier1.UnloadedReadLatency()
-	}
-	return dp.dram.UnloadedReadLatency()
-}
-
 // readKind classifies a demand read into the paper's breakdown categories by
 // requestor and address class.
 func (dp *datapath) readKind(a uint64, src cache.Requestor) stats.AccessKind {
@@ -211,29 +183,6 @@ func (dp *datapath) DMAWrite(now uint64, a uint64) {
 	}
 }
 
-// FuncDemandRead implements cache.FuncMemSink: the fast-forward counterpart
-// of DemandRead. Classification still advances the breakdown counters (so
-// the dynamic-DDIO controller keeps steering during fast-forward spans), and
-// DRAM state updates functionally — counters and row buffers, no timing.
-// Nothing is recorded into the latency histogram or trace: fast-forward
-// intervals never overlap measurement.
-func (dp *datapath) FuncDemandRead(a uint64, src cache.Requestor) {
-	dp.funcMemRead(a)
-	dp.breakdown.Add(dp.readKind(a, src), 1)
-}
-
-// FuncWriteback implements cache.FuncMemSink.
-func (dp *datapath) FuncWriteback(a uint64) {
-	dp.funcMemWrite(a)
-	dp.breakdown.Add(dp.evictKind(a), 1)
-}
-
-// FuncDMAWrite implements cache.FuncMemSink.
-func (dp *datapath) FuncDMAWrite(a uint64) {
-	dp.funcMemWrite(a)
-	dp.breakdown.Add(stats.NICRXWr, 1)
-}
-
 // startDynamicDDIO arms the IAT-style epoch controller from the
 // configuration's initial way allocation.
 func (dp *datapath) startDynamicDDIO(initialWays int) {
@@ -267,14 +216,6 @@ func (dp *datapath) dynamicDDIO(now uint64) {
 		dp.dynAdjustments++
 	}
 	dp.eng.ScheduleAfter(dp.dynEpoch, dp, 0)
-}
-
-// installWarmLine inserts one steady-state-resident line into the LLC, the
-// per-line callback behind workload.StateWarmer pre-installation. Any way
-// may hold warm content — way restrictions only govern NIC allocations.
-func (dp *datapath) installWarmLine(line uint64, dirty bool) {
-	llc := dp.hier.LLC()
-	llc.Insert(line, dirty, cache.MaskAll(llc.Ways()))
 }
 
 // warmLLC fills the LLC and every private L2 with application data lines

@@ -61,18 +61,9 @@ type Machine struct {
 	// consumed by EndWindow's delta collection.
 	winSnap windowSnap
 
-	// Sampled-simulation state (sampling.go): ff mirrors the hierarchy's
-	// fast-forward flag for the cores' cheap checks; amatSum/amatCount
-	// accumulate CPU-side hierarchy access latency while measuring (the
-	// AMAT the paper's model centres on); ffLatSum/ffLatCount accumulate
-	// functional request latency, the warm-up detector's service proxy.
-	// ffPlan/ffLines are fast-forward scratch buffers.
-	ff                   bool
-	amatSum, amatCount   uint64
-	ffLatSum, ffLatCount uint64
-	ffPlan               workload.Plan
-	ffLines              []uint64
-	ffRespSlot           uint64
+	// amatSum/amatCount accumulate CPU-side hierarchy access latency while
+	// measuring: Results.AMATCycles, the AMAT the paper's model centres on.
+	amatSum, amatCount uint64
 
 	// Observability (internal/obs): the lazily built metric registry, the
 	// optional periodic sampler, and the windows of the last Run (recorded
@@ -156,18 +147,11 @@ func (m *Machine) configure(cfg Config) error {
 	}
 	m.drv.Layout(m.dp.space)
 	if cfg.WarmLLC {
-		// Detailed runs fill only when the workload opts in (LLCWarmer),
-		// keeping full-run results exactly as they always were. Sampled runs
-		// always fill: the drain-once legacy lines occupy the ways the
-		// content install below leaves empty, so the warm-up detector sees
-		// steady-state eviction pressure instead of a cache still filling.
-		w, ok := m.drv.(workload.LLCWarmer)
-		if (ok && w.WarmLLC()) || cfg.Sampling.Enabled() {
+		if w, ok := m.drv.(workload.LLCWarmer); ok && w.WarmLLC() {
 			m.dp.warmLLC(cfg)
 		}
 	}
 
-	m.ffRespSlot = cfg.respSlotBytes()
 	if len(m.cores) != cfg.NetCores {
 		m.cores = make([]*cpu.Core, cfg.NetCores)
 	}
@@ -200,36 +184,6 @@ func (m *Machine) configure(cfg Config) error {
 			stream.Layout(m.dp.space, seed)
 			m.xmem[i] = cpu.NewXMemCore(id, m.eng, m, stream)
 		}
-	}
-
-	// Content-aware warming runs after every Layout call so the emitted
-	// addresses are this configuration's. Resident sets install most-
-	// recently-used, displacing legacy warm fill — exactly the occupancy a
-	// long-running machine converges to — and collocated-tenant sets are
-	// then pre-aged by a churn epilogue so LRU competition starts at its
-	// equilibrium instead of drifting there over millions of cycles.
-	// Sampled runs only: a full detailed run warms up the long way, and its
-	// results (and the committed goldens) must not depend on install state.
-	if cfg.WarmLLC && cfg.Sampling.Enabled() {
-		llc := m.dp.hier.LLC()
-		budget := uint64(llc.Sets() * llc.Ways())
-		if w, ok := m.drv.(workload.StateWarmer); ok {
-			w.WarmLines(budget, m.dp.installWarmLine)
-		}
-		var tenantLines uint64
-		for _, x := range m.xmem {
-			if w, ok := x.Stream().(workload.StateWarmer); ok {
-				var n uint64
-				w.WarmLines(budget, func(line uint64, dirty bool) {
-					n++
-					m.dp.installWarmLine(line, dirty)
-				})
-				if n > tenantLines {
-					tenantLines = n
-				}
-			}
-		}
-		m.warmChurnPressure(cfg, tenantLines, budget)
 	}
 
 	if cfg.ClosedLoopDepth > 0 {
@@ -280,41 +234,6 @@ func (m *Machine) arrivalSpec(cfg Config) nic.ArrivalSpec {
 // injectArrival is the machine's InjectFunc: arrivals land in its own NIC.
 func (m *Machine) injectArrival(now uint64, core int, size uint64, tag uint64) {
 	m.nicD.Inject(now, core, size, tag)
-}
-
-// warmChurnPressure pre-ages the warm-installed shared cache for collocated
-// runs. Installed tenant arrays start uniformly most-recently-used, but the
-// steady state has them competing with a stream of packet-buffer churn —
-// without the epilogue, LRU only reaches that equilibrium after roughly one
-// tenant reuse interval (millions of cycles at default rates). The epilogue
-// streams that interval's worth of churn-proxy lines (a dedicated
-// drain-once legacy region, like warmLLC's) through the cache, so sets
-// begin at steady-state eviction pressure. tenantLines is the largest
-// per-stream resident set installed; rates derive from the configuration:
-// the tenant touches its array every (LLC hit / XMemMLP + compute) cycles,
-// and each offered packet inserts its lines twice (NIC write, CPU copy).
-func (m *Machine) warmChurnPressure(cfg Config, tenantLines, lineBudget uint64) {
-	if tenantLines == 0 || len(m.xmem) == 0 || cfg.OfferedMrps <= 0 {
-		return
-	}
-	period := (cfg.Cache.NoCLat+cfg.Cache.LLCLat)/cpu.XMemMLP +
-		m.xmem[0].Stream().ComputeCycles()
-	reuse := float64(tenantLines * period)
-	pktLines := (cfg.PacketBytes + addr.LineBytes - 1) / addr.LineBytes
-	rate := cfg.OfferedMrps * 1e6 / cfg.FreqHz * float64(2*pktLines)
-	overlay := uint64(rate * reuse)
-	if overlay > lineBudget {
-		overlay = lineBudget
-	}
-	if overlay == 0 {
-		return
-	}
-	base := m.dp.space.AllocApp(overlay * addr.LineBytes)
-	for i := uint64(0); i < overlay; i++ {
-		// Half dirty: NIC-written churn drains through writebacks, CPU
-		// copies drop clean, mirroring the steady mix.
-		m.dp.installWarmLine(base+i*addr.LineBytes, i%2 == 0)
-	}
 }
 
 // geometry captures every allocation-shaping parameter of a Config: the
@@ -372,9 +291,7 @@ func (m *Machine) Reset(cfg Config) error {
 	m.served, m.svcSum, m.svcCount = 0, 0, 0
 	m.measuring, m.ran = false, false
 	m.winSnap = windowSnap{}
-	m.ff = false
 	m.amatSum, m.amatCount = 0, 0
-	m.ffLatSum, m.ffLatCount = 0, 0
 	m.sampler, m.obsOn, m.obsEvery = nil, false, 0
 	m.lastWarmup, m.lastMeasure = 0, 0
 

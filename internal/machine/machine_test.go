@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math"
 	"testing"
 
 	"sweeper/internal/cache"
@@ -30,26 +31,28 @@ func quickRun(t *testing.T, cfg Config) Results {
 
 func TestConfigValidation(t *testing.T) {
 	cases := map[string]func(*Config){
-		"no cores":         func(c *Config) { c.NetCores = 0 },
-		"neg xmem":         func(c *Config) { c.XMemCores = -1 },
-		"no freq":          func(c *Config) { c.FreqHz = 0 },
-		"no ring":          func(c *Config) { c.RingSlots = 0 },
-		"no packet":        func(c *Config) { c.PacketBytes = 0 },
-		"no tx":            func(c *Config) { c.TXSlots = 0 },
-		"bad ways":         func(c *Config) { c.DDIOWays = 0 },
-		"ways high":        func(c *Config) { c.DDIOWays = 13 },
-		"no load":          func(c *Config) { c.OfferedMrps = 0 },
-		"depth too deep":   func(c *Config) { c.ClosedLoopDepth = c.RingSlots + 1 },
-		"kvs needs items":  func(c *Config) { c.ItemBytes = 0 },
-		"bad spike prob":   func(c *Config) { c.SpikeProb = 1.5 },
-		"ring not pow2":    func(c *Config) { c.RingSlots = 1000 },
-		"tx not pow2":      func(c *Config) { c.TXSlots = 100 },
-		"unknown workload": func(c *Config) { c.Workload = "no-such-app" },
-		"no mem channels":  func(c *Config) { c.Mem.Channels = 0 },
-		"removed shards":   func(c *Config) { c.Shards = 2 },
-		"neg depth":        func(c *Config) { c.ClosedLoopDepth = -3 },
-		"neg mlp":          func(c *Config) { c.MLPWidth = -4 },
-		"spike range":      func(c *Config) { c.SpikeProb, c.SpikeMinCycles, c.SpikeMaxCycles = 0.5, 100, 10 },
+		"no cores":                 func(c *Config) { c.NetCores = 0 },
+		"neg xmem":                 func(c *Config) { c.XMemCores = -1 },
+		"no freq":                  func(c *Config) { c.FreqHz = 0 },
+		"no ring":                  func(c *Config) { c.RingSlots = 0 },
+		"no packet":                func(c *Config) { c.PacketBytes = 0 },
+		"no tx":                    func(c *Config) { c.TXSlots = 0 },
+		"bad ways":                 func(c *Config) { c.DDIOWays = 0 },
+		"ways high":                func(c *Config) { c.DDIOWays = 13 },
+		"no load":                  func(c *Config) { c.OfferedMrps = 0 },
+		"depth too deep":           func(c *Config) { c.ClosedLoopDepth = c.RingSlots + 1 },
+		"kvs needs items":          func(c *Config) { c.ItemBytes = 0 },
+		"bad spike prob":           func(c *Config) { c.SpikeProb = 1.5 },
+		"ring not pow2":            func(c *Config) { c.RingSlots = 1000 },
+		"tx not pow2":              func(c *Config) { c.TXSlots = 100 },
+		"unknown workload":         func(c *Config) { c.Workload = "no-such-app" },
+		"no mem channels":          func(c *Config) { c.Mem.Channels = 0 },
+		"removed shards":           func(c *Config) { c.Shards = 2 },
+		"neg depth":                func(c *Config) { c.ClosedLoopDepth = -3 },
+		"neg mlp":                  func(c *Config) { c.MLPWidth = -4 },
+		"spike range":              func(c *Config) { c.SpikeProb, c.SpikeMinCycles, c.SpikeMaxCycles = 0.5, 100, 10 },
+		"rate above one per cycle": func(c *Config) { c.OfferedMrps = 1e5 },
+		"NaN rate":                 func(c *Config) { c.OfferedMrps = math.NaN() },
 	}
 	for name, mutate := range cases {
 		cfg := DefaultConfig()
@@ -61,6 +64,10 @@ func TestConfigValidation(t *testing.T) {
 	good := DefaultConfig()
 	if err := good.Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
+	}
+	good.OfferedMrps = good.FreqHz / 1e6
+	if err := good.Validate(); err != nil {
+		t.Fatalf("one arrival per cycle rejected: %v", err)
 	}
 }
 

@@ -68,11 +68,6 @@ type Results struct {
 	Sweeper core.Stats
 	// SweeperSavedGBps is the DRAM write bandwidth the sweeps avoided.
 	SweeperSavedGBps float64
-	// Sampled carries the sampled-simulation summary — interval counts and
-	// per-metric 95% confidence intervals — and is nil on full detailed
-	// runs. When set, the rate metrics above are interval means and the
-	// counters are sums over the measured intervals.
-	Sampled *SamplingSummary `json:",omitempty"`
 }
 
 func (r Results) String() string {
@@ -158,9 +153,6 @@ func (m *Machine) snap() windowSnap {
 func (m *Machine) Run(warmup, measure uint64) Results {
 	m.beginRun(warmup, measure)
 	m.start()
-	if m.cfg.Sampling.Enabled() {
-		return m.runSampled(warmup)
-	}
 	m.eng.RunUntil(warmup)
 	m.BeginWindow()
 	m.eng.RunUntil(warmup + measure)
@@ -194,9 +186,6 @@ func (m *Machine) beginRun(warmup, measure uint64) {
 func (m *Machine) StartNode(warmup, measure uint64, startGen func()) {
 	if startGen != nil {
 		panic("machine: StartNode's startGen must be nil")
-	}
-	if m.cfg.Sampling.Enabled() {
-		panic("machine: sampled simulation runs only through Run")
 	}
 	m.beginRun(warmup, measure)
 	m.start()

@@ -370,24 +370,6 @@ func (m *DDR4) Write(now uint64, a uint64) (done uint64) {
 	return now + m.tBL
 }
 
-// FuncRead records a demand read functionally: the transaction counter
-// advances and the target bank's row buffer opens the addressed row (so
-// row-locality state stays warm across fast-forward intervals), but no bus,
-// bank-timing or write-queue state moves. Fast-forward intervals use this so
-// timing clocks never see functional traffic.
-func (m *DDR4) FuncRead(a uint64) {
-	m.reads++
-	ch, bk, row := m.mapAddr(a)
-	m.channels[ch].banks[bk].openRow = row
-}
-
-// FuncWrite records a write functionally; see FuncRead.
-func (m *DDR4) FuncWrite(a uint64) {
-	m.writes++
-	ch, bk, row := m.mapAddr(a)
-	m.channels[ch].banks[bk].openRow = row
-}
-
 // RegisterMetrics exposes the model's transaction counters and controller
 // queue state to the observability registry. Bus utilization over a sample
 // interval is the delta of mem.bus_busy_cycles divided by interval length
@@ -436,10 +418,6 @@ func (m *DDR4) PeakGBps(cpuHz float64) float64 {
 	burstsPerSec := cpuHz / cyclesPerBurst
 	return burstsPerSec * float64(lineBytes) * float64(len(m.channels)) / 1e9
 }
-
-// UnloadedReadLatency returns the best-case read latency in CPU cycles
-// (open-row hit, idle bus), useful for calibration and tests.
-func (m *DDR4) UnloadedReadLatency() uint64 { return m.tCL + m.tBL }
 
 func (m *DDR4) String() string {
 	return fmt.Sprintf("DDR4 %dch x %drk x %dbk", m.cfg.Channels,

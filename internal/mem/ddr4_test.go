@@ -31,16 +31,13 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestUnloadedReadLatency(t *testing.T) {
+func TestColdReadLatency(t *testing.T) {
 	m := New(testConfig(4))
 	// First read: closed bank -> tRCD + tCL + tBL, all x2 CPU cycles.
 	done := m.Read(1000, 0)
 	want := uint64(1000 + (22+22+4)*2)
 	if done != want {
 		t.Fatalf("cold read done = %d, want %d", done, want)
-	}
-	if m.UnloadedReadLatency() != (22+4)*2 {
-		t.Fatalf("UnloadedReadLatency = %d", m.UnloadedReadLatency())
 	}
 }
 

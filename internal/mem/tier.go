@@ -10,11 +10,11 @@ import (
 )
 
 // This file adds the hybrid second memory tier of ROADMAP item 4(a): a
-// CXL/NVM-class backend behind the same Read/Write/FuncRead/FuncWrite channel
-// surface as the DDR4 model, with asymmetric read/write latency, a lower
-// bandwidth ceiling, and a page-granular placement policy (static address
-// split plus a hot-page heuristic) deciding which tier owns each access —
-// per "Emulating Hybrid Memory on NUMA Hardware" (PAPERS.md).
+// CXL/NVM-class backend behind the same Read/Write channel surface as the
+// DDR4 model, with asymmetric read/write latency, a lower bandwidth ceiling,
+// and a page-granular placement policy (static address split plus a
+// hot-page heuristic) deciding which tier owns each access — per "Emulating
+// Hybrid Memory on NUMA Hardware" (PAPERS.md).
 
 // Placement policy names for TierConfig.Policy.
 const (
@@ -174,29 +174,10 @@ func (t *Tier1) Write(now uint64, a uint64) uint64 {
 	return t.occupy(now, t.writeCycles) + t.writeLat
 }
 
-// FuncRead records a read functionally (fast-forward): counters only, no
-// timing state advances.
-func (t *Tier1) FuncRead(a uint64) {
-	_ = a
-	t.reads++
-}
-
-// FuncWrite records a write functionally.
-func (t *Tier1) FuncWrite(a uint64) {
-	_ = a
-	t.writes++
-}
-
 // Reads, Writes and Transactions report cumulative access counts.
 func (t *Tier1) Reads() uint64        { return t.reads }
 func (t *Tier1) Writes() uint64       { return t.writes }
 func (t *Tier1) Transactions() uint64 { return t.reads + t.writes }
-
-// UnloadedReadLatency returns the best-case read latency in CPU cycles.
-func (t *Tier1) UnloadedReadLatency() uint64 { return t.readLat }
-
-// UnloadedWriteLatency returns the best-case write latency in CPU cycles.
-func (t *Tier1) UnloadedWriteLatency() uint64 { return t.writeLat }
 
 // PeakGBps returns the tier's bandwidth ceiling.
 func (t *Tier1) PeakGBps() float64 { return t.gbps }
@@ -302,18 +283,6 @@ func (p *Placement) Route(now uint64, a uint64) bool {
 	page := addr.PageOf(a)
 	p.counts[page]++
 	return !p.hot[page]
-}
-
-// Resident reports current ownership without recording an access — used for
-// fast-forward latency stamping and metrics.
-func (p *Placement) Resident(a uint64) bool {
-	if a < p.tierBase {
-		return false
-	}
-	if p.policy == TierStatic {
-		return true
-	}
-	return !p.hot[addr.PageOf(a)]
 }
 
 // Migrations returns cumulative hot-page promotions and demotions.

@@ -10,15 +10,10 @@ import (
 // WriteSeriesCSV emits the series as CSV: a cycle column followed by one
 // column per metric. Counter columns are differenced into per-interval
 // deltas (the first row keeps the value accumulated before the first
-// sample); gauge columns are emitted as sampled. Phase-tagged series (from
-// sampled-simulation runs) get a phase column right after the cycle;
-// untagged series export byte-identically to before tagging existed.
+// sample); gauge columns are emitted as sampled.
 func WriteSeriesCSV(w io.Writer, s *Series) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprint(bw, "cycle")
-	if s.Phases != nil {
-		fmt.Fprint(bw, ",phase")
-	}
 	for _, n := range s.Names {
 		fmt.Fprintf(bw, ",%s", n)
 	}
@@ -26,9 +21,6 @@ func WriteSeriesCSV(w io.Writer, s *Series) error {
 	prev := make([]float64, len(s.Names))
 	for i, cyc := range s.Cycles {
 		fmt.Fprintf(bw, "%d", cyc)
-		if s.Phases != nil {
-			fmt.Fprintf(bw, ",%s", s.Phases[i])
-		}
 		for j, v := range s.Rows[i] {
 			out := v
 			if s.Kinds[j] == KindCounter {

@@ -4,16 +4,11 @@ import "sweeper/internal/sim"
 
 // Series is a sampled time-series: one row of metric values per sample
 // cycle. Counter columns hold cumulative values; exporters difference them.
-// Phases, when non-nil, labels each sample with the simulation phase it was
-// taken in (sampled-simulation runs tag "warmup-ff", "detailed-warm",
-// "detailed" and "fast-forward"); untagged runs leave it nil so their
-// exports are unchanged.
 type Series struct {
 	Names  []string    `json:"names"`
 	Kinds  []Kind      `json:"kinds"`
 	Cycles []uint64    `json:"cycles"`
 	Rows   [][]float64 `json:"rows"`
-	Phases []string    `json:"phases,omitempty"`
 }
 
 // Sampler periodically snapshots a registry into a Series, driven by the
@@ -32,15 +27,6 @@ type Sampler struct {
 	every uint64
 	next  uint64
 	done  bool
-
-	// phase labels subsequent samples; tagged flips on the first SetPhase
-	// call, lazily enabling the Series' phase column. The sampling cadence
-	// itself never changes across phases — fast-forward intervals keep the
-	// exact every-cycle grid, so the cadence-drift probe stays valid — the
-	// samples are merely tagged so exporters and readers can tell functional
-	// spans from measured ones.
-	phase  string
-	tagged bool
 
 	s Series
 }
@@ -98,25 +84,11 @@ func (sp *Sampler) Finish(now uint64) {
 	}
 }
 
-// SetPhase labels samples taken from now on. The first call backfills the
-// phase column for samples already taken (labelled with the empty phase), so
-// a series is either fully tagged or fully untagged.
-func (sp *Sampler) SetPhase(phase string) {
-	if !sp.tagged {
-		sp.tagged = true
-		sp.s.Phases = make([]string, len(sp.s.Cycles))
-	}
-	sp.phase = phase
-}
-
 func (sp *Sampler) sample(now uint64) {
 	row := make([]float64, sp.reg.Len())
 	sp.reg.readInto(now, row)
 	sp.s.Cycles = append(sp.s.Cycles, now)
 	sp.s.Rows = append(sp.s.Rows, row)
-	if sp.tagged {
-		sp.s.Phases = append(sp.s.Phases, sp.phase)
-	}
 }
 
 // Series returns the sampled data. Call after Finish.

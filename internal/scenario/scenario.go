@@ -41,10 +41,6 @@ type Knobs struct {
 	// Workload names the networked application in the workload registry;
 	// empty keeps the default (the KVS).
 	Workload string `json:"workload,omitempty"`
-	// SampleMode selects sampled simulation ("fixed" or "ci"; empty or
-	// "off" runs fully detailed). The numeric sampling knobs
-	// (sample_detailed_cycles, sample_ff_cycles, ...) live in Set.
-	SampleMode string `json:"sample_mode,omitempty"`
 	// WarmLLC overrides the warm-fill default when non-nil.
 	WarmLLC *bool `json:"warm_llc,omitempty"`
 	// Arrival names the open-loop arrival process in the nic registry
@@ -289,22 +285,6 @@ func knobField(m *machine.Config, knob string) any {
 		return &m.Arrival.DiurnalAmplitude
 	case "arrival_flows":
 		return &m.Arrival.Flows
-	case "sample_detailed_cycles":
-		return &m.Sampling.DetailedCycles
-	case "sample_ff_cycles":
-		return &m.Sampling.FastForwardCycles
-	case "sample_intervals":
-		return &m.Sampling.Intervals
-	case "sample_max_intervals":
-		return &m.Sampling.MaxIntervals
-	case "sample_warmup_window":
-		return &m.Sampling.WarmupWindowCycles
-	case "sample_warmup_tol":
-		return &m.Sampling.WarmupMetricTol
-	case "sample_warmup_windows":
-		return &m.Sampling.WarmupWindows
-	case "sample_max_rel_ci":
-		return &m.Sampling.MaxRelCI
 	case "mem_tier_split":
 		return &m.MemTier.DRAMBytes
 	case "mem_tier_read_lat":
@@ -333,9 +313,6 @@ func (s Spec) baseConfig() (machine.Config, error) {
 	m := machine.DefaultConfig()
 	if s.Machine.Workload != "" {
 		m.Workload = s.Machine.Workload
-	}
-	if s.Machine.SampleMode != "" {
-		m.Sampling.Mode = s.Machine.SampleMode
 	}
 	if s.Machine.Arrival != "" {
 		m.Arrival.Process = s.Machine.Arrival

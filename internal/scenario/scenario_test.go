@@ -51,20 +51,21 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 
 func TestLoadRejectsBadSpecs(t *testing.T) {
 	cases := map[string]string{
-		"no name":         `{"machine": {"workload": "kvs"}}`,
-		"unknown knob":    `{"name": "x", "machine": {"set": {"frobnicate": 1}}}`,
-		"unknown mode":    `{"name": "x", "variants": [{"mode": "warp"}]}`,
-		"zero ddio ways":  `{"name": "x", "variants": [{"mode": "ddio"}]}`,
-		"unlabeled point": `{"name": "x", "sweep": [{"points": [{"set": {"ring_slots": 512}}]}]}`,
-		"empty axis":      `{"name": "x", "sweep": [{"points": []}]}`,
-		"bad machine":     `{"name": "x", "machine": {"set": {"ring_slots": 1000}}}`,
-		"bad workload":    `{"name": "x", "machine": {"workload": "nonesuch"}}`,
-		"bad partition":   `{"name": "x", "machine": {"set": {"partition_split": 12}}}`,
-		"bad sample mode": `{"name": "x", "machine": {"sample_mode": "warp"}}`,
-		"bad sample tol":  `{"name": "x", "machine": {"set": {"sample_warmup_tol": 2}}}`,
-		"trailing data":   `{"name": "x"} {"name": "y"}`,
-		"no mem channels": `{"name": "x", "machine": {"set": {"mem_channels": 0}}}`,
-		"removed shards":  `{"name": "x", "machine": {"set": {"shards": 2}}}`,
+		"no name":             `{"machine": {"workload": "kvs"}}`,
+		"unknown knob":        `{"name": "x", "machine": {"set": {"frobnicate": 1}}}`,
+		"unknown mode":        `{"name": "x", "variants": [{"mode": "warp"}]}`,
+		"zero ddio ways":      `{"name": "x", "variants": [{"mode": "ddio"}]}`,
+		"unlabeled point":     `{"name": "x", "sweep": [{"points": [{"set": {"ring_slots": 512}}]}]}`,
+		"empty axis":          `{"name": "x", "sweep": [{"points": []}]}`,
+		"bad machine":         `{"name": "x", "machine": {"set": {"ring_slots": 1000}}}`,
+		"bad workload":        `{"name": "x", "machine": {"workload": "nonesuch"}}`,
+		"bad partition":       `{"name": "x", "machine": {"set": {"partition_split": 12}}}`,
+		"removed sample_mode": `{"name": "x", "machine": {"sample_mode": "fixed"}}`,
+		"removed sample knob": `{"name": "x", "machine": {"set": {"sample_detailed_cycles": 32768}}}`,
+		"huge offered load":   `{"name": "x", "machine": {"set": {"offered_mrps": 1e300}}}`,
+		"trailing data":       `{"name": "x"} {"name": "y"}`,
+		"no mem channels":     `{"name": "x", "machine": {"set": {"mem_channels": 0}}}`,
+		"removed shards":      `{"name": "x", "machine": {"set": {"shards": 2}}}`,
 		"removed xmem_workload": `{"name": "x", "machine": {"workload": "l3fwd-l1", "xmem_workload": "xmem",
 			"set": {"xmem_cores": 2}}}`,
 		"spike range": `{"name": "x", "machine": {"set": {"spike_prob": 0.5,
@@ -230,39 +231,6 @@ func TestPartitionSplitKnob(t *testing.T) {
 	}
 	if cfg.NICWayMask&cfg.XMemWayMask != 0 {
 		t.Errorf("NIC and X-Mem partitions overlap: %b vs %b", cfg.NICWayMask, cfg.XMemWayMask)
-	}
-}
-
-func TestSamplingKnobs(t *testing.T) {
-	doc := `{"name": "x", "machine": {"sample_mode": "ci", "set": {
-		"sample_detailed_cycles": 16384, "sample_ff_cycles": 49152,
-		"sample_intervals": 4, "sample_max_intervals": 32,
-		"sample_warmup_window": 65536, "sample_warmup_tol": 0.01,
-		"sample_warmup_windows": 3, "sample_max_rel_ci": 0.1}}}`
-	spec, err := Load(strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := spec.Config(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := machine.SamplingConfig{
-		Mode:               "ci",
-		DetailedCycles:     16384,
-		FastForwardCycles:  49152,
-		Intervals:          4,
-		MaxIntervals:       32,
-		WarmupWindowCycles: 65536,
-		WarmupMetricTol:    0.01,
-		WarmupWindows:      3,
-		MaxRelCI:           0.1,
-	}
-	if cfg.Sampling != want {
-		t.Errorf("sampling knobs misapplied:\n got %+v\nwant %+v", cfg.Sampling, want)
-	}
-	if !cfg.Sampling.Enabled() {
-		t.Error("sample_mode ci did not enable sampling")
 	}
 }
 

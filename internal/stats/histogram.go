@@ -157,37 +157,6 @@ func (h *Histogram) overflowQuantile(p float64) uint64 {
 	}
 }
 
-// Merge folds another histogram's samples into h, as if every sample
-// recorded into o had been recorded into h directly. Both histograms must
-// share the same geometry (bin width and bin count); Merge panics otherwise,
-// since silently mixing geometries would corrupt every quantile. The
-// sampled-simulation mode uses this to combine per-detailed-interval
-// histograms into one run-level distribution.
-func (h *Histogram) Merge(o *Histogram) {
-	if h.binWidth != o.binWidth || len(h.bins) != len(o.bins) {
-		panic(fmt.Sprintf("stats: Merge geometry mismatch: %d×%d vs %d×%d",
-			h.binWidth, len(h.bins), o.binWidth, len(o.bins)))
-	}
-	for i, c := range o.bins {
-		h.bins[i] += c
-	}
-	h.count += o.count
-	h.sum += o.sum
-	h.overflow += o.overflow
-	h.overflowSum += o.overflowSum
-	// Empty-side sentinels (max=0, min/overflowMin=MaxUint64) make the
-	// comparisons correct without special-casing empty operands.
-	if o.max > h.max {
-		h.max = o.max
-	}
-	if o.min < h.min {
-		h.min = o.min
-	}
-	if o.overflowMin < h.overflowMin {
-		h.overflowMin = o.overflowMin
-	}
-}
-
 // Reset clears all recorded samples.
 func (h *Histogram) Reset() {
 	for i := range h.bins {

@@ -34,26 +34,6 @@ type Counter struct {
 	Value uint64
 }
 
-// FFRequest summarizes one functionally-executed request: what the core
-// would have produced had it run the full plan, minus the per-op detail.
-type FFRequest struct {
-	RespBytes     uint64
-	ComputeCycles uint64
-	// ReadFullPacket mirrors Plan.ReadFullPacket: whether the whole payload
-	// (vs only the header line) is read from the RX buffer.
-	ReadFullPacket bool
-}
-
-// FastForwarder is implemented by drivers that can execute a request
-// functionally during fast-forward intervals: application-data accesses are
-// streamed through touch (in the same order the timed plan would issue them)
-// instead of materializing a Plan, and the driver's functional state
-// (counters, KVS log/fingerprints) advances exactly as PlanRequest would.
-// Drivers without it fall back to PlanRequest during fast-forward.
-type FastForwarder interface {
-	FastForward(tag uint64, pktBytes uint64, touch func(a uint64, write, full bool)) FFRequest
-}
-
 // RequestSizer is implemented by drivers whose request wire size varies by
 // tag (a KVS GET carries only a key, a SET the whole item); traffic
 // generators consult it to size injected packets.
@@ -68,19 +48,6 @@ type RequestSizer interface {
 // traffic from the first cycle.
 type LLCWarmer interface {
 	WarmLLC() bool
-}
-
-// StateWarmer is implemented by workloads (drivers or streams) whose steady
-// state keeps a known data set cache-resident — route tables, private
-// arrays, hot items. WarmLines enumerates those line addresses so a
-// warm-started run installs them directly instead of simulating the
-// multi-million-cycle coupon-collector fill a cold cache pays before the
-// resident set is in place. lineBudget is the installer's capacity hint
-// (roughly the shared cache's line count): workloads with unbounded hot
-// sets emit their hottest ~lineBudget lines, coldest first, so the hottest
-// land most-recently-used. Call only after Layout.
-type StateWarmer interface {
-	WarmLines(lineBudget uint64, emit func(line uint64, dirty bool))
 }
 
 // Stream is one background (non-networked) tenant's memory access stream:

@@ -189,33 +189,6 @@ func (k *KVS) PlanRequest(tag uint64, pktBytes uint64, plan *Plan) {
 	plan.RespBytes = addr.LineBytes // acknowledgment
 }
 
-// FastForward implements FastForwarder: the same accesses and functional
-// updates as PlanRequest, streamed through touch without building a Plan.
-func (k *KVS) FastForward(tag uint64, _ uint64, touch func(a uint64, write, full bool)) FFRequest {
-	isGet, key := k.DecodeOp(tag)
-	touch(k.bucketAddr(key), false, false)
-	if isGet {
-		k.gets++
-		loc := k.logBase + k.keyLoc[key]
-		for i := uint64(0); i < k.itemLines; i++ {
-			touch(loc+i*addr.LineBytes, false, false)
-		}
-		return FFRequest{RespBytes: k.cfg.ItemBytes,
-			ComputeCycles: k.cfg.ComputeCycles, ReadFullPacket: false}
-	}
-	k.sets++
-	touch(k.bucketAddr(key), true, false) // install the new location
-	loc := k.logBase + k.logHead
-	for i := uint64(0); i < k.itemLines; i++ {
-		touch(loc+i*addr.LineBytes, true, true)
-	}
-	k.keyLoc[key] = k.logHead
-	k.keyVer[key] = splitmix64(tag)
-	k.advanceLog()
-	return FFRequest{RespBytes: addr.LineBytes,
-		ComputeCycles: k.cfg.ComputeCycles, ReadFullPacket: true}
-}
-
 // ExtraServiceCycles implements Driver: the KVS adds no service delay
 // beyond its plan.
 func (k *KVS) ExtraServiceCycles(uint64) uint64 { return 0 }
@@ -223,29 +196,6 @@ func (k *KVS) ExtraServiceCycles(uint64) uint64 { return 0 }
 // Snapshot implements Driver.
 func (k *KVS) Snapshot() []Counter {
 	return []Counter{{Name: "gets", Value: k.gets}, {Name: "sets", Value: k.sets}}
-}
-
-// WarmLines implements StateWarmer: the store's resident set is the hot end
-// of the zipf popularity curve — each hot key's bucket line plus its item's
-// log lines. Emission walks ranks coldest-to-hottest so the hottest items
-// end up most-recently-used, and stops once the budget's worth of lines is
-// out: under zipf(0.99) the head ranks carry most of the access mass, so a
-// cache-sized prefix is within a few percent of the converged content a
-// multi-million-cycle warm-up would build.
-func (k *KVS) WarmLines(lineBudget uint64, emit func(line uint64, dirty bool)) {
-	perKey := k.itemLines + 1
-	ranks := lineBudget / perKey
-	if ranks > k.cfg.Keys {
-		ranks = k.cfg.Keys
-	}
-	for r := ranks; r > 0; r-- {
-		key := k.zipf.Key(r - 1)
-		emit(k.bucketAddr(key), false)
-		loc := k.logBase + k.keyLoc[key]
-		for l := uint64(0); l < k.itemLines; l++ {
-			emit(loc+l*addr.LineBytes, false)
-		}
-	}
 }
 
 // WarmLLC implements LLCWarmer: the store's steady state keeps the LLC full

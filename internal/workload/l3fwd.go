@@ -93,18 +93,6 @@ func (f *L3Fwd) PlanRequest(tag uint64, pktBytes uint64, plan *Plan) {
 	f.forwarded++
 }
 
-// FastForward implements FastForwarder, mirroring PlanRequest.
-func (f *L3Fwd) FastForward(tag uint64, pktBytes uint64, touch func(a uint64, write, full bool)) FFRequest {
-	rule := f.NextHop(tag)
-	for d := 0; d < f.cfg.LookupDepth; d++ {
-		idx := splitmix64(rule+uint64(d)*0x9e37) % f.cfg.Rules
-		touch(f.routesBase+idx*addr.LineBytes, false, false)
-	}
-	f.forwarded++
-	return FFRequest{RespBytes: pktBytes,
-		ComputeCycles: f.cfg.ComputeCycles + splitmix64(tag)%64, ReadFullPacket: true}
-}
-
 // ExtraServiceCycles implements Driver: the forwarder's jitter is already
 // part of its plan compute.
 func (f *L3Fwd) ExtraServiceCycles(uint64) uint64 { return 0 }
@@ -116,17 +104,3 @@ func (f *L3Fwd) Snapshot() []Counter {
 
 // Forwarded returns the number of packets planned.
 func (f *L3Fwd) Forwarded() uint64 { return f.forwarded }
-
-// WarmLines implements StateWarmer: the route table is the forwarder's
-// resident set. Lookups hash across all Rules lines, so a cold table only
-// becomes cache-resident after a coupon-collector fill (~10 lookups per
-// rule); installing it clean up front removes that transient.
-func (f *L3Fwd) WarmLines(lineBudget uint64, emit func(line uint64, dirty bool)) {
-	n := f.cfg.Rules
-	if n > lineBudget {
-		n = lineBudget
-	}
-	for i := uint64(0); i < n; i++ {
-		emit(f.routesBase+i*addr.LineBytes, false)
-	}
-}

@@ -77,20 +77,6 @@ func (x *XMem) Next() uint64 {
 // Accesses returns the number of accesses generated.
 func (x *XMem) Accesses() uint64 { return x.accesses }
 
-// WarmLines implements StateWarmer: the private array is the instance's
-// resident set. Dependent random accesses touch every line only after a
-// coupon-collector fill spanning millions of cycles; installing the array
-// up front starts the run at steady-state occupancy.
-func (x *XMem) WarmLines(lineBudget uint64, emit func(line uint64, dirty bool)) {
-	n := x.lines
-	if n > lineBudget {
-		n = lineBudget
-	}
-	for i := uint64(0); i < n; i++ {
-		emit(x.base+i*addr.LineBytes, false)
-	}
-}
-
 // IPC converts an access count over a cycle window into the instructions-
 // per-cycle proxy the paper plots for X-Mem in Figure 9.
 func (x *XMem) IPC(accesses, cycles uint64) float64 {

@@ -82,16 +82,6 @@ func (z *Zipf) Rank(u float64) uint64 {
 	return r
 }
 
-// Key maps a popularity rank (0 = hottest) to the item it lands on,
-// applying the same scramble Rank does — the inverse view a warm-state
-// installer needs to enumerate the hottest items.
-func (z *Zipf) Key(rank uint64) uint64 {
-	if z.scramble {
-		return splitmix64(rank) % z.n
-	}
-	return rank
-}
-
 // Sample derives a rank deterministically from an arbitrary 64-bit tag.
 func (z *Zipf) Sample(tag uint64) uint64 {
 	return z.Rank(unitFloat(splitmix64(tag)))
