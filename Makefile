@@ -68,14 +68,12 @@ obs-smoke:
 		-manifest artifacts/manifest.json
 	SWEEPER_OBS_DIR=$(CURDIR)/artifacts $(GO) test ./internal/obs -run TestObsSmoke -count=1 -v
 
-# Traffic-realism smoke: synthesize a bursty trace with tracegen, replay it
-# through the CLI with -arrival trace and validate the manifest in-process,
-# then drive the shipped bursty-MMPP scenario end-to-end.
+# Traffic smoke: drive bursty MMPP arrivals through the CLI and validate the
+# manifest in-process, then drive the shipped bursty-MMPP scenario
+# end-to-end.
 traffic-smoke:
 	mkdir -p artifacts
-	$(GO) run ./cmd/tracegen -packets 30000 -burst-ratio 4 -flows 256 \
-		-out artifacts/ci_trace.bin
-	$(GO) run ./cmd/sweepersim -arrival trace -arrival-trace artifacts/ci_trace.bin \
+	$(GO) run ./cmd/sweepersim -arrival mmpp -arrival-burst-ratio 4 \
 		-warmup 300000 -measure 200000 \
 		-manifest artifacts/traffic_manifest.json
 	SWEEPER_TRAFFIC_MANIFEST=$(CURDIR)/artifacts/traffic_manifest.json \

@@ -32,7 +32,7 @@ func main() {
 	log.SetPrefix("experiments: ")
 
 	var (
-		figFlag    = flag.String("fig", "all", "experiment id (fig1, fig2, fig5..fig10, policies, alternatives, slo) or 'all'")
+		figFlag    = flag.String("fig", "all", "comma-separated experiment ids ("+strings.Join(experiments.Names(), ", ")+"), 'claims' or 'all'")
 		quick      = flag.Bool("quick", false, "use the reduced-fidelity quick scale")
 		outDir     = flag.String("out", "", "directory for CSV output (optional)")
 		parallel   = flag.Int("parallel", 0, "max concurrent simulations (0 = $SWEEPER_WORKERS, then GOMAXPROCS)")

@@ -46,12 +46,8 @@ func main() {
 		rate         = flag.Float64("rate", 20, "offered load in Mrps (open loop)")
 		queued       = flag.Int("queued", 0, "closed loop: keep D packets queued per core (overrides -rate)")
 		arrival      = flag.String("arrival", "", "open-loop arrival process: "+strings.Join(nic.ArrivalNames(), ", ")+" (empty = poisson)")
-		arrivalTrace = flag.String("arrival-trace", "", "trace file for -arrival trace (binary SWPT or cycles,bytes,flow CSV)")
 		burstRatio   = flag.Float64("arrival-burst-ratio", 0, "MMPP on/off rate ratio (0 = default 8)")
 		burstDwell   = flag.Uint64("arrival-burst-dwell", 0, "MMPP mean state dwell in cycles (0 = default 131072)")
-		diurnalPer   = flag.Uint64("arrival-diurnal-period", 0, "diurnal envelope period in cycles (0 = off)")
-		diurnalAmp   = flag.Float64("arrival-diurnal-amp", 0, "diurnal envelope amplitude in [0,1)")
-		flows        = flag.Int("flows", 0, "connection population: spread arrivals over N flows (0 = fresh flow per packet)")
 		dynEpoch     = flag.Uint64("dynamic-ddio", 0, "IAT-style way controller epoch in cycles (0 = off)")
 		cores        = flag.Int("cores", 24, "networked cores")
 		xmem         = flag.Int("xmem", 0, "collocated X-Mem cores")
@@ -113,13 +109,9 @@ func main() {
 	cfg.OfferedMrps = *rate
 	cfg.ClosedLoopDepth = *queued
 	cfg.Arrival = nic.ArrivalConfig{
-		Process:             *arrival,
-		TracePath:           *arrivalTrace,
-		BurstRatio:          *burstRatio,
-		BurstDwellCycles:    *burstDwell,
-		DiurnalPeriodCycles: *diurnalPer,
-		DiurnalAmplitude:    *diurnalAmp,
-		Flows:               *flows,
+		Process:          *arrival,
+		BurstRatio:       *burstRatio,
+		BurstDwellCycles: *burstDwell,
 	}
 	cfg.Mem.Channels = *channels
 	cfg.Seed = *seed

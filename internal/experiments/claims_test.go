@@ -72,29 +72,6 @@ func TestCheckClaims(t *testing.T) {
 	}
 }
 
-func TestPoliciesStructure(t *testing.T) {
-	if testing.Short() {
-		t.Skip("policy comparison runs 4 drop-free searches")
-	}
-	sc := Scale{Warmup: 1_000_000, Measure: 600_000, SearchIters: 2, Parallelism: 4}
-	tables := Policies(sc)
-	if len(tables) != 1 || tables[0].ID != "policies" {
-		t.Fatal("structure")
-	}
-	tbl := tables[0]
-	if len(tbl.Cells) != 4 {
-		t.Fatalf("cells = %d", len(tbl.Cells))
-	}
-	for _, c := range tbl.Cells {
-		if c.Extra["dropfree_peak_mrps"] <= 0 {
-			t.Fatalf("%s: no drop-free peak", c.Config)
-		}
-		if describePolicy(c.Config) == "" || strings.Contains(describePolicy(c.Config), "unknown") {
-			t.Fatalf("undescribed policy %q", c.Config)
-		}
-	}
-}
-
 func TestRenderCDFChart(t *testing.T) {
 	curves := []LatencyCurve{
 		{

@@ -311,8 +311,8 @@ func TestCellFromResults(t *testing.T) {
 
 func TestRegistryNames(t *testing.T) {
 	names := Names()
-	want := []string{"alternatives", "fig1", "fig10", "fig2", "fig5",
-		"fig6", "fig7", "fig8", "fig9", "policies", "slo", "tiers"}
+	want := []string{"fig1", "fig10", "fig2", "fig5",
+		"fig6", "fig7", "fig8", "fig9", "slo", "tiers"}
 	if len(names) != len(want) {
 		t.Fatalf("names = %v", names)
 	}

@@ -364,14 +364,12 @@ func Registry() map[string]func(Scale) []Table {
 			r := Fig6(sc)
 			return []Table{r.Summary}
 		},
-		"fig7":         Fig7,
-		"fig8":         Fig8,
-		"fig9":         Fig9,
-		"fig10":        Fig10,
-		"policies":     Policies,
-		"alternatives": Alternatives,
-		"slo":          SLOCurve,
-		"tiers":        Tiers,
+		"fig7":  Fig7,
+		"fig8":  Fig8,
+		"fig9":  Fig9,
+		"fig10": Fig10,
+		"slo":   SLOCurve,
+		"tiers": Tiers,
 	}
 }
 

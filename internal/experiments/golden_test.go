@@ -9,9 +9,10 @@ import (
 )
 
 // TestGoldenCSVs regenerates Figure 2's panels, Figure 6 (summary +
-// latency CDFs), Figure 7's panels (the L3Fwd closed loop) and the tiers
-// study (the hybrid-memory datapath and the invalidation instructions) at
-// the committed artifacts' fidelity and byte-compares the CSVs against
+// latency CDFs), Figure 7's panels (the L3Fwd closed loop), the tiers
+// study (the hybrid-memory datapath and the invalidation instructions) and
+// the SLO-headroom curves (the only goldens that run MMPP arrivals) at the
+// committed artifacts' fidelity and byte-compares the CSVs against
 // results/. It is the end-to-end regression gate: any drift in the
 // simulator, the scenario expansion, or the CSV writer shows up as a byte
 // diff.
@@ -21,7 +22,7 @@ import (
 // nothing).
 func TestGoldenCSVs(t *testing.T) {
 	if testing.Short() {
-		t.Skip("golden regeneration takes about a minute; skipped with -short")
+		t.Skip("golden regeneration takes about two minutes; skipped with -short")
 	}
 	if raceEnabled {
 		t.Skip("outputs are scheduling-independent; skipped under -race")
@@ -29,7 +30,7 @@ func TestGoldenCSVs(t *testing.T) {
 
 	sc := QuickScale() // the scale results/README.md documents
 	dir := t.TempDir()
-	for _, fig := range []func(Scale) []Table{Fig2, Fig7, Tiers} {
+	for _, fig := range []func(Scale) []Table{Fig2, Fig7, Tiers, SLOCurve} {
 		for _, tb := range fig(sc) {
 			writeGolden(t, dir, tb.ID+".csv", tb.WriteCSV)
 		}
@@ -38,7 +39,7 @@ func TestGoldenCSVs(t *testing.T) {
 	writeGolden(t, dir, "fig6.csv", r.Summary.WriteCSV)
 	writeGolden(t, dir, "fig6_cdf.csv", func(w io.Writer) error { return WriteCDFCSV(w, r) })
 	compareGoldens(t, dir, "fig2a.csv", "fig2b.csv", "fig2c.csv", "fig6.csv", "fig6_cdf.csv",
-		"fig7a.csv", "fig7b.csv", "tiers.csv")
+		"fig7a.csv", "fig7b.csv", "tiers.csv", "slo_kvs.csv", "slo_l3fwd.csv")
 }
 
 // TestGoldenFig8CSVs extends the golden gate to Figure 8's two panels.

@@ -24,9 +24,7 @@ func sloApps() []sloApp {
 
 // sloArrivals are the arrival processes the curves contrast: memoryless
 // Poisson against a bursty 2-state MMPP (8x on/off rate ratio, ~41us
-// dwells at 3.2GHz). Trace replay shares the open-loop machinery and is
-// exercised by the traffic smoke instead of a committed figure, which
-// would pin a binary trace artifact into the golden set.
+// dwells at 3.2GHz).
 func sloArrivals() []struct {
 	name string
 	cfg  nic.ArrivalConfig

@@ -1,55 +1,23 @@
 package machine
 
 import (
-	"os"
-	"path/filepath"
+	"math"
 	"testing"
 
 	"sweeper/internal/nic"
 )
 
 // arrivalCases builds one machine configuration per registered arrival
-// process (exercising the modulation knobs on top), failing the suite if a
-// newly registered process has no case here: the pooled-reset contract
-// below must cover every generator.
+// process, failing the suite if a newly registered process has no case
+// here: the pooled-reset contract below must cover every generator.
 func arrivalCases(t *testing.T) map[string]Config {
 	t.Helper()
-	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "arrivals.bin")
-	recs := make([]nic.TraceRecord, 4000)
-	for i := range recs {
-		recs[i] = nic.TraceRecord{
-			Cycles: uint64(i * 130),
-			Bytes:  64 + uint32(i%3)*700,
-			Flow:   uint32(i % 24),
-		}
-	}
-	f, err := os.Create(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nic.WriteTraceBinary(f, recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
 	arrivals := map[string]nic.ArrivalConfig{
-		nic.ArrivalPoisson: {
-			DiurnalPeriodCycles: 200_000,
-			DiurnalAmplitude:    0.4,
-			Flows:               64,
-		},
+		nic.ArrivalPoisson: {},
 		nic.ArrivalMMPP: {
 			Process:          nic.ArrivalMMPP,
 			BurstRatio:       6,
 			BurstDwellCycles: 40_000,
-			Flows:            128,
-		},
-		nic.ArrivalTrace: {
-			Process:   nic.ArrivalTrace,
-			TracePath: tracePath,
 		},
 	}
 	cases := map[string]Config{}
@@ -75,16 +43,23 @@ func TestArrivalPooledReset(t *testing.T) {
 }
 
 // TestArrivalConfigValidation exercises the machine-level arrival plumbing
-// errors: unknown processes, bad knobs, missing trace files, and the
+// errors: unknown processes, bad burst ratios, MMPP shapes whose burst-state
+// gap outruns the dwell (which would spin the gap draw), and the
 // closed-loop/arrival conflict.
 func TestArrivalConfigValidation(t *testing.T) {
+	mmpp := func(ratio float64) func(*Config) {
+		return func(c *Config) { c.Arrival = nic.ArrivalConfig{Process: nic.ArrivalMMPP, BurstRatio: ratio} }
+	}
 	bad := map[string]func(*Config){
-		"unknown process": func(c *Config) { c.Arrival.Process = "nonesuch" },
-		"burst ratio":     func(c *Config) { c.Arrival = nic.ArrivalConfig{Process: nic.ArrivalMMPP, BurstRatio: 0.5} },
-		"amplitude range": func(c *Config) { c.Arrival.DiurnalAmplitude = 1.5 },
-		"amp no period":   func(c *Config) { c.Arrival.DiurnalAmplitude = 0.2 },
-		"negative flows":  func(c *Config) { c.Arrival.Flows = -1 },
-		"trace no path":   func(c *Config) { c.Arrival.Process = nic.ArrivalTrace },
+		"unknown process":   func(c *Config) { c.Arrival.Process = "nonesuch" },
+		"burst ratio":       mmpp(0.5),
+		"NaN burst ratio":   mmpp(math.NaN()),
+		"Inf burst ratio":   mmpp(math.Inf(1)),
+		"1e308 burst ratio": mmpp(1e308),
+		"mmpp at 1e-300 Mrps": func(c *Config) {
+			c.OfferedMrps = 1e-300
+			c.Arrival = nic.ArrivalConfig{Process: nic.ArrivalMMPP}
+		},
 		"closed loop + arrival": func(c *Config) {
 			c.ClosedLoopDepth = 16
 			c.Arrival = nic.ArrivalConfig{Process: nic.ArrivalMMPP}
@@ -96,13 +71,5 @@ func TestArrivalConfigValidation(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("%s: config accepted", name)
 		}
-	}
-
-	// A trace path that validates statically but fails to open must
-	// surface at construction.
-	cfg := quickCfg()
-	cfg.Arrival = nic.ArrivalConfig{Process: nic.ArrivalTrace, TracePath: filepath.Join(t.TempDir(), "gone.bin")}
-	if _, err := New(cfg); err == nil {
-		t.Error("missing trace file accepted at construction")
 	}
 }

@@ -74,8 +74,8 @@ type Config struct {
 	// Traffic: OfferedMrps drives the open-loop arrival process; a
 	// positive ClosedLoopDepth switches to the §IV-B keep-D-queued
 	// closed loop instead. Arrival selects and tunes the open-loop
-	// process (Poisson by default; MMPP, trace replay, diurnal envelope
-	// and flow-population knobs per nic.ArrivalConfig).
+	// process (Poisson by default, or MMPP with its burst knobs per
+	// nic.ArrivalConfig).
 	OfferedMrps     float64
 	ClosedLoopDepth int
 	Arrival         nic.ArrivalConfig

@@ -77,7 +77,8 @@ func (dp *datapath) reset() {
 
 // configure applies the configuration's way-allocation policy: the NIC's
 // DDIO ways (or explicit mask) and the per-core LLC masks of the §VI-E
-// partition scenarios. It also stamps the dynamic-DDIO controller's bounds.
+// partition scenarios, and builds the hybrid memory tier when enabled. It
+// also stamps the dynamic-DDIO controller's bounds.
 func (dp *datapath) configure(cfg Config) {
 	if cfg.NICMode == nic.ModeDDIO {
 		if cfg.NICWayMask != 0 {

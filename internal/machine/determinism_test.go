@@ -8,10 +8,10 @@ import (
 	"sweeper/internal/nic"
 )
 
-// determinismCases are six representative configurations (open loop,
-// closed loop, Sweeper, DMA, collocation, dynamic DDIO), each a mutation of
-// quickCfg, shared by the fresh-machine and pooled-machine determinism
-// tests.
+// determinismCases are seven representative configurations (open loop,
+// closed loop, Sweeper, DMA, collocation, dynamic DDIO, fig10's spiky
+// service), each a mutation of quickCfg, shared by the fresh-machine and
+// pooled-machine determinism tests.
 func determinismCases() map[string]func(*Config) {
 	return map[string]func(*Config){
 		"open-loop-ddio": func(c *Config) {},
@@ -31,6 +31,11 @@ func determinismCases() map[string]func(*Config) {
 		},
 		"dynamic-ddio": func(c *Config) {
 			c.DynamicDDIOEpoch = 50_000
+		},
+		"spiky-service": func(c *Config) {
+			c.SpikeProb = 0.01
+			c.SpikeMinCycles = 3_200
+			c.SpikeMaxCycles = 320_000
 		},
 	}
 }

@@ -4,19 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"sweeper/internal/nic"
 	"sweeper/internal/obs"
 )
 
-// TestTrafficManifestSmoke validates a trace-replay run's manifest. When
-// SWEEPER_TRAFFIC_MANIFEST is set (the `make traffic-smoke` path: tracegen
-// synthesizes a trace, sweepersim replays it with -arrival trace and writes
-// the manifest), it checks that file; otherwise it generates its own from a
-// short in-process replay, so the contract is also guarded under plain
-// `go test`.
+// TestTrafficManifestSmoke validates a bursty-MMPP run's manifest. When
+// SWEEPER_TRAFFIC_MANIFEST is set (the `make traffic-smoke` path: sweepersim
+// runs -arrival mmpp and writes the manifest), it checks that file;
+// otherwise it generates its own from a short in-process MMPP run, so the
+// contract is also guarded under plain `go test`.
 func TestTrafficManifestSmoke(t *testing.T) {
 	var data []byte
 	if path := os.Getenv("SWEEPER_TRAFFIC_MANIFEST"); path != "" {
@@ -26,23 +24,8 @@ func TestTrafficManifestSmoke(t *testing.T) {
 		}
 		data = b
 	} else {
-		tracePath := filepath.Join(t.TempDir(), "smoke.bin")
-		recs := make([]nic.TraceRecord, 2000)
-		for i := range recs {
-			recs[i] = nic.TraceRecord{Cycles: uint64(i * 120), Bytes: 800, Flow: uint32(i % 9)}
-		}
-		f, err := os.Create(tracePath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := nic.WriteTraceBinary(f, recs); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
 		cfg := quickCfg()
-		cfg.Arrival = nic.ArrivalConfig{Process: nic.ArrivalTrace, TracePath: tracePath}
+		cfg.Arrival = nic.ArrivalConfig{Process: nic.ArrivalMMPP, BurstRatio: 4}
 		m := MustNew(cfg)
 		r := m.Run(200_000, 150_000)
 		var buf bytes.Buffer
@@ -55,8 +38,7 @@ func TestTrafficManifestSmoke(t *testing.T) {
 	var man struct {
 		Config struct {
 			Arrival struct {
-				Process   string `json:"Process"`
-				TracePath string `json:"TracePath"`
+				Process string `json:"Process"`
 			} `json:"Arrival"`
 		} `json:"config"`
 		Results struct {
@@ -69,24 +51,24 @@ func TestTrafficManifestSmoke(t *testing.T) {
 	if err := json.Unmarshal(data, &man); err != nil {
 		t.Fatalf("traffic manifest does not parse: %v", err)
 	}
-	if man.Config.Arrival.Process != nic.ArrivalTrace {
-		t.Fatalf("manifest arrival process %q, want %q", man.Config.Arrival.Process, nic.ArrivalTrace)
-	}
-	if man.Config.Arrival.TracePath == "" {
-		t.Error("manifest lost the trace path")
+	if man.Config.Arrival.Process != nic.ArrivalMMPP {
+		t.Fatalf("manifest arrival process %q, want %q", man.Config.Arrival.Process, nic.ArrivalMMPP)
 	}
 	if man.Results.Offered == 0 || man.Results.Served == 0 {
-		t.Fatalf("replay moved no traffic: offered %d, served %d", man.Results.Offered, man.Results.Served)
+		t.Fatalf("mmpp run moved no traffic: offered %d, served %d", man.Results.Offered, man.Results.Served)
 	}
 	if man.Results.ThroughputMrps <= 0 {
 		t.Error("manifest reports no throughput")
 	}
-	for _, key := range []string{"gen.offered", "gen.trace_wraps", "cpu.served", "mem.reads"} {
+	for _, key := range []string{"gen.offered", "gen.mmpp_on_arrivals", "cpu.served", "mem.reads"} {
 		if _, ok := man.Metrics[key]; !ok {
 			t.Errorf("manifest missing metric %q", key)
 		}
 	}
 	if man.Metrics["gen.offered"] == 0 {
 		t.Error("generator counter never advanced")
+	}
+	if man.Metrics["gen.mmpp_on_arrivals"] == 0 {
+		t.Error("no arrival came in the burst state")
 	}
 }

@@ -12,15 +12,13 @@ import (
 
 // This file is the arrival-process layer: a registry of named open-loop
 // packet-arrival generators (mirroring the workload registry), the shared
-// open-loop skeleton they build on, and the stationary processes — Poisson
-// and a 2-state MMPP — plus the diurnal envelope and per-flow tagging that
-// modulate any of them. The trace-replay process lives in trace.go.
+// open-loop skeleton they build on, and its two gap laws — Poisson and a
+// 2-state MMPP.
 
 // Registered arrival-process names.
 const (
 	ArrivalPoisson = "poisson"
 	ArrivalMMPP    = "mmpp"
-	ArrivalTrace   = "trace"
 )
 
 // ArrivalConfig selects and tunes an arrival process. All fields are plain
@@ -28,32 +26,14 @@ const (
 // stationary Poisson process every figure used before this layer existed.
 type ArrivalConfig struct {
 	// Process names the generator in the arrival registry ("poisson",
-	// "mmpp", "trace", or any registered name); empty selects Poisson.
+	// "mmpp", or any registered name); empty selects Poisson.
 	Process string
-	// TracePath is the trace file replayed by the "trace" process
-	// (binary SWPT or CSV; see ParseTrace). Replay loops the trace and
-	// rescales its timestamps so the mean rate matches the configured
-	// offered load.
-	TracePath string
-	// BurstRatio is the MMPP on/off rate ratio λ_on/λ_off (≥ 1; 0
-	// selects the default 8). 1 degenerates to Poisson.
+	// BurstRatio is the MMPP on/off rate ratio λ_on/λ_off (a finite
+	// number ≥ 1; 0 selects the default 8). 1 degenerates to Poisson.
 	BurstRatio float64
 	// BurstDwellCycles is the MMPP mean dwell time per state in cycles
 	// (0 selects the default 131072).
 	BurstDwellCycles uint64
-	// DiurnalPeriodCycles and DiurnalAmplitude superimpose a sinusoidal
-	// envelope on the process rate: rate(t) = mean · (1 + A·sin(2πt/P)).
-	// Amplitude 0 disables the envelope; the trace process rejects it
-	// (traces carry their own time structure).
-	DiurnalPeriodCycles uint64
-	DiurnalAmplitude    float64
-	// Flows spreads arrivals over a fixed population of connections:
-	// each packet draws a flow id in [0, Flows), its ring follows an
-	// RSS-style hash of the flow (so few flows skew core load, many
-	// approach uniform), and the tag's high 32 bits are flow-stable
-	// while the low 32 stay per-packet. 0 keeps the legacy behaviour of
-	// a fresh uniformly-random ring and tag per packet.
-	Flows int
 }
 
 const (
@@ -70,22 +50,15 @@ func (c ArrivalConfig) processName() string {
 }
 
 // Validate reports configuration errors without building a generator (the
-// machine validates configs long before assembly; file I/O errors of the
-// trace process surface at construction instead).
+// machine validates configs long before assembly; checks that need the
+// offered load surface at construction instead, see ArrivalSpec).
 func (c ArrivalConfig) Validate() error {
 	reg, err := arrivals.Get(c.processName())
 	if err != nil {
 		return fmt.Errorf("nic: %w", err)
 	}
-	switch {
-	case c.BurstRatio != 0 && c.BurstRatio < 1:
-		return fmt.Errorf("nic: arrival BurstRatio %g must be ≥ 1", c.BurstRatio)
-	case c.DiurnalAmplitude < 0 || c.DiurnalAmplitude >= 1:
-		return fmt.Errorf("nic: arrival DiurnalAmplitude %g outside [0,1)", c.DiurnalAmplitude)
-	case c.DiurnalAmplitude > 0 && c.DiurnalPeriodCycles == 0:
-		return fmt.Errorf("nic: arrival DiurnalAmplitude needs DiurnalPeriodCycles > 0")
-	case c.Flows < 0:
-		return fmt.Errorf("nic: arrival Flows %d must be non-negative", c.Flows)
+	if r := c.BurstRatio; r != 0 && !(r >= 1 && r <= math.MaxFloat64) {
+		return fmt.Errorf("nic: arrival BurstRatio %g must be a finite number ≥ 1", r)
 	}
 	if reg.Validate != nil {
 		return reg.Validate(c)
@@ -106,7 +79,7 @@ type ArrivalSpec struct {
 	// Cores restricts arrivals to rings [0, Cores).
 	Cores int
 	// Size is the default packet size in bytes (also the ring slot
-	// size, so trace record sizes clamp to it).
+	// size).
 	Size uint64
 	// MeanGap is the target mean inter-arrival gap in cycles across the
 	// whole NIC.
@@ -124,7 +97,20 @@ func (s ArrivalSpec) validate() error {
 	if s.MeanGap <= 0 {
 		return fmt.Errorf("nic: mean inter-arrival gap must be positive, got %g", s.MeanGap)
 	}
-	return s.Config.Validate()
+	if err := s.Config.Validate(); err != nil {
+		return err
+	}
+	if s.Config.processName() == ArrivalMMPP {
+		// mmppGaps.next switches state until a gap fits in the dwell;
+		// a burst-state gap far above the dwell (or infinite) makes that
+		// loop spin for gap/dwell switches per arrival.
+		gap, dwell := mmppShape(s)
+		if !(gap[1] <= dwell) {
+			return fmt.Errorf("nic: mmpp burst-state mean gap %g cycles exceeds the mean dwell %g cycles; raise the offered load or the dwell, or lower the burst ratio",
+				gap[1], dwell)
+		}
+	}
+	return nil
 }
 
 // ArrivalGen is one open-loop arrival process, scheduled on the event
@@ -138,8 +124,7 @@ type ArrivalGen interface {
 	// Reset restores the generator to its just-constructed state under a
 	// new spec with the same process name.
 	Reset(spec ArrivalSpec) error
-	// SetSizer installs a per-packet size function of the tag; processes
-	// whose arrivals carry intrinsic sizes (trace replay) ignore it.
+	// SetSizer installs a per-packet size function of the tag.
 	SetSizer(fn func(tag uint64) uint64)
 	// Offered returns injection attempts so far (including arrivals
 	// dropped at full rings).
@@ -204,20 +189,17 @@ func init() {
 }
 
 // gapProcess produces successive inter-arrival gaps in cycles. reseed
-// re-derives the process state from a spec whose diurnal boost has already
-// been folded into MeanGap.
+// re-derives the process state from a validated spec.
 type gapProcess interface {
 	next(rng *rand.Rand) float64
 	reseed(spec ArrivalSpec, rng *rand.Rand)
 }
 
 // openLoop is the shared skeleton of rate-driven arrival processes: a
-// self-rescheduling event whose gaps come from a pluggable gapProcess,
-// optionally thinned against a diurnal envelope and spread over a fixed
-// flow population. With the zero-valued ArrivalConfig it reproduces the
-// original PoissonGen draw for draw: one ExpFloat64 at Start, then
-// Intn/Uint64/ExpFloat64 per arrival — the order the committed goldens
-// depend on.
+// self-rescheduling event whose gaps come from a pluggable gapProcess. Under
+// Poisson it reproduces the original PoissonGen draw for draw: one
+// ExpFloat64 at Start, then Intn/Uint64/ExpFloat64 per arrival — the order
+// the committed goldens depend on.
 type openLoop struct {
 	eng    *sim.Engine
 	rng    *rand.Rand
@@ -227,16 +209,6 @@ type openLoop struct {
 	size  uint64
 	sizer func(tag uint64) uint64
 	cores int
-
-	// Flow population (Flows > 0): flowSeed salts the per-flow hash.
-	flows    int
-	flowSeed uint64
-
-	// Diurnal envelope (amp > 0): candidates are generated at the
-	// boosted rate mean·(1+amp) and accepted with probability
-	// envelope(t)/(1+amp) — exact thinning of the sinusoidal rate.
-	amp    float64
-	period float64
 
 	stopped bool
 	offered uint64
@@ -255,19 +227,11 @@ func newOpenLoop(eng *sim.Engine, spec ArrivalSpec, inject InjectFunc, gaps gapP
 
 // apply derives the generator state from a validated spec.
 func (g *openLoop) apply(spec ArrivalSpec) {
-	cfg := spec.Config
 	g.size = spec.Size
 	g.sizer = nil
 	g.cores = spec.Cores
-	g.flows = cfg.Flows
-	g.flowSeed = splitmix64(uint64(spec.Seed) ^ 0x9e3779b97f4a7c15)
-	g.amp = cfg.DiurnalAmplitude
-	g.period = float64(cfg.DiurnalPeriodCycles)
 	g.stopped = false
 	g.offered = 0
-	if g.amp > 0 {
-		spec.MeanGap /= 1 + g.amp
-	}
 	g.gaps.reseed(spec, g.rng)
 }
 
@@ -315,30 +279,12 @@ func (g *openLoop) scheduleNext() {
 	g.eng.ScheduleAfter(uint64(g.gaps.next(g.rng)), g, 0)
 }
 
-// envelope is the normalized diurnal acceptance probability at cycle t.
-func (g *openLoop) envelope(t uint64) float64 {
-	return (1 + g.amp*math.Sin(2*math.Pi*float64(t)/g.period)) / (1 + g.amp)
-}
-
 func (g *openLoop) arrive(now uint64) {
 	if g.stopped {
 		return
 	}
-	if g.amp > 0 && g.rng.Float64() >= g.envelope(now) {
-		// Thinned: this candidate falls outside the envelope.
-		g.scheduleNext()
-		return
-	}
-	var core int
-	var tag uint64
-	if g.flows > 0 {
-		fh := splitmix64(g.flowSeed ^ uint64(g.rng.Intn(g.flows)))
-		core = int(fh % uint64(g.cores))
-		tag = fh&^uint64(1<<32-1) | g.rng.Uint64()&(1<<32-1)
-	} else {
-		core = g.rng.Intn(g.cores)
-		tag = g.rng.Uint64()
-	}
+	core := g.rng.Intn(g.cores)
+	tag := g.rng.Uint64()
 	g.offered++
 	size := g.size
 	if g.sizer != nil {
@@ -375,18 +321,24 @@ type mmppGaps struct {
 	cycles   [2]float64
 }
 
-func (m *mmppGaps) reseed(spec ArrivalSpec, rng *rand.Rand) {
+// mmppShape resolves an MMPP spec's mean gap per state and its mean dwell,
+// applying the defaults.
+func mmppShape(spec ArrivalSpec) (gap [2]float64, dwell float64) {
 	ratio := spec.Config.BurstRatio
 	if ratio == 0 {
 		ratio = defaultBurstRatio
 	}
-	dwell := spec.Config.BurstDwellCycles
-	if dwell == 0 {
-		dwell = defaultBurstDwell
+	d := spec.Config.BurstDwellCycles
+	if d == 0 {
+		d = defaultBurstDwell
 	}
-	m.gap[0] = spec.MeanGap * (1 + ratio) / 2
-	m.gap[1] = m.gap[0] / ratio
-	m.dwell = float64(dwell)
+	gap[0] = spec.MeanGap * (1 + ratio) / 2
+	gap[1] = gap[0] / ratio
+	return gap, float64(d)
+}
+
+func (m *mmppGaps) reseed(spec ArrivalSpec, rng *rand.Rand) {
+	m.gap, m.dwell = mmppShape(spec)
 	m.state = 0
 	m.left = rng.ExpFloat64() * m.dwell
 	m.arrivals = [2]uint64{}
@@ -408,13 +360,4 @@ func (m *mmppGaps) next(rng *rand.Rand) float64 {
 		m.state = 1 - m.state
 		m.left = rng.ExpFloat64() * m.dwell
 	}
-}
-
-// splitmix64 is the SplitMix64 finalizer: a cheap, well-mixed 64-bit hash
-// for flow-stable core and tag derivation.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-	x = (x ^ x>>27) * 0x94d049bb133111eb
-	return x ^ x>>31
 }

@@ -2,18 +2,15 @@ package nic
 
 import (
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"sweeper/internal/sim"
 )
 
 // This file locks the statistical properties of every registered arrival
-// process: mean rates within confidence bounds, per-state MMPP behaviour,
-// burstiness, the diurnal envelope's shape, and flow spreading. The
-// umbrella test walks the registry, so a newly registered process fails
-// until a property test is added for it.
+// process: mean rates within confidence bounds, per-state MMPP behaviour
+// and burstiness. The umbrella test walks the registry, so a newly
+// registered process fails until a property test is added for it.
 
 type arrivalRec struct {
 	now  uint64
@@ -87,7 +84,6 @@ func TestArrivalRegistryStatistics(t *testing.T) {
 	cases := map[string]func(t *testing.T){
 		ArrivalPoisson: testPoissonStats,
 		ArrivalMMPP:    testMMPPStats,
-		ArrivalTrace:   testTraceStats,
 	}
 	for _, name := range ArrivalNames() {
 		fn, ok := cases[name]
@@ -165,141 +161,13 @@ func testMMPPStats(t *testing.T) {
 	}
 }
 
-func testTraceStats(t *testing.T) {
-	const (
-		nativeGap = 100
-		n         = 10_000
-		meanGap   = 50.0 // replay at 2x the trace's native rate
-		horizon   = 1_000_000
-	)
-	recs := make([]TraceRecord, n)
-	for i := range recs {
-		recs[i] = TraceRecord{Cycles: uint64((i + 1) * nativeGap), Bytes: 64, Flow: uint32(i % 16)}
-	}
-	path := filepath.Join(t.TempDir(), "stats.bin")
-	writeTraceFile(t, path, recs)
-
-	spec := ArrivalSpec{
-		Cores: 8, Size: 1024, MeanGap: meanGap, Seed: 13,
-		Config: ArrivalConfig{Process: ArrivalTrace, TracePath: path},
-	}
-	got := collectArrivals(t, spec, horizon)
-	// Replay timing is deterministic: the rescaled trace must hit the
-	// configured rate up to loop-boundary rounding, far inside the band.
-	checkMeanRate(t, got, horizon, meanGap, 1)
-
-	// Flow-stable core mapping: every replayed arrival of one flow lands
-	// on one core, and the 16 flows spread beyond a single core.
-	flowCore := map[uint64]int{}
-	cores := map[int]bool{}
-	for _, r := range got {
-		flow := r.tag >> 32
-		if c, ok := flowCore[flow]; ok && c != r.core {
-			t.Fatalf("flow %#x seen on cores %d and %d", flow, c, r.core)
-		}
-		flowCore[flow] = r.core
-		cores[r.core] = true
-	}
-	if len(flowCore) != 16 {
-		t.Errorf("saw %d distinct flows, want 16", len(flowCore))
-	}
-	if len(cores) < 2 {
-		t.Errorf("16 flows all mapped to one core")
-	}
-}
-
-// TestDiurnalEnvelopeTracksCurve phase-bins a diurnally modulated Poisson
-// stream and checks the per-bin rates follow 1 + A·sin(2πt/P).
-func TestDiurnalEnvelopeTracksCurve(t *testing.T) {
-	const (
-		meanGap = 100.0
-		period  = 1_000_000
-		amp     = 0.5
-		periods = 8
-		bins    = 8
-		horizon = periods * period
-	)
-	spec := ArrivalSpec{
-		Cores: 4, Size: 64, MeanGap: meanGap, Seed: 14,
-		Config: ArrivalConfig{DiurnalPeriodCycles: period, DiurnalAmplitude: amp},
-	}
-	recs := collectArrivals(t, spec, horizon)
-	// Thinning preserves the overall mean rate.
-	checkMeanRate(t, recs, horizon, meanGap, 1.5)
-
-	var counts [bins]float64
-	for _, r := range recs {
-		counts[(r.now%period)*bins/period]++
-	}
-	// Each bin's expected count integrates the envelope across the bin;
-	// for bin b spanning phase [b, b+1)/bins the sine integrates in
-	// closed form. 5% of the whole-trace mean per bin is a ≥4σ band.
-	perBin := float64(len(recs)) / bins
-	for b := 0; b < bins; b++ {
-		lo := 2 * math.Pi * float64(b) / bins
-		hi := 2 * math.Pi * float64(b+1) / bins
-		want := perBin * (1 + amp*(math.Cos(lo)-math.Cos(hi))*bins/(2*math.Pi))
-		if math.Abs(counts[b]-want) > 0.05*float64(len(recs))/bins*4 {
-			t.Errorf("phase bin %d: %.0f arrivals, want %.0f", b, counts[b], want)
-		}
-	}
-	// And the peak-to-trough contrast must be visible: bin 1 (quarter
-	// period, envelope ≈ 1.45) against bin 5 (≈ 0.55).
-	if counts[1] < 2*counts[5] {
-		t.Errorf("peak bin %.0f vs trough bin %.0f: envelope contrast missing", counts[1], counts[5])
-	}
-}
-
-// TestFlowPopulationSpreading checks the flow knob: a small population
-// pins arrivals to few cores and few stable tag prefixes; zero flows keep
-// the legacy uniform spray.
-func TestFlowPopulationSpreading(t *testing.T) {
-	spec := ArrivalSpec{
-		Cores: 8, Size: 64, MeanGap: 100, Seed: 15,
-		Config: ArrivalConfig{Flows: 4},
-	}
-	recs := collectArrivals(t, spec, 500_000)
-	flows := map[uint64]int{}
-	cores := map[int]bool{}
-	for _, r := range recs {
-		flows[r.tag>>32]++
-		cores[r.core] = true
-	}
-	if len(flows) != 4 {
-		t.Errorf("flow population 4 produced %d distinct tag prefixes", len(flows))
-	}
-	if len(cores) > 4 {
-		t.Errorf("4 flows landed on %d cores, want ≤ 4", len(cores))
-	}
-
-	spec.Config.Flows = 0
-	recs = collectArrivals(t, spec, 500_000)
-	cores = map[int]bool{}
-	for _, r := range recs {
-		cores[r.core] = true
-	}
-	if len(cores) != 8 {
-		t.Errorf("flowless spray hit %d cores, want all 8", len(cores))
-	}
-}
-
 // TestArrivalReplayDeterminism locks each registered process's exact
 // arrival sequence across a rebuild and across Reset with the same spec.
 func TestArrivalReplayDeterminism(t *testing.T) {
-	tracePath := filepath.Join(t.TempDir(), "det.bin")
-	trecs := make([]TraceRecord, 1000)
-	for i := range trecs {
-		trecs[i] = TraceRecord{Cycles: uint64((i + 1) * 97), Bytes: 200, Flow: uint32(i % 7)}
-	}
-	writeTraceFile(t, tracePath, trecs)
-
 	specs := map[string]ArrivalSpec{
-		ArrivalPoisson: {Cores: 4, Size: 64, MeanGap: 120, Seed: 21,
-			Config: ArrivalConfig{DiurnalPeriodCycles: 100_000, DiurnalAmplitude: 0.3, Flows: 32}},
+		ArrivalPoisson: {Cores: 4, Size: 64, MeanGap: 120, Seed: 21},
 		ArrivalMMPP: {Cores: 4, Size: 64, MeanGap: 120, Seed: 22,
 			Config: ArrivalConfig{Process: ArrivalMMPP, BurstRatio: 4}},
-		ArrivalTrace: {Cores: 4, Size: 1024, MeanGap: 60, Seed: 23,
-			Config: ArrivalConfig{Process: ArrivalTrace, TracePath: tracePath}},
 	}
 	for _, name := range ArrivalNames() {
 		spec, ok := specs[name]
@@ -353,19 +221,5 @@ func TestArrivalReplayDeterminism(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func writeTraceFile(t *testing.T, path string, recs []TraceRecord) {
-	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteTraceBinary(f, recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

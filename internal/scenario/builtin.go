@@ -107,13 +107,12 @@ func builtins() []Spec {
 		},
 		{
 			Name:        "mmpp",
-			Description: "KVS under bursty 2-state MMPP arrivals over a 512-flow population",
+			Description: "KVS under bursty 2-state MMPP arrivals",
 			Machine: Knobs{
 				Workload: workload.NameKVS,
 				Arrival:  "mmpp",
 				Set: map[string]float64{
 					"arrival_burst_dwell": 131072,
-					"arrival_flows":       512,
 				},
 			},
 			Variants: []Variant{vDDIO(2, false), vDDIO(2, true)},

@@ -44,12 +44,9 @@ type Knobs struct {
 	// WarmLLC overrides the warm-fill default when non-nil.
 	WarmLLC *bool `json:"warm_llc,omitempty"`
 	// Arrival names the open-loop arrival process in the nic registry
-	// ("poisson", "mmpp", "trace"; empty keeps Poisson), ArrivalTrace
-	// the trace file replayed by the "trace" process. The numeric
-	// arrival knobs (arrival_burst_ratio, arrival_flows, ...) live in
-	// Set.
-	Arrival      string `json:"arrival,omitempty"`
-	ArrivalTrace string `json:"arrival_trace,omitempty"`
+	// ("poisson", "mmpp"; empty keeps Poisson). The numeric arrival
+	// knobs (arrival_burst_ratio, arrival_burst_dwell) live in Set.
+	Arrival string `json:"arrival,omitempty"`
 	// InvalidateInsn names the relinquish instruction in the core
 	// registry ("clsweep", "clflush", "clwb", "simf"; empty keeps
 	// clsweep). The simf_* batch knobs live in Set.
@@ -279,12 +276,6 @@ func knobField(m *machine.Config, knob string) any {
 		return &m.Arrival.BurstRatio
 	case "arrival_burst_dwell":
 		return &m.Arrival.BurstDwellCycles
-	case "arrival_diurnal_period":
-		return &m.Arrival.DiurnalPeriodCycles
-	case "arrival_diurnal_amp":
-		return &m.Arrival.DiurnalAmplitude
-	case "arrival_flows":
-		return &m.Arrival.Flows
 	case "mem_tier_split":
 		return &m.MemTier.DRAMBytes
 	case "mem_tier_read_lat":
@@ -316,9 +307,6 @@ func (s Spec) baseConfig() (machine.Config, error) {
 	}
 	if s.Machine.Arrival != "" {
 		m.Arrival.Process = s.Machine.Arrival
-	}
-	if s.Machine.ArrivalTrace != "" {
-		m.Arrival.TracePath = s.Machine.ArrivalTrace
 	}
 	if s.Machine.WarmLLC != nil {
 		m.WarmLLC = *s.Machine.WarmLLC

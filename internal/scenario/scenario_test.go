@@ -80,6 +80,14 @@ func TestLoadRejectsBadSpecs(t *testing.T) {
 		"removed fabric knob":  `{"name": "x", "machine": {"set": {"fabric_link_lat_cycles": 5}}}`,
 		"removed topology":     `{"name": "x", "machine": {"topology": "star"}}`,
 		"removed lb_policy":    `{"name": "x", "machine": {"lb_policy": "flow-hash"}}`,
+
+		// Names retired with trace replay and the arrival envelopes; each
+		// document was valid while they lived.
+		"removed arrival_trace":          `{"name": "x", "machine": {"arrival_trace": "x.bin"}}`,
+		"removed arrival_diurnal_period": `{"name": "x", "machine": {"set": {"arrival_diurnal_period": 100000}}}`,
+		"removed arrival_diurnal_amp": `{"name": "x", "machine": {"set": {"arrival_diurnal_period": 100000,
+			"arrival_diurnal_amp": 0.5}}}`,
+		"removed arrival_flows": `{"name": "x", "machine": {"set": {"arrival_flows": 4}}}`,
 	}
 	for name, doc := range cases {
 		if _, err := Load(strings.NewReader(doc)); err == nil {

@@ -64,7 +64,7 @@ func TestFacadeModesAndWorkloads(t *testing.T) {
 
 func TestFacadeExperimentsRegistry(t *testing.T) {
 	names := sweeper.ExperimentNames()
-	if len(names) != 12 {
+	if len(names) != 10 {
 		t.Fatalf("experiments = %v", names)
 	}
 	reg := sweeper.Experiments()
