@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race perfbench-test bench bench-engine bench-mem bench-e2e check results obs-smoke traffic-smoke tiers-smoke golden-fig8 test-debug
+.PHONY: all build test vet lint race perfbench-test bench bench-engine bench-mem bench-e2e check results obs-smoke traffic-smoke tiers-smoke golden-slow test-debug
 
 all: check
 
@@ -96,12 +96,12 @@ tiers-smoke:
 	$(GO) run ./cmd/sweepersim -scenario examples/scenarios/tiers.json \
 		-warmup 300000 -measure 200000
 
-# Figure 8 golden gate: byte-compares regenerated fig8a/fig8b CSVs against
-# results/. 63 peak searches (~14 min single-core), so it is opt-in via the
-# env guard rather than part of the default `go test ./...` budget.
-golden-fig8:
-	SWEEPER_GOLDEN_FIG8=1 $(GO) test ./internal/experiments \
-		-run TestGoldenFig8CSVs -count=1 -timeout 40m -v
+# Slow golden gate: byte-compares regenerated fig1a-c and fig8a-b CSVs
+# against results/. 78 peak searches (~12 min single-core), so it is opt-in
+# via the env guard rather than part of the default `go test ./...` budget.
+golden-slow:
+	SWEEPER_GOLDEN_SLOW=1 $(GO) test ./internal/experiments \
+		-run TestGoldenSlowCSVs -count=1 -timeout 40m -v
 
 # Debug build with the invariant probes compiled in (ring slot conservation,
 # DRAM timing monotonicity, cache inclusion, DDIO way-mask bounds).

@@ -1,198 +1,21 @@
-// Benchmarks regenerating the paper's evaluation, one per figure, plus
-// microbenchmarks of the simulator's hot paths and ablations of the design
-// choices DESIGN.md calls out.
-//
-// Figure benches run at a reduced scale so the full suite stays tractable;
-// set SWEEPER_BENCH_FULL=1 to run them at the committed-results fidelity.
-// Each reports the figure's headline numbers as custom metrics (Mrps,
-// GB/s, accesses/request, fold-changes), so `go test -bench=.` regenerates
-// the paper's evaluation shape end to end.
+// Microbenchmarks of the simulator's hot paths, end-to-end run benchmarks
+// and ablations of the design choices DESIGN.md calls out. The paper's
+// figures are regenerated by cmd/experiments -fig, and perfbench times the
+// figure-shaped work.
 package sweeper_test
 
 import (
-	"os"
 	"testing"
 	"time"
 
 	"sweeper"
 	"sweeper/internal/addr"
 	"sweeper/internal/cache"
-	"sweeper/internal/experiments"
 	"sweeper/internal/machine"
 	"sweeper/internal/mem"
 	"sweeper/internal/stats"
 	"sweeper/internal/workload"
 )
-
-// benchScale picks the simulation effort for figure benchmarks.
-func benchScale() experiments.Scale {
-	if os.Getenv("SWEEPER_BENCH_FULL") != "" {
-		return experiments.FullScale()
-	}
-	// Aggressively reduced windows: bench runs exist to exercise every
-	// harness end to end and report shape-level metrics; the committed
-	// numbers come from cmd/experiments at QuickScale or better.
-	sc := experiments.QuickScale()
-	sc.Warmup = 1_500_000
-	sc.Measure = 800_000
-	sc.SearchIters = 2
-	return sc
-}
-
-// reportCell publishes one (param, config) measurement as bench metrics.
-func reportCell(b *testing.B, t *experiments.Table, param, config, suffix string) {
-	c, ok := t.Find(param, config)
-	if !ok {
-		b.Fatalf("%s: missing cell %s/%s", t.ID, param, config)
-	}
-	b.ReportMetric(c.Mrps, "Mrps:"+suffix)
-	b.ReportMetric(c.GBps, "GB/s:"+suffix)
-}
-
-// BenchmarkFig1 regenerates Figure 1: KVS under DMA / 2-6 way DDIO /
-// Ideal-DDIO across RX buffer provisioning.
-func BenchmarkFig1(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		tables := experiments.Fig1(sc)
-		t := &tables[0]
-		reportCell(b, t, "1024 buf", "DMA", "dma")
-		reportCell(b, t, "1024 buf", "DDIO 2 Ways", "ddio2")
-		reportCell(b, t, "1024 buf", "Ideal DDIO", "ideal")
-		dma, _ := t.Find("1024 buf", "DMA")
-		ddio, _ := t.Find("1024 buf", "DDIO 2 Ways")
-		if dma.Mrps > 0 {
-			b.ReportMetric(ddio.Mrps/dma.Mrps, "x:ddio-over-dma")
-		}
-	}
-}
-
-// BenchmarkFig2 regenerates Figure 2: the deep-queue L3 forwarder.
-func BenchmarkFig2(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		tables := experiments.Fig2(sc)
-		t := &tables[0]
-		reportCell(b, t, "D=250", "DDIO 2 Ways", "d250-ddio2")
-		reportCell(b, t, "D=250", "Ideal DDIO", "d250-ideal")
-		c, _ := t.Find("D=450", "DDIO 2 Ways")
-		b.ReportMetric(c.Breakdown[stats.CPURXRd], "acc/req:premature-d450")
-		b.ReportMetric(c.Breakdown[stats.RXEvct], "acc/req:consumed-d450")
-	}
-}
-
-// BenchmarkFig5 regenerates Figure 5: Sweeper across DDIO configurations.
-func BenchmarkFig5(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		tables := experiments.Fig5(sc)
-		t := &tables[0]
-		reportCell(b, t, "1024B/1024 buf", "DDIO 2 Ways", "ddio2")
-		reportCell(b, t, "1024B/1024 buf", "DDIO 2 Ways + Sweeper", "sweeper2")
-		reportCell(b, t, "1024B/1024 buf", "Ideal DDIO", "ideal")
-		base, _ := t.Find("1024B/2048 buf", "DDIO 2 Ways")
-		sw, _ := t.Find("1024B/2048 buf", "DDIO 2 Ways + Sweeper")
-		if base.Mrps > 0 {
-			b.ReportMetric(sw.Mrps/base.Mrps, "x:sweeper-gain-2048buf")
-		}
-		b.ReportMetric(sw.Breakdown[stats.RXEvct], "acc/req:rxevct-sweeper")
-	}
-}
-
-// BenchmarkFig6 regenerates Figure 6: DRAM latency CDFs at peak and
-// iso-throughput.
-func BenchmarkFig6(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig6(sc)
-		for _, c := range r.Curves {
-			if c.Context == "iso" {
-				b.ReportMetric(c.Mean, "cyc:iso-mean-"+shortName(c.Config))
-			}
-		}
-	}
-}
-
-// BenchmarkFig7 regenerates Figure 7: Sweeper under premature evictions.
-func BenchmarkFig7(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		tables := experiments.Fig7(sc)
-		t := &tables[0]
-		base, _ := t.Find("D=250", "DDIO 2 Ways")
-		sw, _ := t.Find("D=250", "DDIO 2 Ways + Sweeper")
-		b.ReportMetric(base.Mrps, "Mrps:ddio2")
-		b.ReportMetric(sw.Mrps, "Mrps:sweeper2")
-		// With Sweeper, surviving RX evictions are premature ones and
-		// must track the CPU's RX read misses (paper's Fig. 7b check).
-		b.ReportMetric(sw.Breakdown[stats.RXEvct], "acc/req:rxevct")
-		b.ReportMetric(sw.Breakdown[stats.CPURXRd], "acc/req:cpurxrd")
-	}
-}
-
-// BenchmarkFig8 regenerates Figure 8: memory-bandwidth sensitivity.
-func BenchmarkFig8(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		tables := experiments.Fig8(sc)
-		t := &tables[0]
-		for _, ch := range []string{"3ch", "4ch", "8ch"} {
-			param := "1024B/2048 buf/" + ch
-			base, _ := t.Find(param, "DDIO 2 Ways")
-			sw, _ := t.Find(param, "DDIO 2 Ways + Sweeper")
-			if base.Mrps > 0 {
-				b.ReportMetric(sw.Mrps/base.Mrps, "x:sweeper-"+ch)
-			}
-		}
-	}
-}
-
-// BenchmarkFig9 regenerates Figure 9: the collocation Pareto study.
-func BenchmarkFig9(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		tables := experiments.Fig9(sc)
-		a := &tables[0]
-		base, _ := a.Find("(4,8)", "DDIO 4 Ways")
-		sw, _ := a.Find("(4,8)", "DDIO 4 Ways + Sweeper")
-		if base.Mrps > 0 {
-			b.ReportMetric(sw.Mrps/base.Mrps, "x:l3fwd-gain-(4,8)")
-		}
-		if ipc := base.Extra["xmem_ipc"]; ipc > 0 {
-			b.ReportMetric(sw.Extra["xmem_ipc"]/ipc, "x:xmem-gain-(4,8)")
-		}
-	}
-}
-
-// BenchmarkFig10 regenerates Figure 10: shallow vs deep buffering under
-// service-time spikes.
-func BenchmarkFig10(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		tables := experiments.Fig10(sc)
-		a := &tables[0]
-		shallow, _ := a.Find("128 buf", "Baseline")
-		deep, _ := a.Find("2048 buf", "Baseline")
-		deepSw, _ := a.Find("2048 buf", "Sweeper")
-		b.ReportMetric(shallow.Extra["dropfree_peak_mrps"], "Mrps:dropfree-128")
-		b.ReportMetric(deep.Extra["dropfree_peak_mrps"], "Mrps:dropfree-2048")
-		b.ReportMetric(deepSw.Extra["dropfree_peak_mrps"], "Mrps:dropfree-2048-sweeper")
-	}
-}
-
-func shortName(config string) string {
-	switch config {
-	case "DDIO 2 Ways":
-		return "ddio2"
-	case "DDIO 2 Ways + Sweeper":
-		return "sweeper2"
-	case "DDIO 12 Ways":
-		return "ddio12"
-	case "DDIO 12 Ways + Sweeper":
-		return "sweeper12"
-	}
-	return config
-}
 
 // --- Ablation benches: the design choices DESIGN.md calls out. ---
 

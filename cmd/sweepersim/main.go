@@ -38,7 +38,7 @@ func main() {
 		scenarioPath = flag.String("scenario", "", "run a declarative scenario spec file (overrides config flags)")
 		listAll      = flag.Bool("list", false, "list builtin scenarios and registered workloads, then exit")
 		workloadName = flag.String("workload", "kvs", "workload registry name (see -list)")
-		modeName     = flag.String("mode", "ddio", "injection: dma, ddio, idio, ideal")
+		modeName     = flag.String("mode", "ddio", "injection: dma, ddio, ideal")
 		ways         = flag.Int("ways", 2, "DDIO LLC ways")
 		ring         = flag.Int("ring", 1024, "RX buffers per core")
 		txSlots      = flag.Int("txslots", 0, "TX buffers per core (0 = workload default)")
@@ -48,7 +48,6 @@ func main() {
 		arrival      = flag.String("arrival", "", "open-loop arrival process: "+strings.Join(nic.ArrivalNames(), ", ")+" (empty = poisson)")
 		burstRatio   = flag.Float64("arrival-burst-ratio", 0, "MMPP on/off rate ratio (0 = default 8)")
 		burstDwell   = flag.Uint64("arrival-burst-dwell", 0, "MMPP mean state dwell in cycles (0 = default 131072)")
-		dynEpoch     = flag.Uint64("dynamic-ddio", 0, "IAT-style way controller epoch in cycles (0 = off)")
 		cores        = flag.Int("cores", 24, "networked cores")
 		xmem         = flag.Int("xmem", 0, "collocated X-Mem cores")
 		channels     = flag.Int("channels", 4, "DDR4 channels")
@@ -66,7 +65,6 @@ func main() {
 		measure      = flag.Uint64("measure", 800_000, "measurement cycles")
 		seed         = flag.Int64("seed", 1, "random seed")
 		mlp          = flag.Int("mlp", 0, "memory-level parallelism width (0 = default)")
-		nebula       = flag.Int("nebula", 0, "NeBuLa-style drop threshold (0 = off)")
 		spikeProb    = flag.Float64("spike-prob", 0, "per-request service spike probability (§VI-F)")
 		sanitize     = flag.Bool("sanitize", false, "flag use-after-relinquish reads")
 		dramTrace    = flag.String("dram-trace", "", "write a DRAM transaction trace CSV to this file")
@@ -139,14 +137,12 @@ func main() {
 	if *mlp > 0 {
 		cfg.MLPWidth = *mlp
 	}
-	cfg.NeBuLaDropDepth = *nebula
 	if *spikeProb > 0 {
 		cfg.SpikeProb = *spikeProb
 		cfg.SpikeMinCycles = 3_200   // 1us
 		cfg.SpikeMaxCycles = 320_000 // 100us
 	}
 	cfg.Sweeper.DebugUseAfterRelinquish = *sanitize
-	cfg.DynamicDDIOEpoch = *dynEpoch
 
 	// The registry validates the workload name inside machine.New; the
 	// mode string parses through the scenario grammar.

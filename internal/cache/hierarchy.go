@@ -373,21 +373,6 @@ func (h *Hierarchy) NICWriteDDIO(now uint64, owner int, a uint64) {
 	h.llcInsert(now, a, true, h.nicMask)
 }
 
-// NICWriteIDIO injects one full line directly into the owning core's
-// private L2 (IDIO-style steering, the paper's related work [1]): the
-// packet enjoys the L2's capacity in addition to the LLC, at the price of
-// displacing the core's own working set. Victims cascade into the LLC as
-// usual.
-func (h *Hierarchy) NICWriteIDIO(now uint64, owner int, a uint64) {
-	h.l1[owner].Invalidate(a)
-	// Full overwrite: absorb any stale LLC copy without writeback.
-	h.llc.Invalidate(a)
-	if h.l2[owner].SetDirty(a) {
-		return
-	}
-	h.l2Insert(now, owner, a, true)
-}
-
 // NICWriteDMA injects one line via conventional DMA: cached copies are
 // invalidated (no writeback — the line is fully overwritten) and the payload
 // is written to DRAM.

@@ -482,36 +482,3 @@ func TestHierarchyRandomOpsInvariant(t *testing.T) {
 		}
 	}
 }
-
-func TestNICWriteIDIOLandsInL2(t *testing.T) {
-	h, sink := newTestHierarchy(t)
-	a := uint64(0x300000)
-	h.NICWriteIDIO(0, 0, a)
-	if h.L2(0).Peek(a) != Dirty {
-		t.Fatal("IDIO write must land dirty in the owner's L2")
-	}
-	if len(sink.dmaWrites) != 0 || len(sink.reads) != 0 {
-		t.Fatal("IDIO injection touched DRAM")
-	}
-	// Re-delivery to the same slot updates in place.
-	h.NICWriteIDIO(10, 0, a)
-	if h.L2(0).Peek(a) != Dirty {
-		t.Fatal("IDIO re-delivery lost the line")
-	}
-	if len(sink.writebacks) != 0 {
-		t.Fatal("full-line overwrite must not write back")
-	}
-}
-
-func TestNICWriteIDIOAbsorbsStaleLLCCopy(t *testing.T) {
-	h, sink := newTestHierarchy(t)
-	a := uint64(0x310000)
-	h.LLC().Insert(a, true, MaskAll(12)) // stale dirty copy
-	h.NICWriteIDIO(0, 0, a)
-	if h.LLC().Peek(a) != Invalid {
-		t.Fatal("stale LLC copy survived")
-	}
-	if len(sink.writebacks) != 0 {
-		t.Fatal("absorbing an overwritten copy must not write back")
-	}
-}

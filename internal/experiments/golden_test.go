@@ -42,27 +42,30 @@ func TestGoldenCSVs(t *testing.T) {
 		"fig7a.csv", "fig7b.csv", "tiers.csv", "slo_kvs.csv", "slo_l3fwd.csv")
 }
 
-// TestGoldenFig8CSVs extends the golden gate to Figure 8's two panels.
-// Fig8 is 63 peak searches at QuickScale (~14 min on one core) — far past
-// the default `go test` package timeout on small machines — so it is
-// opt-in via SWEEPER_GOLDEN_FIG8, driven by `make golden-fig8` and CI with
-// an explicit -timeout.
-func TestGoldenFig8CSVs(t *testing.T) {
+// TestGoldenSlowCSVs extends the golden gate to the figures too slow for
+// the default `go test` budget: Figure 1's three panels (the only committed
+// DMA rows) and Figure 8's two panels, 78 peak searches in all (about 6 min
+// at two workers, 12 CPU-minutes). It is opt-in via SWEEPER_GOLDEN_SLOW,
+// driven by `make golden-slow` and CI with an explicit -timeout.
+func TestGoldenSlowCSVs(t *testing.T) {
 	if testing.Short() {
-		t.Skip("fig8 regeneration is 63 peak searches; skipped with -short")
+		t.Skip("fig1 and fig8 regeneration is 78 peak searches; skipped with -short")
 	}
 	if raceEnabled {
 		t.Skip("outputs are scheduling-independent; skipped under -race")
 	}
-	if os.Getenv("SWEEPER_GOLDEN_FIG8") == "" {
-		t.Skip("~14 min single-core; set SWEEPER_GOLDEN_FIG8=1 (or run `make golden-fig8`)")
+	if os.Getenv("SWEEPER_GOLDEN_SLOW") == "" {
+		t.Skip("~12 min single-core; set SWEEPER_GOLDEN_SLOW=1 (or run `make golden-slow`)")
 	}
 
+	sc := QuickScale()
 	dir := t.TempDir()
-	for _, tb := range Fig8(QuickScale()) {
-		writeGolden(t, dir, tb.ID+".csv", tb.WriteCSV)
+	for _, fig := range []func(Scale) []Table{Fig1, Fig8} {
+		for _, tb := range fig(sc) {
+			writeGolden(t, dir, tb.ID+".csv", tb.WriteCSV)
+		}
 	}
-	compareGoldens(t, dir, "fig8a.csv", "fig8b.csv")
+	compareGoldens(t, dir, "fig1a.csv", "fig1b.csv", "fig1c.csv", "fig8a.csv", "fig8b.csv")
 }
 
 // writeGolden creates dir/name and fills it with emit.

@@ -33,17 +33,10 @@ type Config struct {
 	Cache cache.Config
 	Mem   mem.Config
 
-	// NICMode selects DMA, DDIO, IDIO or Ideal-DDIO injection; DDIOWays
-	// is the LLC way allocation under DDIO.
+	// NICMode selects DMA, DDIO or Ideal-DDIO injection; DDIOWays is the
+	// LLC way allocation under DDIO.
 	NICMode  nic.Mode
 	DDIOWays int
-
-	// DynamicDDIOEpoch, when positive, enables an IAT-style controller
-	// (related work, §VII): every epoch (in cycles) the DDIO way
-	// allocation is re-evaluated — ways grow while network leaks dominate
-	// recent DRAM traffic and shrink while application traffic does,
-	// within [2, LLCWays].
-	DynamicDDIOEpoch uint64
 
 	// RingSlots is RX descriptors per core ("receive buffers per core");
 	// PacketBytes the MTU/slot size; TXSlots the per-core transmit ring
@@ -80,12 +73,6 @@ type Config struct {
 	ClosedLoopDepth int
 	Arrival         nic.ArrivalConfig
 
-	// NeBuLaDropDepth, when positive, enables the related-work baseline
-	// of proactive packet dropping (§II-C): the NIC drops arrivals once
-	// a ring holds that many unconsumed packets, bounding buffer
-	// occupancy by policy.
-	NeBuLaDropDepth int
-
 	// NICWayMask, XMemWayMask and NetCPUWayMask, when non-zero, override
 	// the LLC allocation masks for the NIC, the X-Mem cores and the
 	// networked cores respectively (the §VI-E partition scenarios).
@@ -106,19 +93,6 @@ type Config struct {
 	// accesses kept in flight concurrently (MSHR-bounded overlap of the
 	// Table I OoO cores).
 	MLPWidth int
-
-	// ObsSampleCycles, when positive, arms the observability sampler for
-	// every Run of this configuration: registered metrics are snapshotted
-	// each ObsSampleCycles simulated cycles into a time-series retrievable
-	// via ObsSeries/BuildManifest. Zero leaves sampling off unless
-	// EnableSampling is called explicitly.
-	ObsSampleCycles uint64
-
-	// WarmLLC pre-fills the LLC with dirty application data (KVS log
-	// lines) so short measurement windows see steady-state eviction
-	// behaviour instead of a cold 36MB cache slowly filling. Only
-	// workloads that opt in (workload.LLCWarmer) are affected.
-	WarmLLC bool
 
 	// Shards is kept only so perfbench/unit.go compiles; Validate rejects
 	// any non-zero value and nothing else reads it.
@@ -148,7 +122,6 @@ func DefaultConfig() Config {
 		OfferedMrps: 10,
 		PollCycles:  50,
 		MLPWidth:    12,
-		WarmLLC:     true,
 		Seed:        1,
 	}
 }

@@ -5,19 +5,16 @@ import (
 	"sweeper/internal/cache"
 	"sweeper/internal/mem"
 	"sweeper/internal/nic"
-	"sweeper/internal/sim"
 	"sweeper/internal/stats"
 )
 
 // datapath is the machine's memory side: the physical address space, the
 // cache hierarchy and the DRAM model, plus everything that observes traffic
 // between them — the classification of every DRAM transaction into the
-// paper's breakdown categories, the DRAM latency histogram, the optional
-// transaction trace, and the IAT-style dynamic-DDIO way controller. It
-// implements cache.MemSink (the hierarchy's backing store) and sim.Sink
-// (the controller's epoch events), leaving Machine a thin composition root.
+// paper's breakdown categories, the DRAM latency histogram and the optional
+// transaction trace. It implements cache.MemSink (the hierarchy's backing
+// store), leaving Machine a thin composition root.
 type datapath struct {
-	eng   *sim.Engine
 	space *addr.Space
 	hier  *cache.Hierarchy
 	dram  *mem.DDR4
@@ -34,22 +31,13 @@ type datapath struct {
 
 	measuring bool
 	trace     TraceSink
-
-	// IAT-style dynamic DDIO state; epoch and llcWays are stamped by
-	// configure, the rest by startDynamicDDIO.
-	dynEpoch       uint64
-	llcWays        int
-	dynWays        int
-	dynAdjustments uint64
-	dynLast        [stats.NumKinds]uint64
 }
 
 // newDatapath assembles the memory side. The hierarchy is wired back to the
 // datapath as its memory sink, so every LLC miss and writeback lands in
 // classify-and-count before reaching DRAM.
-func newDatapath(eng *sim.Engine, space *addr.Space, memCfg mem.Config, cacheCfg cache.Config) *datapath {
+func newDatapath(space *addr.Space, memCfg mem.Config, cacheCfg cache.Config) *datapath {
 	dp := &datapath{
-		eng:     eng,
 		space:   space,
 		dram:    mem.New(memCfg),
 		dramLat: stats.NewHistogram(4, 8192),
@@ -70,15 +58,11 @@ func (dp *datapath) reset() {
 	dp.breakdown.Reset()
 	dp.measuring = false
 	dp.trace = nil
-	dp.dynEpoch, dp.llcWays = 0, 0
-	dp.dynWays, dp.dynAdjustments = 0, 0
-	dp.dynLast = [stats.NumKinds]uint64{}
 }
 
 // configure applies the configuration's way-allocation policy: the NIC's
 // DDIO ways (or explicit mask) and the per-core LLC masks of the §VI-E
-// partition scenarios, and builds the hybrid memory tier when enabled. It
-// also stamps the dynamic-DDIO controller's bounds.
+// partition scenarios, and builds the hybrid memory tier when enabled.
 func (dp *datapath) configure(cfg Config) {
 	if cfg.NICMode == nic.ModeDDIO {
 		if cfg.NICWayMask != 0 {
@@ -97,8 +81,6 @@ func (dp *datapath) configure(cfg Config) {
 			dp.hier.SetCPUWayMask(i, cfg.NetCPUWayMask)
 		}
 	}
-	dp.dynEpoch = cfg.DynamicDDIOEpoch
-	dp.llcWays = cfg.Cache.LLCWays
 	if cfg.MemTier.Enabled() {
 		dp.tier1 = mem.NewTier1(cfg.MemTier, cfg.FreqHz)
 		dp.place = mem.NewPlacement(cfg.MemTier, dp.space.AppBase())
@@ -182,41 +164,6 @@ func (dp *datapath) DMAWrite(now uint64, a uint64) {
 	if dp.measuring && dp.trace != nil {
 		dp.trace(TraceEvent{Cycle: now, Addr: a, Kind: stats.NICRXWr})
 	}
-}
-
-// startDynamicDDIO arms the IAT-style epoch controller from the
-// configuration's initial way allocation.
-func (dp *datapath) startDynamicDDIO(initialWays int) {
-	dp.dynWays = initialWays
-	dp.eng.ScheduleAfter(dp.dynEpoch, dp, 0)
-}
-
-// OnEvent implements sim.Sink: the datapath's only self-scheduled event is
-// the dynamic-DDIO epoch controller.
-func (dp *datapath) OnEvent(now uint64, _ uint64) { dp.dynamicDDIO(now) }
-
-// dynamicDDIO is the IAT-style epoch controller (related work, §VII): it
-// widens the DDIO allocation while network leaks dominate recent DRAM
-// traffic and narrows it while application traffic dominates.
-func (dp *datapath) dynamicDDIO(now uint64) {
-	cur := dp.breakdown.Snapshot()
-	netLeak := (cur[stats.RXEvct] - dp.dynLast[stats.RXEvct]) +
-		(cur[stats.CPURXRd] - dp.dynLast[stats.CPURXRd])
-	appPressure := (cur[stats.OtherEvct] - dp.dynLast[stats.OtherEvct]) +
-		(cur[stats.CPUOtherRd] - dp.dynLast[stats.CPUOtherRd])
-	dp.dynLast = cur
-
-	switch {
-	case netLeak > appPressure+appPressure/5 && dp.dynWays < dp.llcWays:
-		dp.dynWays++
-		dp.hier.SetNICWays(dp.dynWays)
-		dp.dynAdjustments++
-	case appPressure > netLeak+netLeak/5 && dp.dynWays > 2:
-		dp.dynWays--
-		dp.hier.SetNICWays(dp.dynWays)
-		dp.dynAdjustments++
-	}
-	dp.eng.ScheduleAfter(dp.dynEpoch, dp, 0)
 }
 
 // warmLLC fills the LLC and every private L2 with application data lines

@@ -9,7 +9,7 @@ import (
 )
 
 // determinismCases are seven representative configurations (open loop,
-// closed loop, Sweeper, DMA, collocation, dynamic DDIO, fig10's spiky
+// closed loop, Sweeper, DMA, Ideal-DDIO, collocation, fig10's spiky
 // service), each a mutation of quickCfg, shared by the fresh-machine and
 // pooled-machine determinism tests.
 func determinismCases() map[string]func(*Config) {
@@ -29,8 +29,8 @@ func determinismCases() map[string]func(*Config) {
 			c.NetCores = 8
 			c.XMemCores = 4
 		},
-		"dynamic-ddio": func(c *Config) {
-			c.DynamicDDIOEpoch = 50_000
+		"ideal": func(c *Config) {
+			c.NICMode = nic.ModeIdeal
 		},
 		"spiky-service": func(c *Config) {
 			c.SpikeProb = 0.01

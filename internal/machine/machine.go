@@ -94,7 +94,7 @@ func New(cfg Config) (*Machine, error) {
 	txBytes := uint64(cfg.TXSlots) * cfg.respSlotBytes()
 	space := addr.NewSpace(total, rxBytes, txBytes)
 
-	m.dp = newDatapath(m.eng, space, cfg.Mem, cfg.Cache)
+	m.dp = newDatapath(space, cfg.Mem, cfg.Cache)
 	m.sweep = core.New(m.dp.hier, cfg.Sweeper)
 	m.nicD = nic.New(nic.Config{
 		Mode:      cfg.NICMode,
@@ -120,9 +120,6 @@ func (m *Machine) configure(cfg Config) error {
 
 	m.dp.configure(cfg)
 
-	if cfg.NeBuLaDropDepth > 0 {
-		m.nicD.SetDropDepth(cfg.NeBuLaDropDepth)
-	}
 	m.nicD.SetTXSweeper(m.sweep)
 	if cfg.Sweeper.DebugUseAfterRelinquish {
 		m.nicD.SetOverwriteListener(m.sweep)
@@ -145,10 +142,8 @@ func (m *Machine) configure(cfg Config) error {
 		m.drv, m.drvName, m.drvParams = drv, cfg.Workload, p
 	}
 	m.drv.Layout(m.dp.space)
-	if cfg.WarmLLC {
-		if w, ok := m.drv.(workload.LLCWarmer); ok && w.WarmLLC() {
-			m.dp.warmLLC(cfg)
-		}
+	if w, ok := m.drv.(workload.LLCWarmer); ok && w.WarmLLC() {
+		m.dp.warmLLC(cfg)
 	}
 
 	if len(m.cores) != cfg.NetCores {

@@ -49,8 +49,8 @@ func (m *Machine) buildRegistry() *obs.Registry {
 }
 
 // registerMetrics exposes the memory side: the per-kind DRAM transaction
-// breakdown, the DRAM model's counters, shared-cache activity, the dynamic
-// DDIO controller and the DRAM latency distribution.
+// breakdown, the DRAM model's counters, shared-cache activity and the DRAM
+// latency distribution.
 func (dp *datapath) registerMetrics(r *obs.Registry) {
 	for k := stats.AccessKind(0); k < stats.NumKinds; k++ {
 		k := k
@@ -62,7 +62,6 @@ func (dp *datapath) registerMetrics(r *obs.Registry) {
 		dp.place.RegisterMetrics(r)
 	}
 	dp.hier.RegisterMetrics(r)
-	r.Counter("ddio.dyn_adjustments", func() uint64 { return dp.dynAdjustments })
 	r.Histogram("dram.latency", dp.dramLat)
 }
 
@@ -76,10 +75,8 @@ func metricName(s string) string {
 
 // EnableSampling arms the observability sampler for the next Run: every
 // registered metric is snapshotted each `every` simulated cycles, from
-// cycle 0 through the end of measurement. Pass 0 to derive the cadence
-// from Config.ObsSampleCycles, falling back to ~256 samples across the
-// run. A machine whose configuration sets ObsSampleCycles samples without
-// this call; everything else runs unsampled at zero cost.
+// cycle 0 through the end of measurement. Pass 0 for ~256 samples across
+// the run. A machine without this call runs unsampled at zero cost.
 func (m *Machine) EnableSampling(every uint64) {
 	m.obsOn = true
 	m.obsEvery = every
@@ -89,9 +86,6 @@ func (m *Machine) EnableSampling(every uint64) {
 func (m *Machine) sampleCadence(total uint64) uint64 {
 	if m.obsEvery > 0 {
 		return m.obsEvery
-	}
-	if m.cfg.ObsSampleCycles > 0 {
-		return m.cfg.ObsSampleCycles
 	}
 	if every := total / 256; every > 0 {
 		return every

@@ -15,8 +15,8 @@ import (
 // with the debug invariant probes compiled in. Any conservation or
 // monotonicity violation panics through obs.Failf, failing the test; a clean
 // pass means the ring, DRAM timing, cache and DDIO probes all held across
-// the full configuration matrix (DMA/DDIO/IDIO, Sweeper on/off, X-Mem,
-// partitions, dynamic DDIO).
+// the full configuration matrix (DMA/DDIO/Ideal-DDIO, Sweeper on/off, X-Mem,
+// partitions).
 func TestProbesAcrossBuiltinScenarios(t *testing.T) {
 	if !obs.ProbesEnabled {
 		t.Fatal("built with -tags sweeperdebug but ProbesEnabled is false")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"sweeper/internal/core"
-	"sweeper/internal/nic"
 	"sweeper/internal/obs"
 	"sweeper/internal/stats"
 )
@@ -99,8 +98,8 @@ type windowSnap struct {
 	start      uint64
 }
 
-// start schedules every component's initial event: cores, tenant cores,
-// the traffic generator and the dynamic-DDIO controller, in that order.
+// start schedules every component's initial event: cores, tenant cores and
+// the traffic generator, in that order.
 func (m *Machine) start() {
 	for _, c := range m.cores {
 		c.Start()
@@ -114,15 +113,6 @@ func (m *Machine) start() {
 	case m.agen != nil:
 		m.agen.Start()
 	}
-	if m.cfg.DynamicDDIOEpoch > 0 && m.cfg.NICMode == nic.ModeDDIO {
-		m.dp.startDynamicDDIO(m.cfg.DDIOWays)
-	}
-}
-
-// DynamicDDIOWays reports the controller's current allocation and how many
-// adjustments it has made (zero when the controller is off).
-func (m *Machine) DynamicDDIOWays() (ways int, adjustments uint64) {
-	return m.dp.dynWays, m.dp.dynAdjustments
 }
 
 func (m *Machine) snap() windowSnap {
@@ -170,7 +160,7 @@ func (m *Machine) beginRun(warmup, measure uint64) {
 	}
 	m.ran = true
 	m.lastWarmup, m.lastMeasure = warmup, measure
-	if m.obsOn || m.cfg.ObsSampleCycles > 0 {
+	if m.obsOn {
 		m.sampler = obs.NewSampler(m.eng, m.Metrics(), m.sampleCadence(warmup+measure))
 		m.sampler.Start()
 	}

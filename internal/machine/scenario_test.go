@@ -88,25 +88,6 @@ func TestMixedRequestSizesFromSizer(t *testing.T) {
 	}
 }
 
-func TestNeBuLaDropPolicyBoundsQueueing(t *testing.T) {
-	base := quickCfg()
-	base.RingSlots = 2048
-	base.OfferedMrps = 40 // beyond capacity: queues build
-	r1 := quickRun(t, base)
-
-	capped := base
-	capped.NeBuLaDropDepth = 32
-	r2 := quickRun(t, capped)
-
-	if r2.Dropped == 0 {
-		t.Fatal("drop policy never fired under overload")
-	}
-	if r2.ReqLatP99 >= r1.ReqLatP99 {
-		t.Fatalf("bounded queues did not cut tail latency: %d vs %d",
-			r2.ReqLatP99, r1.ReqLatP99)
-	}
-}
-
 func TestSweeperImprovesLatencyUnderLoad(t *testing.T) {
 	base := quickCfg()
 	base.OfferedMrps = 13
@@ -159,18 +140,18 @@ func TestXMemOnlyMachineInvalid(t *testing.T) {
 	}
 }
 
-func TestWarmLLCTogglable(t *testing.T) {
-	cfg := quickCfg()
-	cfg.WarmLLC = false
-	m := MustNew(cfg)
-	if m.Hierarchy().LLC().ValidLines() != 0 {
-		t.Fatal("cold machine has warm lines")
-	}
-	cfg.WarmLLC = true
-	m2 := MustNew(cfg)
-	llc := m2.Hierarchy().LLC()
+// TestWarmFillFollowsDriver checks the warm fill's one gate: the driver's
+// workload.LLCWarmer opt-in. The KVS opts in; the forwarder does not.
+func TestWarmFillFollowsDriver(t *testing.T) {
+	llc := MustNew(quickCfg()).Hierarchy().LLC()
 	if llc.ValidLines() != llc.Sets()*llc.Ways() {
-		t.Fatal("warm fill incomplete")
+		t.Fatal("KVS warm fill incomplete")
+	}
+	cfg := quickCfg()
+	cfg.Workload = workload.NameL3Fwd
+	cfg.ItemBytes = 0
+	if n := MustNew(cfg).Hierarchy().LLC().ValidLines(); n != 0 {
+		t.Fatalf("forwarder machine starts with %d warm lines", n)
 	}
 }
 
@@ -186,55 +167,5 @@ func TestWarmFillUsesDedicatedRegion(t *testing.T) {
 	})
 	if aliased != 0 {
 		t.Fatalf("%d warm lines alias live KVS data", aliased)
-	}
-}
-
-func TestIDIOModeServes(t *testing.T) {
-	cfg := quickCfg()
-	cfg.NICMode = nic.ModeIDIO
-	cfg.OfferedMrps = 8
-	r := quickRun(t, cfg)
-	if r.Served == 0 {
-		t.Fatal("IDIO machine served nothing")
-	}
-	// Packets land in the L2, never in DRAM on the RX path.
-	if r.AccessCounts[stats.NICRXWr] != 0 {
-		t.Fatal("IDIO leaked NIC writes to DRAM")
-	}
-	if r.AccessesPerRequest[stats.CPURXRd] > 1 {
-		t.Fatalf("IDIO premature reads %.2f/req", r.AccessesPerRequest[stats.CPURXRd])
-	}
-}
-
-func TestDynamicDDIOControllerAdapts(t *testing.T) {
-	// The forwarder has almost no application traffic, so its leak
-	// dominates and the controller must widen the DDIO allocation.
-	cfg := DefaultConfig()
-	cfg.Workload = workload.NameL3Fwd
-	cfg.ItemBytes = 0
-	cfg.RingSlots = 2048
-	cfg.TXSlots = 2048
-	cfg.ClosedLoopDepth = 64
-	cfg.OfferedMrps = 0
-	cfg.DynamicDDIOEpoch = 100_000
-	m := MustNew(cfg)
-	m.Run(1_200_000, 600_000)
-	ways, adjustments := m.DynamicDDIOWays()
-	if adjustments == 0 {
-		t.Fatal("controller never adjusted")
-	}
-	if ways < 2 || ways > 12 {
-		t.Fatalf("ways %d escaped [2,12]", ways)
-	}
-	if ways <= cfg.DDIOWays {
-		t.Fatalf("leak-dominated run should have grown ways, got %d", ways)
-	}
-}
-
-func TestDynamicDDIOOffByDefault(t *testing.T) {
-	m := MustNew(quickCfg())
-	m.Run(200_000, 200_000)
-	if _, adj := m.DynamicDDIOWays(); adj != 0 {
-		t.Fatal("controller ran without being configured")
 	}
 }

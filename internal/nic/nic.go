@@ -19,10 +19,6 @@ const (
 	// infinite cache holds all network buffers, so packets occupy no real
 	// LLC capacity and generate zero DRAM traffic.
 	ModeIdeal
-	// ModeIDIO steers incoming packets into the receiving core's private
-	// L2 (the related-work IDIO mechanism), expanding the cache capacity
-	// network buffers can use beyond the DDIO ways.
-	ModeIDIO
 )
 
 // String names the mode as in the paper's legends.
@@ -34,8 +30,6 @@ func (m Mode) String() string {
 		return "DDIO"
 	case ModeIdeal:
 		return "Ideal-DDIO"
-	case ModeIDIO:
-		return "IDIO"
 	default:
 		return fmt.Sprintf("Mode(%d)", uint8(m))
 	}
@@ -45,7 +39,6 @@ func (m Mode) String() string {
 // package's Hierarchy implements it.
 type Injector interface {
 	NICWriteDDIO(now uint64, owner int, a uint64)
-	NICWriteIDIO(now uint64, owner int, a uint64)
 	NICWriteDMA(now uint64, owner int, a uint64)
 	NICRead(now uint64, owner int, a uint64, dma bool) uint64
 }
@@ -89,18 +82,11 @@ type NIC struct {
 	// the machine can wake an idle core.
 	onEnqueue func(now uint64, core int)
 
-	// dropDepth, when positive, enables NeBuLa-style proactive dropping
-	// (§II-C): arrivals finding dropDepth packets already queued on the
-	// target ring are dropped even though slots remain, bounding queue
-	// depth (and so LLC buffer occupancy) by policy instead of capacity.
-	dropDepth int
-
-	seq         uint64
-	lineBuf     []uint64
-	injected    uint64
-	policyDrops uint64
-	txPackets   uint64
-	txLines     uint64
+	seq       uint64
+	lineBuf   []uint64
+	injected  uint64
+	txPackets uint64
+	txLines   uint64
 }
 
 // Config describes the NIC.
@@ -138,14 +124,13 @@ func New(cfg Config, space *addr.Space, inj Injector) *NIC {
 
 // Reset returns the NIC to its just-constructed state under a (possibly
 // different) injection mode, reusing the rings and scratch buffers. Hooks
-// (TX sweeper, overwrite listener, enqueue callback) and the drop policy are
-// cleared; the owner re-wires them exactly as after New.
+// (TX sweeper, overwrite listener, enqueue callback) are cleared; the owner
+// re-wires them exactly as after New.
 func (n *NIC) Reset(mode Mode) {
 	n.mode = mode
 	n.sweeper, n.overw, n.onEnqueue = nil, nil, nil
-	n.dropDepth = 0
 	n.seq = 0
-	n.injected, n.policyDrops, n.txPackets, n.txLines = 0, 0, 0, 0
+	n.injected, n.txPackets, n.txLines = 0, 0, 0
 	for _, r := range n.rings {
 		r.Reset()
 	}
@@ -170,19 +155,6 @@ func (n *NIC) SetOverwriteListener(o Overwrites) { n.overw = o }
 // injection.
 func (n *NIC) SetEnqueueCallback(fn func(now uint64, core int)) { n.onEnqueue = fn }
 
-// SetDropDepth enables NeBuLa-style proactive packet dropping once a ring
-// holds depth unconsumed packets (0 disables the policy).
-func (n *NIC) SetDropDepth(depth int) {
-	if depth < 0 {
-		panic("nic: negative drop depth")
-	}
-	n.dropDepth = depth
-}
-
-// PolicyDrops returns arrivals dropped by the proactive policy (distinct
-// from ring-full drops).
-func (n *NIC) PolicyDrops() uint64 { return n.policyDrops }
-
 // Inject delivers one size-byte packet to core's ring at cycle now,
 // performing the mode's architectural writes. It reports false when the
 // ring is full and the packet is dropped.
@@ -190,10 +162,6 @@ func (n *NIC) Inject(now uint64, core int, size uint64, tag uint64) bool {
 	r := n.rings[core]
 	if size == 0 || size > r.SlotBytes() {
 		panic(fmt.Sprintf("nic: packet size %d outside (0,%d]", size, r.SlotBytes()))
-	}
-	if n.dropDepth > 0 && r.Queued() >= n.dropDepth {
-		n.policyDrops++
-		return false
 	}
 	slot, ok := r.Reserve()
 	if !ok {
@@ -205,13 +173,6 @@ func (n *NIC) Inject(now uint64, core int, size uint64, tag uint64) bool {
 	case ModeDDIO:
 		for _, a := range n.lineBuf {
 			n.inj.NICWriteDDIO(now, core, a)
-			if n.overw != nil {
-				n.overw.NoteOverwrite(a)
-			}
-		}
-	case ModeIDIO:
-		for _, a := range n.lineBuf {
-			n.inj.NICWriteIDIO(now, core, a)
 			if n.overw != nil {
 				n.overw.NoteOverwrite(a)
 			}
@@ -266,9 +227,9 @@ func (n *NIC) Transmit(now uint64, wqe WorkQueueEntry) {
 // Injected returns the number of packets successfully injected.
 func (n *NIC) Injected() uint64 { return n.injected }
 
-// Dropped sums drops across all rings, including policy drops.
+// Dropped sums ring-full drops across all rings.
 func (n *NIC) Dropped() uint64 {
-	d := n.policyDrops
+	var d uint64
 	for _, r := range n.rings {
 		d += r.Dropped()
 	}
@@ -306,7 +267,7 @@ func (n *NIC) RegisterMetrics(r *obs.Registry) {
 
 // ResetCounters zeroes per-window counters on the NIC and its rings.
 func (n *NIC) ResetCounters() {
-	n.injected, n.txPackets, n.txLines, n.policyDrops = 0, 0, 0, 0
+	n.injected, n.txPackets, n.txLines = 0, 0, 0
 	for _, r := range n.rings {
 		r.ResetCounters()
 	}

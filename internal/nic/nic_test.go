@@ -10,7 +10,6 @@ import (
 // fakeInjector records the architectural operations the NIC performs.
 type fakeInjector struct {
 	ddioWrites []uint64
-	idioWrites []uint64
 	dmaWrites  []uint64
 	reads      []uint64
 	readsDMA   []bool
@@ -18,10 +17,6 @@ type fakeInjector struct {
 
 func (f *fakeInjector) NICWriteDDIO(now uint64, owner int, a uint64) {
 	f.ddioWrites = append(f.ddioWrites, a)
-}
-
-func (f *fakeInjector) NICWriteIDIO(now uint64, owner int, a uint64) {
-	f.idioWrites = append(f.idioWrites, a)
 }
 
 func (f *fakeInjector) NICWriteDMA(now uint64, owner int, a uint64) {

@@ -41,8 +41,6 @@ type Knobs struct {
 	// Workload names the networked application in the workload registry;
 	// empty keeps the default (the KVS).
 	Workload string `json:"workload,omitempty"`
-	// WarmLLC overrides the warm-fill default when non-nil.
-	WarmLLC *bool `json:"warm_llc,omitempty"`
 	// Arrival names the open-loop arrival process in the nic registry
 	// ("poisson", "mmpp"; empty keeps Poisson). The numeric arrival
 	// knobs (arrival_burst_ratio, arrival_burst_dwell) live in Set.
@@ -66,8 +64,8 @@ type Variant struct {
 	// Name labels the variant in tables; empty derives the conventional
 	// label ("DMA", "Ideal DDIO", "DDIO 4 Ways + Sweeper").
 	Name string `json:"name,omitempty"`
-	// Mode is "dma", "ddio", "idio" or "ideal"; empty leaves the base
-	// machine's mode untouched.
+	// Mode is "dma", "ddio" or "ideal"; empty leaves the base machine's
+	// mode untouched.
 	Mode string `json:"mode,omitempty"`
 	// Ways is the DDIO way allocation (ddio mode only).
 	Ways int `json:"ways,omitempty"`
@@ -118,12 +116,10 @@ func (v Variant) NICMode() (nic.Mode, error) {
 		return nic.ModeDMA, nil
 	case "ddio":
 		return nic.ModeDDIO, nil
-	case "idio":
-		return nic.ModeIDIO, nil
 	case "ideal":
 		return nic.ModeIdeal, nil
 	default:
-		return 0, fmt.Errorf("scenario: unknown NIC mode %q (want dma, ddio, idio or ideal)", v.Mode)
+		return 0, fmt.Errorf("scenario: unknown NIC mode %q (want dma, ddio or ideal)", v.Mode)
 	}
 }
 
@@ -138,8 +134,6 @@ func (v Variant) DisplayName() string {
 		return "DMA"
 	case "ideal":
 		return "Ideal DDIO"
-	case "idio":
-		return "IDIO"
 	case "ddio":
 		name := fmt.Sprintf("DDIO %d Ways", v.Ways)
 		if v.Sweeper {
@@ -266,12 +260,6 @@ func knobField(m *machine.Config, knob string) any {
 		return &m.MLPWidth
 	case "seed":
 		return &m.Seed
-	case "dynamic_ddio_epoch":
-		return &m.DynamicDDIOEpoch
-	case "obs_sample_cycles":
-		return &m.ObsSampleCycles
-	case "nebula_drop_depth":
-		return &m.NeBuLaDropDepth
 	case "arrival_burst_ratio":
 		return &m.Arrival.BurstRatio
 	case "arrival_burst_dwell":
@@ -307,9 +295,6 @@ func (s Spec) baseConfig() (machine.Config, error) {
 	}
 	if s.Machine.Arrival != "" {
 		m.Arrival.Process = s.Machine.Arrival
-	}
-	if s.Machine.WarmLLC != nil {
-		m.WarmLLC = *s.Machine.WarmLLC
 	}
 	if s.Machine.InvalidateInsn != "" {
 		m.Sweeper.Insn = s.Machine.InvalidateInsn

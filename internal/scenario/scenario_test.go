@@ -88,6 +88,15 @@ func TestLoadRejectsBadSpecs(t *testing.T) {
 		"removed arrival_diurnal_amp": `{"name": "x", "machine": {"set": {"arrival_diurnal_period": 100000,
 			"arrival_diurnal_amp": 0.5}}}`,
 		"removed arrival_flows": `{"name": "x", "machine": {"set": {"arrival_flows": 4}}}`,
+
+		// Names retired with IDIO steering, the IAT way controller, NeBuLa
+		// dropping and the sampler and warm-fill config switches; each
+		// document was valid while they lived.
+		"removed idio mode":          `{"name": "x", "variants": [{"mode": "idio"}]}`,
+		"removed dynamic_ddio_epoch": `{"name": "x", "machine": {"set": {"dynamic_ddio_epoch": 50000}}}`,
+		"removed nebula_drop_depth":  `{"name": "x", "machine": {"set": {"nebula_drop_depth": 32}}}`,
+		"removed obs_sample_cycles":  `{"name": "x", "machine": {"set": {"obs_sample_cycles": 4096}}}`,
+		"removed warm_llc":           `{"name": "x", "machine": {"warm_llc": false}}`,
 	}
 	for name, doc := range cases {
 		if _, err := Load(strings.NewReader(doc)); err == nil {

@@ -54,7 +54,6 @@ func TestToyDriverEndToEnd(t *testing.T) {
 		"name": "toy-study",
 		"machine": {
 			"workload": "toy",
-			"warm_llc": false,
 			"set": {"net_cores": 4, "ring_slots": 256, "offered_mrps": 4}
 		},
 		"variants": [{"mode": "ddio", "ways": 2, "sweeper": true}]

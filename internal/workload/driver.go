@@ -42,10 +42,9 @@ type RequestSizer interface {
 }
 
 // LLCWarmer is implemented by drivers whose steady state keeps the cache
-// hierarchy full of dirty application data. When a machine's configuration
-// asks for a warm LLC, it pre-fills the hierarchy only for drivers that
-// report true, so short measurement windows observe steady-state eviction
-// traffic from the first cycle.
+// hierarchy full of dirty application data. The machine pre-fills the
+// hierarchy only for drivers that report true, so short measurement windows
+// observe steady-state eviction traffic from the first cycle.
 type LLCWarmer interface {
 	WarmLLC() bool
 }

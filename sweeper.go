@@ -48,13 +48,12 @@ const (
 	WorkloadL3FwdL1 = workload.NameL3FwdL1
 )
 
-// Packet injection policies: the §III baselines plus the related-work
-// IDIO-style L2 steering.
+// Packet injection policies: the §III baselines (DMA, DDIO and the
+// Ideal-DDIO upper bound).
 const (
 	ModeDMA   = nic.ModeDMA
 	ModeDDIO  = nic.ModeDDIO
 	ModeIdeal = nic.ModeIdeal
-	ModeIDIO  = nic.ModeIDIO
 )
 
 // DefaultConfig returns the paper's Table I server: 24 cores at 3.2 GHz,
