@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race perfbench-test bench bench-engine bench-mem bench-e2e check results obs-smoke traffic-smoke tiers-smoke golden-slow test-debug
+.PHONY: all build test vet lint race perfbench-test bench bench-engine bench-mem bench-smoke bench-e2e check results obs-smoke traffic-smoke tiers-smoke golden-slow test-debug
 
 all: check
 
@@ -45,10 +45,15 @@ bench-engine:
 # Memory-access fast path: cache indexing/lookup/insert, DRAM address
 # mapping and the strength-reduced division primitive they share.
 bench-mem:
-	$(GO) test . -run=XXX -bench='CacheHierarchy|LLCInsert|DRAMRead' -benchmem
-	$(GO) test ./internal/cache/ -run=XXX -bench='SetIndex|LLCLookup|SetAssocReset' -benchmem
-	$(GO) test ./internal/mem/ -run=XXX -bench='MapAddr' -benchmem
-	$(GO) test ./internal/fastdiv/ -run=XXX -bench=. -benchmem
+	$(GO) test . -run=XXX -bench='CacheHierarchy|HierarchyScatter|LLCInsert|DRAMRead' -benchmem $(BENCHFLAGS)
+	$(GO) test ./internal/cache/ -run=XXX -bench='SetIndex|LLCLookup|SetAssocReset' -benchmem $(BENCHFLAGS)
+	$(GO) test ./internal/mem/ -run=XXX -bench='MapAddr' -benchmem $(BENCHFLAGS)
+	$(GO) test ./internal/fastdiv/ -run=XXX -bench=. -benchmem $(BENCHFLAGS)
+
+# One iteration of every bench-mem benchmark, so a benchmark that a change
+# breaks or makes panic fails the check.
+bench-smoke:
+	$(MAKE) bench-mem BENCHFLAGS=-benchtime=1x
 
 # End-to-end single-run benchmark (whole machine, short windows).
 bench-e2e:
@@ -56,7 +61,7 @@ bench-e2e:
 
 bench: bench-engine bench-mem bench-e2e
 
-check: build vet lint test race perfbench-test bench-engine traffic-smoke tiers-smoke
+check: build vet lint test race perfbench-test bench-engine bench-smoke traffic-smoke tiers-smoke
 
 # Observability smoke: drive the CLI with every exporter enabled against the
 # kvs scenario, then validate the artifacts (CSV/JSON structure) in-process.

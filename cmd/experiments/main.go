@@ -30,23 +30,35 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
+	if err := run(os.Args[1:]); err != nil {
+		log.Print(err)
+		os.Exit(1)
+	}
+}
 
+// run parses the command line and regenerates the selected figures. Every
+// failure returns through it, so the deferred profile stop runs and
+// -cpuprofile and -memprofile leave complete files even when a run fails.
+func run(args []string) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
-		figFlag    = flag.String("fig", "all", "comma-separated experiment ids ("+strings.Join(experiments.Names(), ", ")+"), 'claims' or 'all'")
-		quick      = flag.Bool("quick", false, "use the reduced-fidelity quick scale")
-		outDir     = flag.String("out", "", "directory for CSV output (optional)")
-		parallel   = flag.Int("parallel", 0, "max concurrent simulations (0 = $SWEEPER_WORKERS, then GOMAXPROCS)")
-		manifest   = flag.String("manifest", "", "write an invocation manifest (scale + generated tables) as JSON to this file")
-		metricsOut = flag.String("metrics", "", "write a metric time-series CSV from an instrumented reference run to this file")
-		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON from an instrumented reference run to this file")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		figFlag    = fs.String("fig", "all", "comma-separated experiment ids ("+strings.Join(experiments.Names(), ", ")+"), 'claims' or 'all'")
+		quick      = fs.Bool("quick", false, "use the reduced-fidelity quick scale")
+		outDir     = fs.String("out", "", "directory for CSV output (optional)")
+		parallel   = fs.Int("parallel", 0, "max concurrent simulations (0 = $SWEEPER_WORKERS, then GOMAXPROCS)")
+		manifest   = fs.String("manifest", "", "write an invocation manifest (scale + generated tables) as JSON to this file")
+		metricsOut = fs.String("metrics", "", "write a metric time-series CSV from an instrumented reference run to this file")
+		traceOut   = fs.String("trace", "", "write a Chrome trace_event JSON from an instrumented reference run to this file")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	stopProfiles, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer stopProfiles()
 
@@ -66,12 +78,12 @@ func main() {
 		claims := experiments.CheckClaims(sc)
 		experiments.RenderClaims(os.Stdout, claims)
 		fmt.Printf("(claims took %s)\n", time.Since(start).Round(time.Second))
-		return
+		return nil
 	default:
 		for _, id := range strings.Split(*figFlag, ",") {
 			id = strings.TrimSpace(id)
 			if _, ok := registry[id]; !ok {
-				log.Fatalf("unknown experiment %q; known: %s",
+				return fmt.Errorf("unknown experiment %q; known: %s",
 					id, strings.Join(experiments.Names(), ", "))
 			}
 			ids = append(ids, id)
@@ -81,7 +93,7 @@ func main() {
 
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
@@ -97,7 +109,7 @@ func main() {
 			experiments.RenderCDFChart(os.Stdout, r.Curves)
 			if *outDir != "" {
 				if err := writeCDFs(filepath.Join(*outDir, "fig6_cdf.csv"), r); err != nil {
-					log.Fatal(err)
+					return err
 				}
 			}
 		} else {
@@ -108,15 +120,10 @@ func main() {
 			t.RenderDefault(os.Stdout)
 			fmt.Println()
 			if *outDir != "" {
-				f, err := os.Create(filepath.Join(*outDir, t.ID+".csv"))
-				if err != nil {
-					log.Fatal(err)
-				}
-				if err := t.WriteCSV(f); err != nil {
-					log.Fatal(err)
-				}
-				if err := f.Close(); err != nil {
-					log.Fatal(err)
+				if err := writeWith(filepath.Join(*outDir, t.ID+".csv"), func(f *os.File) error {
+					return t.WriteCSV(f)
+				}); err != nil {
+					return err
 				}
 			}
 		}
@@ -126,14 +133,13 @@ func main() {
 
 	if *metricsOut != "" || *traceOut != "" {
 		if err := writeReferenceRun(sc, *metricsOut, *traceOut); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	if *manifest != "" {
-		if err := writeInvocationManifest(*manifest, *figFlag, *quick, sc, allTables); err != nil {
-			log.Fatal(err)
-		}
+		return writeInvocationManifest(*manifest, *figFlag, *quick, sc, allTables)
 	}
+	return nil
 }
 
 // writeReferenceRun simulates the default (Table I) configuration at the

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -33,68 +34,78 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sweepersim: ")
+	if err := run(os.Args[1:]); err != nil {
+		log.Print(err)
+		os.Exit(1)
+	}
+}
 
+// run parses the command line and performs the run. Every failure returns
+// through it, so the deferred profile stop runs and -cpuprofile and
+// -memprofile leave complete files even when the run fails.
+func run(args []string) (err error) {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
-		scenarioPath = flag.String("scenario", "", "run a declarative scenario spec file (overrides config flags)")
-		listAll      = flag.Bool("list", false, "list builtin scenarios and registered workloads, then exit")
-		workloadName = flag.String("workload", "kvs", "workload registry name (see -list)")
-		modeName     = flag.String("mode", "ddio", "injection: dma, ddio, ideal")
-		ways         = flag.Int("ways", 2, "DDIO LLC ways")
-		ring         = flag.Int("ring", 1024, "RX buffers per core")
-		txSlots      = flag.Int("txslots", 0, "TX buffers per core (0 = workload default)")
-		packet       = flag.Uint64("packet", 1024, "packet/item size in bytes")
-		rate         = flag.Float64("rate", 20, "offered load in Mrps (open loop)")
-		queued       = flag.Int("queued", 0, "closed loop: keep D packets queued per core (overrides -rate)")
-		arrival      = flag.String("arrival", "", "open-loop arrival process: "+strings.Join(nic.ArrivalNames(), ", ")+" (empty = poisson)")
-		burstRatio   = flag.Float64("arrival-burst-ratio", 0, "MMPP on/off rate ratio (0 = default 8)")
-		burstDwell   = flag.Uint64("arrival-burst-dwell", 0, "MMPP mean state dwell in cycles (0 = default 131072)")
-		cores        = flag.Int("cores", 24, "networked cores")
-		xmem         = flag.Int("xmem", 0, "collocated X-Mem cores")
-		channels     = flag.Int("channels", 4, "DDR4 channels")
-		sweeperOn    = flag.Bool("sweeper", false, "enable Sweeper RX relinquish")
-		sweepTX      = flag.Bool("sweep-tx", false, "enable NIC-driven TX sweeping (§V-D)")
-		insn         = flag.String("invalidate-insn", "", "relinquish instruction: "+strings.Join(core.InsnNames(), ", ")+" (empty = clsweep)")
-		simfBatch    = flag.Int("simf-batch", 0, "simf: lines invalidated per batch (0 = default 64)")
-		simfSetup    = flag.Int("simf-setup", 0, "simf: fixed setup cycles per bulk flush")
-		tierPolicy   = flag.String("mem-tier", "", "hybrid memory placement policy: "+strings.Join(mem.TierPolicies(), ", ")+" (empty = DRAM only)")
-		tierSplit    = flag.Uint64("mem-tier-split", 0, "hybrid memory: app-heap bytes kept on DRAM (0 = whole heap on tier 1)")
-		tierReadLat  = flag.Uint64("mem-tier-read-lat", 0, "hybrid memory: tier-1 read latency in cycles (0 = default 300)")
-		tierWriteLat = flag.Uint64("mem-tier-write-lat", 0, "hybrid memory: tier-1 write latency in cycles (0 = default 1000)")
-		tierBW       = flag.Float64("mem-tier-bw", 0, "hybrid memory: tier-1 bandwidth ceiling in GB/s (0 = default 16)")
-		warmup       = flag.Uint64("warmup", 400_000, "warmup cycles")
-		measure      = flag.Uint64("measure", 800_000, "measurement cycles")
-		seed         = flag.Int64("seed", 1, "random seed")
-		mlp          = flag.Int("mlp", 0, "memory-level parallelism width (0 = default)")
-		spikeProb    = flag.Float64("spike-prob", 0, "per-request service spike probability (§VI-F)")
-		sanitize     = flag.Bool("sanitize", false, "flag use-after-relinquish reads")
-		dramTrace    = flag.String("dram-trace", "", "write a DRAM transaction trace CSV to this file")
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		scenarioPath = fs.String("scenario", "", "run a declarative scenario spec file (overrides config flags)")
+		listAll      = fs.Bool("list", false, "list builtin scenarios and registered workloads, then exit")
+		workloadName = fs.String("workload", "kvs", "workload registry name (see -list)")
+		modeName     = fs.String("mode", "ddio", "injection: dma, ddio, ideal")
+		ways         = fs.Int("ways", 2, "DDIO LLC ways")
+		ring         = fs.Int("ring", 1024, "RX buffers per core")
+		txSlots      = fs.Int("txslots", 0, "TX buffers per core (0 = workload default)")
+		packet       = fs.Uint64("packet", 1024, "packet/item size in bytes")
+		rate         = fs.Float64("rate", 20, "offered load in Mrps (open loop)")
+		queued       = fs.Int("queued", 0, "closed loop: keep D packets queued per core (overrides -rate)")
+		arrival      = fs.String("arrival", "", "open-loop arrival process: "+strings.Join(nic.ArrivalNames(), ", ")+" (empty = poisson)")
+		burstRatio   = fs.Float64("arrival-burst-ratio", 0, "MMPP on/off rate ratio (0 = default 8)")
+		burstDwell   = fs.Uint64("arrival-burst-dwell", 0, "MMPP mean state dwell in cycles (0 = default 131072)")
+		cores        = fs.Int("cores", 24, "networked cores")
+		xmem         = fs.Int("xmem", 0, "collocated X-Mem cores")
+		channels     = fs.Int("channels", 4, "DDR4 channels")
+		sweeperOn    = fs.Bool("sweeper", false, "enable Sweeper RX relinquish")
+		sweepTX      = fs.Bool("sweep-tx", false, "enable NIC-driven TX sweeping (§V-D)")
+		insn         = fs.String("invalidate-insn", "", "relinquish instruction: "+strings.Join(core.InsnNames(), ", ")+" (empty = clsweep)")
+		simfBatch    = fs.Int("simf-batch", 0, "simf: lines invalidated per batch (0 = default 64)")
+		simfSetup    = fs.Int("simf-setup", 0, "simf: fixed setup cycles per bulk flush")
+		tierPolicy   = fs.String("mem-tier", "", "hybrid memory placement policy: "+strings.Join(mem.TierPolicies(), ", ")+" (empty = DRAM only)")
+		tierSplit    = fs.Uint64("mem-tier-split", 0, "hybrid memory: app-heap bytes kept on DRAM (0 = whole heap on tier 1)")
+		tierReadLat  = fs.Uint64("mem-tier-read-lat", 0, "hybrid memory: tier-1 read latency in cycles (0 = default 300)")
+		tierWriteLat = fs.Uint64("mem-tier-write-lat", 0, "hybrid memory: tier-1 write latency in cycles (0 = default 1000)")
+		tierBW       = fs.Float64("mem-tier-bw", 0, "hybrid memory: tier-1 bandwidth ceiling in GB/s (0 = default 16)")
+		warmup       = fs.Uint64("warmup", 400_000, "warmup cycles")
+		measure      = fs.Uint64("measure", 800_000, "measurement cycles")
+		seed         = fs.Int64("seed", 1, "random seed")
+		mlp          = fs.Int("mlp", 0, "memory-level parallelism width (0 = default)")
+		spikeProb    = fs.Float64("spike-prob", 0, "per-request service spike probability (§VI-F)")
+		sanitize     = fs.Bool("sanitize", false, "flag use-after-relinquish reads")
+		dramTrace    = fs.String("dram-trace", "", "write a DRAM transaction trace CSV to this file")
+		cpuprofile   = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile   = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	var ob obsFlags
-	flag.StringVar(&ob.trace, "trace", "", "write a Chrome trace_event JSON (chrome://tracing, Perfetto) to this file")
-	flag.StringVar(&ob.metrics, "metrics", "", "write the sampled metric time-series CSV to this file")
-	flag.StringVar(&ob.manifest, "manifest", "", "write a JSON run manifest (config, results, metrics) to this file")
-	flag.Uint64Var(&ob.sample, "sample", 0, "metric sampling period in cycles (0 = ~256 samples per run)")
-	flag.Parse()
+	fs.StringVar(&ob.trace, "trace", "", "write a Chrome trace_event JSON (chrome://tracing, Perfetto) to this file")
+	fs.StringVar(&ob.metrics, "metrics", "", "write the sampled metric time-series CSV to this file")
+	fs.StringVar(&ob.manifest, "manifest", "", "write a JSON run manifest (config, results, metrics) to this file")
+	fs.Uint64Var(&ob.sample, "sample", 0, "metric sampling period in cycles (0 = ~256 samples per run)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *listAll {
-		list(os.Stdout)
-		return
+		return list(os.Stdout)
 	}
 	if *measure == 0 {
-		log.Fatal("-measure must be positive")
+		return errors.New("-measure must be positive")
 	}
 
 	stopProfiles, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer stopProfiles()
 
 	if *scenarioPath != "" {
-		runScenario(*scenarioPath, *warmup, *measure, ob)
-		return
+		return runScenario(*scenarioPath, *warmup, *measure, ob)
 	}
 
 	cfg := machine.DefaultConfig()
@@ -149,33 +160,30 @@ func main() {
 	cfg.Workload = *workloadName
 	mode, err := scenario.Variant{Mode: *modeName}.NICMode()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cfg.NICMode = mode
 
 	m, err := machine.New(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *dramTrace != "" {
 		f, err := os.Create(*dramTrace)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		sink, flush := machine.TraceCSV(f)
 		m.SetTraceSink(sink)
 		defer func() {
-			if err := flush(); err != nil {
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
+			err = errors.Join(err, flush(), f.Close())
 		}()
 	}
 	ob.arm(m)
 	r := m.Run(*warmup, *measure)
-	ob.export(m, cfg, fmt.Sprintf("%s %s", cfg.Workload, cfg.NICMode), r, 0, 1)
+	if err := ob.export(m, cfg, fmt.Sprintf("%s %s", cfg.Workload, cfg.NICMode), r, 0, 1); err != nil {
+		return err
+	}
 	printResults(cfg, r)
 	if *sanitize {
 		if v := m.Sweeper().Violations(); len(v) > 0 {
@@ -185,15 +193,16 @@ func main() {
 		}
 	}
 	_ = os.Stdout.Sync()
+	return nil
 }
 
 // list prints the builtin scenarios and registered workloads.
-func list(w *os.File) {
+func list(w *os.File) error {
 	fmt.Fprintln(w, "builtin scenarios (run a copy with -scenario <file>; shipped under examples/scenarios/):")
 	for _, s := range scenario.Builtins() {
 		runs, err := s.Expand()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fmt.Fprintf(w, "  %-12s %s (%d runs)\n", s.Name, s.Description, len(runs))
 	}
@@ -201,17 +210,18 @@ func list(w *os.File) {
 	fmt.Fprintf(w, "registered arrival processes:  %s\n", strings.Join(nic.ArrivalNames(), ", "))
 	fmt.Fprintf(w, "invalidation instructions:     %s\n", strings.Join(core.InsnNames(), ", "))
 	fmt.Fprintf(w, "memory tier policies:          %s\n", strings.Join(mem.TierPolicies(), ", "))
+	return nil
 }
 
 // runScenario expands a spec file and simulates every run in order.
-func runScenario(path string, warmup, measure uint64, ob obsFlags) {
+func runScenario(path string, warmup, measure uint64, ob obsFlags) error {
 	spec, err := scenario.LoadFile(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	runs, err := spec.Expand()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("scenario %s: %s (%d runs)\n", spec.Name, spec.Description, len(runs))
 	for i, r := range runs {
@@ -226,13 +236,16 @@ func runScenario(path string, warmup, measure uint64, ob obsFlags) {
 		}
 		m, err := machine.New(r.Config)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		ob.arm(m)
 		res := m.Run(warmup, measure)
-		ob.export(m, r.Config, label, res, i, len(runs))
+		if err := ob.export(m, r.Config, label, res, i, len(runs)); err != nil {
+			return err
+		}
 		printResults(r.Config, res)
 	}
+	return nil
 }
 
 // obsFlags bundles the observability exporter options shared by the single-
@@ -259,25 +272,30 @@ func (o obsFlags) arm(m *machine.Machine) {
 // export writes the requested artifacts for a completed run. In multi-run
 // scenarios each output path gains a ".runNN" suffix before its extension so
 // runs do not clobber each other; single runs write the exact path given.
-func (o obsFlags) export(m *machine.Machine, cfg machine.Config, label string, r machine.Results, runIdx, nRuns int) {
+func (o obsFlags) export(m *machine.Machine, cfg machine.Config, label string, r machine.Results, runIdx, nRuns int) error {
 	if o.metrics != "" {
-		writeArtifact(obsOutPath(o.metrics, runIdx, nRuns), func(f *os.File) error {
+		if err := writeArtifact(obsOutPath(o.metrics, runIdx, nRuns), func(f *os.File) error {
 			return obs.WriteSeriesCSV(f, m.ObsSeries())
-		})
+		}); err != nil {
+			return err
+		}
 	}
 	if o.trace != "" {
 		meta := obs.TraceMeta{Process: "sweepersim " + label, FreqHz: cfg.FreqHz}
-		writeArtifact(obsOutPath(o.trace, runIdx, nRuns), func(f *os.File) error {
+		if err := writeArtifact(obsOutPath(o.trace, runIdx, nRuns), func(f *os.File) error {
 			return obs.WriteChromeTrace(f, m.ObsSeries(), meta)
-		})
+		}); err != nil {
+			return err
+		}
 	}
 	if o.manifest != "" {
 		man := m.BuildManifest(label, r)
 		man.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
-		writeArtifact(obsOutPath(o.manifest, runIdx, nRuns), func(f *os.File) error {
+		return writeArtifact(obsOutPath(o.manifest, runIdx, nRuns), func(f *os.File) error {
 			return obs.WriteManifest(f, man)
 		})
 	}
+	return nil
 }
 
 // obsOutPath inserts a ".runNN" tag before the extension for multi-run
@@ -290,19 +308,14 @@ func obsOutPath(path string, runIdx, nRuns int) string {
 	return fmt.Sprintf("%s.run%02d%s", strings.TrimSuffix(path, ext), runIdx+1, ext)
 }
 
-// writeArtifact creates path and runs the writer against it, failing the
-// process on any error so a truncated artifact never passes silently.
-func writeArtifact(path string, write func(*os.File) error) {
+// writeArtifact creates path and runs the writer against it, returning any
+// error so the run fails and a truncated artifact never passes silently.
+func writeArtifact(path string, write func(*os.File) error) error {
 	f, err := os.Create(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if err := write(f); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
+	return errors.Join(write(f), f.Close())
 }
 
 func printResults(cfg machine.Config, r machine.Results) {

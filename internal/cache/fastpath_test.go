@@ -7,8 +7,9 @@ import (
 
 // TestSetIndexMatchesNaiveDivMod pins the strength-reduced set indexing to
 // the arithmetic it replaces: for any geometry — including the non-power-
-// of-two set counts of Table I's 49152-set LLC — setIndex must equal the
-// plain (addr/64) % sets it was derived from.
+// of-two set counts of Table I's 49152-set LLC — locate must return the
+// plain (addr/64) % sets as the set and (addr/64) / sets + 1 as the tag,
+// and tag 0 for an address beyond the tag space.
 func TestSetIndexMatchesNaiveDivMod(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	geoms := []struct {
@@ -29,11 +30,24 @@ func TestSetIndexMatchesNaiveDivMod(t *testing.T) {
 	for _, g := range geoms {
 		c := NewSetAssoc("prop", uint64(g.sets)*uint64(g.ways)*lineBytes, g.ways)
 		for j := 0; j < 5000; j++ {
-			a := (rng.Uint64() & addrMask) &^ (lineBytes - 1)
-			want := int((a / lineBytes) % uint64(g.sets))
-			if got := c.setIndex(a); got != want {
-				t.Fatalf("sets=%d ways=%d addr=%#x: setIndex=%d, naive=%d",
-					g.sets, g.ways, a, got, want)
+			// Half the addresses inside the tag space, half anywhere.
+			a := rng.Uint64() &^ (lineBytes - 1)
+			if j%2 == 0 {
+				a %= c.tagSpace()
+			}
+			line := a / lineBytes
+			wantSet := int(line % uint64(g.sets))
+			wantTag := uint32(0)
+			if q := line / uint64(g.sets); q+1 < 1<<32 {
+				wantTag = uint32(q + 1)
+			}
+			if s, tag := c.locate(a); s != wantSet || tag != wantTag {
+				t.Fatalf("sets=%d ways=%d addr=%#x: locate=(%d,%#x), naive=(%d,%#x)",
+					g.sets, g.ways, a, s, tag, wantSet, wantTag)
+			}
+			if wantTag != 0 && c.addrOf(wantSet, wantTag) != a {
+				t.Fatalf("sets=%d addr=%#x: addrOf round trip gave %#x",
+					g.sets, a, c.addrOf(wantSet, wantTag))
 			}
 		}
 	}
@@ -106,19 +120,21 @@ func boolBit(b bool) uint64 {
 	return 0
 }
 
-// BenchmarkSetIndex isolates the strength-reduced modulo on the LLC's
-// non-power-of-two 49152 sets.
+// BenchmarkSetIndex isolates the strength-reduced division that gives the
+// set and the tag on the LLC's non-power-of-two 49152 sets.
 func BenchmarkSetIndex(b *testing.B) {
 	c := NewSetAssoc("LLC", 36<<20, 12)
 	var sink int
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink += c.setIndex(uint64(i) * lineBytes)
+		s, tag := c.locate(uint64(i) * lineBytes)
+		sink += s + int(tag)
 	}
 	benchSink = sink
 }
 
-// BenchmarkLLCLookupHit measures a repeated single-line hit: the last-hit
-// filter path that dominates poll loops.
+// BenchmarkLLCLookupHit measures a repeated single-line hit, the pattern of
+// poll loops: one set's tags and ages stay in the host's L1.
 func BenchmarkLLCLookupHit(b *testing.B) {
 	c := NewSetAssoc("LLC", 36<<20, 12)
 	c.Insert(4096, false, MaskAll(12))
@@ -129,8 +145,8 @@ func BenchmarkLLCLookupHit(b *testing.B) {
 	}
 }
 
-// BenchmarkLLCLookupSpread measures hits that rotate over many sets,
-// defeating the last-hit filter so the MRU-hint/scan path is exercised.
+// BenchmarkLLCLookupSpread measures hits that rotate over 1024 sets, whose
+// metadata (about 64KB) stays resident in the host's L2.
 func BenchmarkLLCLookupSpread(b *testing.B) {
 	c := NewSetAssoc("LLC", 36<<20, 12)
 	const n = 1024
@@ -144,7 +160,8 @@ func BenchmarkLLCLookupSpread(b *testing.B) {
 }
 
 // BenchmarkSetAssocReset measures the pooled-machine reset of the full
-// Table I LLC (generation bump + LRU memclr over 589k lines).
+// Table I LLC: one clear of its tags and ages, 5 bytes per line over 589k
+// lines.
 func BenchmarkSetAssocReset(b *testing.B) {
 	c := NewSetAssoc("LLC", 36<<20, 12)
 	for i := uint64(0); i < 589_824; i++ {

@@ -72,54 +72,42 @@ type Victim struct {
 	Merged bool // true when the line was already present (update in place)
 }
 
-// Generation-stamped words. Both a way's tag and its LRU stamp pack the
-// cache's generation counter (top 16 bits) over a 48-bit payload — the line
-// address for tags, a monotone touch counter for LRU. A way is valid exactly
-// when its tag's generation matches the cache's current one, so Reset only
-// has to bump the generation to invalidate every line in O(1).
-//
-// Stamping the LRU words with the generation as well makes victim selection
-// a single strict-< minimum scan with no validity test: any invalid way
-// carries 0 (never used, explicitly invalidated, or cleared by Reset),
-// which sorts below every live stamp, so invalid ways win eviction before
-// any valid way — exactly the first-invalid-then-LRU policy. Ties (only
-// ever between zero stamps) break toward the lowest way index. Generation 0
-// never becomes current, making a zero word permanently invalid.
+// Way metadata. A way's tag is line/sets + 1 for line = addr/64, so the set
+// (line % sets) and the tag come out of one fastdiv.DivMod, and tag 0 marks
+// an invalid way. A way's age byte holds its LRU age in bits 0-6 (0 when
+// invalid) and its dirty bit in bit 7. The byte after a set's last way is
+// the set's clock: the highest age handed out in the set.
 const (
-	genShift = 48
-	addrMask = uint64(1)<<genShift - 1
-	maxGen   = uint64(1) << (64 - genShift)
+	dirtyBit = 0x80
+	ageMask  = 0x7f
+	// maxAge is the clock value at which a set's ages are renumbered.
+	maxAge = ageMask
+	// maxTag bounds line/sets: tags are exact while line/sets+1 < 2^32.
+	maxTag = 1<<32 - 1
 )
 
-// SetAssoc is a single set-associative cache array.
+// SetAssoc is a single set-associative cache array. It keys a line by
+// addr/64, so callers pass line-aligned addresses.
 //
-// Storage is struct-of-arrays: the hot lookup path scans only the packed
-// tag array (one 8-byte word per way) guided by a one-entry last-hit filter
-// and a per-set MRU hint, while the dirtiness state and LRU stamps live in
-// side arrays touched only on hits and replacements.
+// Each way costs 5 bytes, stored set by set: a 4-byte tag in tags and an
+// age byte in ages, which has one extra byte per set for the set's clock. A
+// touch sets the way's age to clock+1, so the ages of a set's valid ways are
+// distinct and order them by last use. The victim is the allowed way with
+// the lowest age, the lowest index on a tie: an invalid way (age 0) first,
+// else the least recently used. Replacement only ever compares ages within
+// one set, so a per-set clock picks the same victims as one global counter.
+// When a clock reaches maxAge, renumber compacts the set's ages to 1..n in
+// the same order; with at most 32 ways that happens at most once per 95
+// touches of the set.
 type SetAssoc struct {
-	// Hot fields first, packed so the last-hit fast path (genBase, lastKey,
-	// stamp, lastLRU, hits) shares as few cache lines as possible.
-	genBase uint64  // current generation, pre-shifted: gen<<48
-	lastKey uint64  // tag word of the most recent hit, 0 when unset
-	stamp   uint64  // gen<<48 | touch count; copied into lru on touch
-	lastLRU *uint64 // &lru[lastIdx], kept in sync with lastKey
-	lastSt  *State  // &states[lastIdx], kept in sync with lastKey
-	hits    uint64
-	misses  uint64
-	lastIdx int32 // way-array index behind lastKey
-	ways    int
-	setDiv  fastdiv.Divisor // strength-reduced (addr/64) % sets
-
-	tags   []uint64 // per way: gen<<48 | addr, 0 when invalid
-	lru    []uint64 // per way: gen<<48 | touch count, 0 when invalidated
-	states []State  // per way: Clean/Dirty, meaningful only when valid
-	mru    []uint8  // per set: most-recently-hit way, probed before the scan
-
-	sets     int
-	fullMask WayMask // MaskAll(ways), the unrestricted insert mask
-
-	name string
+	tags   []uint32 // ways words per set: line/sets+1, 0 when invalid
+	ages   []uint8  // ways+1 bytes per set: age|dirty per way, then the clock
+	setDiv fastdiv.Divisor
+	ways   int
+	hits   uint64
+	misses uint64
+	sets   int
+	name   string
 }
 
 // NewSetAssoc builds a cache of the given capacity and associativity. The
@@ -137,22 +125,14 @@ func NewSetAssoc(name string, capacityBytes uint64, ways int) *SetAssoc {
 			name, capacityBytes, ways))
 	}
 	sets := int(nLines / uint64(ways))
-	c := &SetAssoc{
-		name:     name,
-		sets:     sets,
-		ways:     ways,
-		setDiv:   fastdiv.New(uint64(sets)),
-		genBase:  1 << genShift,
-		stamp:    1 << genShift,
-		fullMask: MaskAll(ways),
-		tags:     make([]uint64, sets*ways),
-		lru:      make([]uint64, sets*ways),
-		states:   make([]State, sets*ways),
-		mru:      make([]uint8, sets),
+	return &SetAssoc{
+		name:   name,
+		sets:   sets,
+		ways:   ways,
+		setDiv: fastdiv.New(uint64(sets)),
+		tags:   make([]uint32, sets*ways),
+		ages:   make([]uint8, sets*(ways+1)),
 	}
-	c.lastLRU = &c.lru[0]
-	c.lastSt = &c.states[0]
-	return c
 }
 
 // Name returns the cache's label.
@@ -183,155 +163,118 @@ func (c *SetAssoc) MissRatio() float64 {
 }
 
 // Reset invalidates every line and zeroes the statistics, returning the
-// cache to its just-constructed observable state. The generation bump makes
-// every tag word (and the last-hit filter) stale in O(1); the LRU stamps are
-// cleared with one memclr. Clearing the stamps is not optional: stale stamps
-// sort below every current-generation stamp, so they would still lose to
-// valid lines, but they are *distinct*, so the order in which empty ways
-// fill after a Reset would follow the previous run's touch pattern instead
-// of the lowest-index-first order of a fresh cache — and way masks (DDIO,
-// tenant partitions) make that placement observable. Zeroed stamps restore
-// the fresh tie-break exactly, and a memclr over the stamp array is still
-// far cheaper than reallocating the whole cache (pooled machines recycle a
-// 589k-line LLC between probes). Stale MRU hints are harmless — a hint only
-// short-circuits the scan on an exact current-generation tag match.
+// cache to its just-constructed state. Zeroed ages matter as much as zeroed
+// tags: empty ways then fill lowest index first, as in a fresh cache, and
+// way masks (DDIO, tenant partitions) make that placement observable.
 func (c *SetAssoc) Reset() {
-	c.genBase += 1 << genShift
-	if c.genBase == 0 {
-		// Generation space exhausted (the pre-shifted counter wrapped):
-		// take the rare O(capacity) tag clear so words from 65535 resets
-		// ago cannot alias the wrapped generation.
-		for i := range c.tags {
-			c.tags[i] = 0
-		}
-		c.genBase = 1 << genShift
-	}
-	for i := range c.lru {
-		c.lru[i] = 0
-	}
-	c.stamp = c.genBase
-	c.lastKey = 0
+	clear(c.tags)
+	clear(c.ages)
 	c.hits, c.misses = 0, 0
 }
 
-// key packs a line address into its current-generation tag word.
-func (c *SetAssoc) key(a uint64) uint64 {
-	return c.genBase | a
+// locate returns the set of line a and the tag it carries there, or tag 0
+// when a lies beyond the tag space.
+func (c *SetAssoc) locate(a uint64) (s int, tag uint32) {
+	q, r := c.setDiv.DivMod(a / lineBytes)
+	if q >= maxTag {
+		return int(r), 0
+	}
+	return int(r), uint32(q) + 1
 }
 
-func (c *SetAssoc) setIndex(a uint64) int {
-	return int(c.setDiv.Mod(a / lineBytes))
+// tagSpace returns the first address beyond the tag space.
+func (c *SetAssoc) tagSpace() uint64 {
+	return maxTag * uint64(c.sets) * lineBytes
 }
 
-// setLast points the one-entry last-hit filter at way-array index i.
-func (c *SetAssoc) setLast(key uint64, i int) {
-	c.lastKey = key
-	c.lastIdx = int32(i)
-	c.lastLRU = &c.lru[i]
-	c.lastSt = &c.states[i]
+// addrOf returns the address of the line stored in set s with tag t.
+func (c *SetAssoc) addrOf(s int, t uint32) uint64 {
+	return (uint64(t-1)*uint64(c.sets) + uint64(s)) * lineBytes
 }
 
-// scan searches set s for the tag word key, updating the set's MRU hint and
-// the last-hit filter on a match. It returns the way-array index or -1. The
-// caller has already tried the faster paths.
-func (c *SetAssoc) scan(s int, key uint64) int {
-	base := s * c.ways
-	for w, t := range c.tags[base : base+c.ways] {
-		if t == key {
-			c.mru[s] = uint8(w)
-			c.setLast(key, base+w)
-			return base + w
+// set returns set s's tags and its age bytes, clock included.
+func (c *SetAssoc) set(s int) (tags []uint32, ages []uint8) {
+	w := c.ways
+	return c.tags[s*w : s*w+w], c.ages[s*(w+1) : s*(w+1)+w+1]
+}
+
+// find returns the set of line a and the way holding it, or way -1.
+func (c *SetAssoc) find(a uint64) (s, w int) {
+	s, tag := c.locate(a)
+	if tag != 0 {
+		for i, t := range c.tags[s*c.ways : s*c.ways+c.ways] {
+			if t == tag {
+				return s, i
+			}
 		}
 	}
-	return -1
+	return s, -1
 }
 
-// find returns the way-array index holding line a, or -1. It touches only
-// the tag array: validity is implied by the generation bits of the match.
-// Hits are highly repetitive (poll loops re-touch the same lines), so the
-// one-entry last-hit filter and the per-set MRU way are probed before the
-// scan.
-func (c *SetAssoc) find(a uint64) int {
-	key := c.genBase | a
-	if key == c.lastKey {
-		return int(c.lastIdx)
+// touch makes way w its set's most recently used, keeping its dirty bit.
+// ages is the set's age bytes, clock last. It reports whether the clock
+// reached maxAge, when the caller must renumber the set; leaving that call
+// to the caller keeps touch small enough to inline.
+func touch(ages []uint8, w int) (full bool) {
+	n := len(ages) - 1
+	clk := ages[n] + 1
+	ages[w] = ages[w]&dirtyBit | clk
+	ages[n] = clk
+	return clk == maxAge
+}
+
+// renumber compacts a set's valid ages to 1..n, keeping their order, and
+// sets the clock to n.
+func renumber(ages []uint8) {
+	n := len(ages) - 1
+	var rank [32]uint8
+	valid := uint8(0)
+	for w, x := range ages[:n] {
+		if x&ageMask == 0 {
+			continue
+		}
+		valid++
+		rank[w] = 1
+		for _, y := range ages[:n] {
+			if y&ageMask != 0 && y&ageMask < x&ageMask {
+				rank[w]++
+			}
+		}
 	}
-	s := c.setIndex(a)
-	if h := s*c.ways + int(c.mru[s]); c.tags[h] == key {
-		return h
+	for w, r := range rank[:n] {
+		if r != 0 {
+			ages[w] = ages[w]&dirtyBit | r
+		}
 	}
-	return c.scan(s, key)
+	ages[n] = valid
+}
+
+// stateOf decodes a valid way's age byte.
+func stateOf(age uint8) State {
+	return Clean + State(age>>7)
 }
 
 // Lookup probes for the line, updating LRU and hit/miss statistics. It
 // returns the line's state (Invalid on miss).
 func (c *SetAssoc) Lookup(a uint64) State {
-	c.stamp++
-	key := c.genBase | a
-	// Last-hit fast path, duplicated from find so the common repeated hit
-	// runs without an extra call frame or the set-index computation.
-	if key == c.lastKey {
-		*c.lastLRU = c.stamp
-		c.hits++
-		return *c.lastSt
+	s, w := c.find(a)
+	if w < 0 {
+		c.misses++
+		return Invalid
 	}
-	return c.lookupSlow(a, key)
-}
-
-func (c *SetAssoc) lookupSlow(a, key uint64) State {
-	s := c.setIndex(a)
-	if h := s*c.ways + int(c.mru[s]); c.tags[h] == key {
-		c.setLast(key, h)
-		c.lru[h] = c.stamp
-		c.hits++
-		return c.states[h]
-	}
-	if i := c.scan(s, key); i >= 0 {
-		c.lru[i] = c.stamp
-		c.hits++
-		return c.states[i]
-	}
-	c.misses++
-	return Invalid
-}
-
-// lookupFast is the last-hit-filter half of Lookup, small enough for the
-// compiler to inline into the Hierarchy entry points so the dominant
-// repeated-hit case pays no call overhead. It reports only presence — the
-// callers that need it never use the state — keeping the inlined body
-// minimal. On a filter miss it reports false without recording anything;
-// the caller falls back to the full Lookup (the stamp gap this can leave is
-// harmless — only the relative order of LRU stamps matters, and it is
-// preserved).
-func (c *SetAssoc) lookupFast(a uint64) bool {
-	key := c.genBase | a
-	if key != c.lastKey {
-		return false
-	}
-	c.stamp++
-	*c.lastLRU = c.stamp
 	c.hits++
-	return true
-}
-
-// setDirtyFast is the last-hit-filter half of SetDirty, inlined into the
-// Hierarchy write paths; ok=false means the caller must run the full
-// SetDirty.
-func (c *SetAssoc) setDirtyFast(a uint64) (ok bool) {
-	key := c.genBase | a
-	if key != c.lastKey {
-		return false
+	_, ages := c.set(s)
+	if touch(ages, w) {
+		renumber(ages)
 	}
-	c.stamp++
-	*c.lastSt = Dirty
-	*c.lastLRU = c.stamp
-	return true
+	return stateOf(ages[w])
 }
 
 // Peek probes without touching LRU or statistics.
 func (c *SetAssoc) Peek(a uint64) State {
-	if i := c.find(a); i >= 0 {
-		return c.states[i]
+	if s, w := c.find(a); w >= 0 {
+		_, ages := c.set(s)
+		return stateOf(ages[w])
 	}
 	return Invalid
 }
@@ -339,141 +282,83 @@ func (c *SetAssoc) Peek(a uint64) State {
 // SetDirty marks a present line dirty (a write hit). It reports whether the
 // line was present.
 func (c *SetAssoc) SetDirty(a uint64) bool {
-	c.stamp++
-	key := c.genBase | a
-	if key == c.lastKey {
-		*c.lastSt = Dirty
-		*c.lastLRU = c.stamp
-		return true
+	s, w := c.find(a)
+	if w < 0 {
+		return false
 	}
-	if i := c.find(a); i >= 0 {
-		c.states[i] = Dirty
-		c.lru[i] = c.stamp
-		return true
+	_, ages := c.set(s)
+	ages[w] |= dirtyBit
+	if touch(ages, w) {
+		renumber(ages)
 	}
-	return false
+	return true
 }
 
 // Insert places the line into the cache with the given dirtiness. If the
 // line is already present it is updated in place (dirty state is OR-ed, LRU
 // refreshed) regardless of mask. Otherwise the LRU way among those allowed
 // by mask is replaced and returned as the victim. A zero mask panics: the
-// caller must always allow at least one way.
+// caller must always allow at least one way. So does an address beyond the
+// tag space, 2^32-1 lines per set.
 func (c *SetAssoc) Insert(a uint64, dirty bool, mask WayMask) Victim {
-	if a > addrMask {
-		panic(fmt.Sprintf("cache %s: address %#x exceeds the %d-bit tag space",
-			c.name, a, genShift))
+	s, tag := c.locate(a)
+	if tag == 0 {
+		panic(fmt.Sprintf("cache %s: address %#x is beyond the tag space, which ends at %#x",
+			c.name, a, c.tagSpace()))
 	}
-	c.stamp++
-	key := c.genBase | a
-
-	// Merge probe, filter level only: the set scan below covers the rest.
-	if key == c.lastKey {
-		i := int(c.lastIdx)
-		if dirty {
-			c.states[i] = Dirty
-		}
-		c.lru[i] = c.stamp
-		return Victim{Merged: true}
+	var d uint8
+	if dirty {
+		d = dirtyBit
 	}
-	s := c.setIndex(a)
-	base := s * c.ways
-
-	// One pass over the set resolves the remaining merge probe and the
-	// victim choice together (tags are unique per set, so at most one way
-	// can match). The victim is the plain minimum over the set's
-	// generation-stamped LRU words: see the encoding comment above — invalid
-	// ways sort first, so no validity test is needed in the loop.
-	victimIdx := -1
-	if mask == c.fullMask {
-		tset := c.tags[base : base+c.ways]
-		lset := c.lru[base : base+c.ways : base+c.ways]
-		// oldest starts above any encodable stamp (gen and count never
-		// saturate), so the w==0 iteration always seeds the minimum.
-		v, oldest := 0, ^uint64(0)
-		for w, t := range tset {
-			if t == key {
-				i := base + w
-				if dirty {
-					c.states[i] = Dirty
-				}
-				c.lru[i] = c.stamp
-				c.mru[s] = uint8(w)
-				return Victim{Merged: true}
+	tags, ages := c.set(s)
+	// One pass over the set resolves the merge probe and the victim choice
+	// together: tags are unique per set, so at most one way can match.
+	v, oldest := -1, uint8(dirtyBit) // above every age
+	for w, t := range tags {
+		if t == tag {
+			ages[w] |= d
+			if touch(ages, w) {
+				renumber(ages)
 			}
-			if x := lset[w]; x < oldest {
-				oldest = x
-				v = w
-			}
-		}
-		victimIdx = base + v
-	} else {
-		if i := c.scan(s, key); i >= 0 {
-			if dirty {
-				c.states[i] = Dirty
-			}
-			c.lru[i] = c.stamp
 			return Victim{Merged: true}
 		}
-		var oldest uint64
-		for w, x := range c.lru[base : base+c.ways] {
-			if mask&(1<<uint(w)) == 0 {
-				continue
-			}
-			if victimIdx == -1 || x < oldest {
-				victimIdx = base + w
-				oldest = x
-			}
-		}
-		if victimIdx == -1 {
-			if mask == 0 {
-				panic(fmt.Sprintf("cache %s: insert with empty way mask", c.name))
-			}
-			panic(fmt.Sprintf("cache %s: way mask %#x selects no ways of %d",
-				c.name, mask, c.ways))
+		if x := ages[w] & ageMask; x < oldest && mask&(1<<uint(w)) != 0 {
+			v, oldest = w, x
 		}
 	}
-
-	v := Victim{}
-	if c.tags[victimIdx]&^addrMask == c.genBase {
-		v = Victim{
-			Addr:  c.tags[victimIdx] & addrMask,
-			Dirty: c.states[victimIdx] == Dirty,
-			Valid: true,
+	if v < 0 {
+		if mask == 0 {
+			panic(fmt.Sprintf("cache %s: insert with empty way mask", c.name))
 		}
+		panic(fmt.Sprintf("cache %s: way mask %#x selects no ways of %d",
+			c.name, mask, c.ways))
 	}
-	st := Clean
-	if dirty {
-		st = Dirty
+	var out Victim
+	if t := tags[v]; t != 0 {
+		out = Victim{Addr: c.addrOf(s, t), Dirty: ages[v]&dirtyBit != 0, Valid: true}
 	}
-	if int32(victimIdx) == c.lastIdx {
-		c.lastKey = 0 // the filter's way now holds a different line
+	tags[v] = tag
+	ages[v] = d
+	if touch(ages, v) {
+		renumber(ages)
 	}
-	c.tags[victimIdx] = key
-	c.states[victimIdx] = st
-	c.lru[victimIdx] = c.stamp
-	c.mru[s] = uint8(victimIdx - base)
-	return v
+	return out
 }
 
-// drop invalidates way-array index i, keeping the last-hit filter and the
-// LRU encoding (zero stamp sorts first) consistent.
-func (c *SetAssoc) drop(i int) {
-	c.tags[i] = 0
-	c.lru[i] = 0
-	if int32(i) == c.lastIdx {
-		c.lastKey = 0
-	}
+// drop invalidates way w of set s and returns its state before the drop.
+func (c *SetAssoc) drop(s, w int) State {
+	tags, ages := c.set(s)
+	st := stateOf(ages[w])
+	tags[w], ages[w] = 0, 0
+	return st
 }
 
 // Invalidate drops the line without any writeback (the hardware primitive
 // behind both DMA invalidations and Sweeper's sweep message). It reports
 // whether a line was present and whether it was dirty.
 func (c *SetAssoc) Invalidate(a uint64) (present, dirty bool) {
-	if i := c.find(a); i >= 0 {
-		dirty = c.states[i] == Dirty
-		c.drop(i)
-		return true, dirty
+	if s, w := c.find(a); w >= 0 {
+		return true, c.drop(s, w) == Dirty
 	}
 	return false, false
 }
@@ -482,9 +367,10 @@ func (c *SetAssoc) Invalidate(a uint64) (present, dirty bool) {
 // behaviour after its writeback has been issued). It reports presence and
 // whether the line had been dirty.
 func (c *SetAssoc) MakeClean(a uint64) (present, wasDirty bool) {
-	if i := c.find(a); i >= 0 {
-		wasDirty = c.states[i] == Dirty
-		c.states[i] = Clean
+	if s, w := c.find(a); w >= 0 {
+		_, ages := c.set(s)
+		wasDirty = ages[w]&dirtyBit != 0
+		ages[w] &^= dirtyBit
 		return true, wasDirty
 	}
 	return false, false
@@ -493,25 +379,18 @@ func (c *SetAssoc) MakeClean(a uint64) (present, wasDirty bool) {
 // Extract removes the line, returning its state before removal. Used when a
 // line migrates between levels carrying its dirtiness with it.
 func (c *SetAssoc) Extract(a uint64) State {
-	if i := c.find(a); i >= 0 {
-		st := c.states[i]
-		c.drop(i)
-		return st
+	if s, w := c.find(a); w >= 0 {
+		return c.drop(s, w)
 	}
 	return Invalid
-}
-
-// valid reports whether way-array index i holds a current-generation line.
-func (c *SetAssoc) valid(i int) bool {
-	return c.tags[i]&^addrMask == c.genBase
 }
 
 // OccupancyByClass counts valid lines for which classify returns true, for
 // occupancy studies and tests.
 func (c *SetAssoc) OccupancyByClass(classify func(addr uint64) bool) int {
 	n := 0
-	for i := range c.tags {
-		if c.valid(i) && classify(c.tags[i]&addrMask) {
+	for i, t := range c.tags {
+		if t != 0 && classify(c.addrOf(i/c.ways, t)) {
 			n++
 		}
 	}
@@ -521,37 +400,51 @@ func (c *SetAssoc) OccupancyByClass(classify func(addr uint64) bool) int {
 // ValidLines returns the number of non-invalid lines.
 func (c *SetAssoc) ValidLines() int {
 	n := 0
-	for i := range c.tags {
-		if c.valid(i) {
+	for _, t := range c.tags {
+		if t != 0 {
 			n++
 		}
 	}
 	return n
 }
 
-// checkSetInvariant verifies no duplicate tags within a set; used by tests.
-// One scratch buffer serves every set: with at most 32 ways a linear scan
-// beats a per-set map allocation.
+// checkSetInvariant verifies, set by set, that an invalid way has tag 0 and
+// age 0, that valid ages are distinct, non-zero and at most the set's clock,
+// that no line appears twice, and that every tag maps back to its own set.
+// With at most 32 ways a pairwise scan beats a per-set map allocation.
 func (c *SetAssoc) checkSetInvariant() error {
-	var scratch [32]uint64
 	for s := 0; s < c.sets; s++ {
-		base := s * c.ways
-		seen := scratch[:0]
-		for w := 0; w < c.ways; w++ {
-			if !c.valid(base + w) {
+		tags, ages := c.set(s)
+		clk := ages[c.ways]
+		if clk >= maxAge {
+			return fmt.Errorf("cache %s: set %d clock %d not below %d", c.name, s, clk, maxAge)
+		}
+		for w, t := range tags {
+			x := ages[w]
+			if t == 0 {
+				if x != 0 {
+					return fmt.Errorf("cache %s: invalid way %d of set %d has age byte %#x",
+						c.name, w, s, x)
+				}
 				continue
 			}
-			a := c.tags[base+w] & addrMask
-			for _, prev := range seen {
-				if prev == a {
-					return fmt.Errorf("cache %s: duplicate line %#x in set %d",
-						c.name, a, s)
-				}
+			a := c.addrOf(s, t)
+			if age := x & ageMask; age == 0 || age > clk {
+				return fmt.Errorf("cache %s: line %#x in set %d has age %d, clock %d",
+					c.name, a, s, age, clk)
 			}
-			seen = append(seen, a)
-			if c.setIndex(a) != s {
-				return fmt.Errorf("cache %s: line %#x in wrong set %d",
-					c.name, a, s)
+			if s2, t2 := c.locate(a); s2 != s || t2 != t {
+				return fmt.Errorf("cache %s: tag %#x in set %d maps to set %d tag %#x",
+					c.name, t, s, s2, t2)
+			}
+			for w2 := w + 1; w2 < c.ways; w2++ {
+				if tags[w2] == t {
+					return fmt.Errorf("cache %s: duplicate line %#x in set %d", c.name, a, s)
+				}
+				if tags[w2] != 0 && ages[w2]&ageMask == x&ageMask {
+					return fmt.Errorf("cache %s: ways %d and %d of set %d share age %d",
+						c.name, w, w2, s, x&ageMask)
+				}
 			}
 		}
 	}

@@ -257,13 +257,13 @@ func geometryOf(cfg Config) geometry {
 }
 
 // Reset returns a used machine to the state New(cfg) would produce, reusing
-// every geometry-sized allocation: the engine's event slab, the cache arrays
-// (~15MB for Table I), DRAM channel state, ring storage and the workload's
-// per-key arrays. The new configuration must have the same geometry as the
-// one the machine was built with (same core counts, ring shapes, cache and
-// DRAM sizing); non-geometric knobs — seeds, rates, modes, way masks,
-// Sweeper settings — may differ freely. Reset-then-Run is bit-identical to
-// fresh-build-then-Run.
+// every geometry-sized allocation: the engine's event slab, the cache
+// metadata (5.6MB for Table I), DRAM channel state, ring storage and the
+// workload's per-key arrays. The new configuration must have the same
+// geometry as the one the machine was built with (same core counts, ring
+// shapes, cache and DRAM sizing); non-geometric knobs — seeds, rates, modes,
+// way masks, Sweeper settings — may differ freely. Reset-then-Run is
+// bit-identical to fresh-build-then-Run.
 func (m *Machine) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err

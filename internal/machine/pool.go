@@ -8,9 +8,10 @@ import (
 // Pool recycles machines across runs. Building a Table I machine allocates
 // tens of megabytes (cache arrays, the engine's event slab, the KVS key
 // tables), and a figure sweep's peak search builds ~20 machines per
-// configuration; pooling replaces that churn with O(1) generation-bump
-// resets. Machines are keyed by allocation geometry, so a pool can serve a
-// sweep that varies rates, seeds, modes and Sweeper settings over one shape.
+// configuration; pooling replaces that churn with in-place resets, which
+// clear the caches' 5.6MB of metadata (Table I) instead of reallocating it.
+// Machines are keyed by allocation geometry, so a pool can serve a sweep
+// that varies rates, seeds, modes and Sweeper settings over one shape.
 //
 // Pool is safe for concurrent use by the parallel experiment driver. Reset
 // guarantees a recycled machine runs bit-identically to a fresh one; see

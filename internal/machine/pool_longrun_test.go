@@ -27,8 +27,8 @@ func fig6Cfg(rate float64) Config {
 }
 
 // TestPooledWayMaskedLLCBitIdentical is a regression test for a subtle
-// recycle leak: if SetAssoc.Reset leaves the previous run's LRU stamps in
-// place, empty ways refill in stamp order rather than lowest-index-first,
+// recycle leak: if SetAssoc.Reset leaves the previous run's LRU ages in
+// place, empty ways refill in age order rather than lowest-index-first,
 // and a masked NIC insertion then evicts different lines than it would on a
 // fresh machine. The effect only accumulates over long windows (short runs
 // never recycle enough of the LLC), so this test runs full quick-scale

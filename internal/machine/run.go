@@ -204,8 +204,8 @@ func (m *Machine) EndWindow(measure uint64) Results {
 }
 
 // finishRun closes out a run: the sampler's final sample and the debug
-// build's end-of-run structural check (set mapping and tag uniqueness across
-// every cache level).
+// build's end-of-run structural check of every cache level
+// (Hierarchy.CheckInvariants).
 func (m *Machine) finishRun() {
 	if m.sampler != nil {
 		m.sampler.Finish(m.eng.Now())

@@ -81,6 +81,7 @@ func TestResetMatchesFresh(t *testing.T) {
 func BenchmarkDDR4MapAddr(b *testing.B) {
 	m := New(DefaultConfig())
 	var sink int
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ch, bk, row := m.mapAddr(uint64(i) * 4096)
 		sink += ch + bk + int(row)
