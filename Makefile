@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race perfbench-test bench bench-engine bench-mem bench-smoke bench-e2e check results obs-smoke traffic-smoke tiers-smoke golden-slow test-debug
+.PHONY: all build test vet lint race perfbench-test bench bench-engine bench-mem bench-smoke bench-e2e check results obs-smoke golden-slow test-debug
 
 all: check
 
@@ -61,7 +61,7 @@ bench-e2e:
 
 bench: bench-engine bench-mem bench-e2e
 
-check: build vet lint test race perfbench-test bench-engine bench-smoke traffic-smoke tiers-smoke
+check: build vet lint test race perfbench-test bench-engine bench-smoke obs-smoke
 
 # Observability smoke: drive the CLI with every exporter enabled against the
 # kvs scenario, then validate the artifacts (CSV/JSON structure) in-process.
@@ -72,34 +72,6 @@ obs-smoke:
 		-metrics artifacts/metrics.csv -trace artifacts/trace.json \
 		-manifest artifacts/manifest.json
 	SWEEPER_OBS_DIR=$(CURDIR)/artifacts $(GO) test ./internal/obs -run TestObsSmoke -count=1 -v
-
-# Traffic smoke: drive bursty MMPP arrivals through the CLI and validate the
-# manifest in-process, then drive the shipped bursty-MMPP scenario
-# end-to-end.
-traffic-smoke:
-	mkdir -p artifacts
-	$(GO) run ./cmd/sweepersim -arrival mmpp -arrival-burst-ratio 4 \
-		-warmup 300000 -measure 200000 \
-		-manifest artifacts/traffic_manifest.json
-	SWEEPER_TRAFFIC_MANIFEST=$(CURDIR)/artifacts/traffic_manifest.json \
-		$(GO) test ./internal/machine -run TestTrafficManifestSmoke -count=1 -v
-	$(GO) run ./cmd/sweepersim -scenario examples/scenarios/mmpp.json \
-		-warmup 300000 -measure 200000
-
-# Hybrid-tier smoke: drive the CLI's tier and invalidation-instruction flags
-# (hot-page placement, SIMF bulk invalidation) with the manifest exporter on,
-# validate the manifest (tier config, counters, mem.tier1.* metrics)
-# in-process, then run the shipped tiers scenario end-to-end.
-tiers-smoke:
-	mkdir -p artifacts
-	$(GO) run ./cmd/sweepersim -sweeper -invalidate-insn simf \
-		-mem-tier hotpage -mem-tier-split 16777216 \
-		-warmup 300000 -measure 200000 \
-		-manifest artifacts/tiers_manifest.json
-	SWEEPER_TIERS_MANIFEST=$(CURDIR)/artifacts/tiers_manifest.json \
-		$(GO) test ./internal/machine -run TestTiersManifestSmoke -count=1 -v
-	$(GO) run ./cmd/sweepersim -scenario examples/scenarios/tiers.json \
-		-warmup 300000 -measure 200000
 
 # Slow golden gate: byte-compares regenerated fig1a-c and fig8a-b CSVs
 # against results/. 78 peak searches (~12 min single-core), so it is opt-in

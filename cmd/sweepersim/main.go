@@ -22,7 +22,6 @@ import (
 
 	"sweeper/internal/core"
 	"sweeper/internal/machine"
-	"sweeper/internal/mem"
 	"sweeper/internal/nic"
 	"sweeper/internal/obs"
 	"sweeper/internal/prof"
@@ -56,22 +55,11 @@ func run(args []string) (err error) {
 		packet       = fs.Uint64("packet", 1024, "packet/item size in bytes")
 		rate         = fs.Float64("rate", 20, "offered load in Mrps (open loop)")
 		queued       = fs.Int("queued", 0, "closed loop: keep D packets queued per core (overrides -rate)")
-		arrival      = fs.String("arrival", "", "open-loop arrival process: "+strings.Join(nic.ArrivalNames(), ", ")+" (empty = poisson)")
-		burstRatio   = fs.Float64("arrival-burst-ratio", 0, "MMPP on/off rate ratio (0 = default 8)")
-		burstDwell   = fs.Uint64("arrival-burst-dwell", 0, "MMPP mean state dwell in cycles (0 = default 131072)")
 		cores        = fs.Int("cores", 24, "networked cores")
 		xmem         = fs.Int("xmem", 0, "collocated X-Mem cores")
 		channels     = fs.Int("channels", 4, "DDR4 channels")
 		sweeperOn    = fs.Bool("sweeper", false, "enable Sweeper RX relinquish")
 		sweepTX      = fs.Bool("sweep-tx", false, "enable NIC-driven TX sweeping (§V-D)")
-		insn         = fs.String("invalidate-insn", "", "relinquish instruction: "+strings.Join(core.InsnNames(), ", ")+" (empty = clsweep)")
-		simfBatch    = fs.Int("simf-batch", 0, "simf: lines invalidated per batch (0 = default 64)")
-		simfSetup    = fs.Int("simf-setup", 0, "simf: fixed setup cycles per bulk flush")
-		tierPolicy   = fs.String("mem-tier", "", "hybrid memory placement policy: "+strings.Join(mem.TierPolicies(), ", ")+" (empty = DRAM only)")
-		tierSplit    = fs.Uint64("mem-tier-split", 0, "hybrid memory: app-heap bytes kept on DRAM (0 = whole heap on tier 1)")
-		tierReadLat  = fs.Uint64("mem-tier-read-lat", 0, "hybrid memory: tier-1 read latency in cycles (0 = default 300)")
-		tierWriteLat = fs.Uint64("mem-tier-write-lat", 0, "hybrid memory: tier-1 write latency in cycles (0 = default 1000)")
-		tierBW       = fs.Float64("mem-tier-bw", 0, "hybrid memory: tier-1 bandwidth ceiling in GB/s (0 = default 16)")
 		warmup       = fs.Uint64("warmup", 400_000, "warmup cycles")
 		measure      = fs.Uint64("measure", 800_000, "measurement cycles")
 		seed         = fs.Int64("seed", 1, "random seed")
@@ -117,34 +105,12 @@ func run(args []string) (err error) {
 	cfg.ItemBytes = *packet
 	cfg.OfferedMrps = *rate
 	cfg.ClosedLoopDepth = *queued
-	cfg.Arrival = nic.ArrivalConfig{
-		Process:          *arrival,
-		BurstRatio:       *burstRatio,
-		BurstDwellCycles: *burstDwell,
-	}
 	cfg.Mem.Channels = *channels
 	cfg.Seed = *seed
 	if *txSlots > 0 {
 		cfg.TXSlots = *txSlots
 	}
 	cfg.Sweeper = core.Config{RXSweep: *sweeperOn, TXSweep: *sweepTX, IssueCyclesPerLine: 1}
-	cfg.Sweeper.Insn = *insn
-	cfg.Sweeper.SIMFBatchLines = *simfBatch
-	cfg.Sweeper.SIMFSetupCycles = *simfSetup
-	if *tierPolicy != "" {
-		tc := mem.DefaultTierConfig(*tierPolicy)
-		tc.DRAMBytes = *tierSplit
-		if *tierReadLat > 0 {
-			tc.ReadLatency = *tierReadLat
-		}
-		if *tierWriteLat > 0 {
-			tc.WriteLatency = *tierWriteLat
-		}
-		if *tierBW > 0 {
-			tc.BandwidthGBps = *tierBW
-		}
-		cfg.MemTier = tc
-	}
 	if *mlp > 0 {
 		cfg.MLPWidth = *mlp
 	}
@@ -209,7 +175,6 @@ func list(w *os.File) error {
 	fmt.Fprintf(w, "registered workloads:          %s\n", strings.Join(workload.Names(), ", "))
 	fmt.Fprintf(w, "registered arrival processes:  %s\n", strings.Join(nic.ArrivalNames(), ", "))
 	fmt.Fprintf(w, "invalidation instructions:     %s\n", strings.Join(core.InsnNames(), ", "))
-	fmt.Fprintf(w, "memory tier policies:          %s\n", strings.Join(mem.TierPolicies(), ", "))
 	return nil
 }
 
@@ -352,11 +317,8 @@ func printResults(cfg machine.Config, r machine.Results) {
 		fmt.Printf("  %-14s %7.3f\n", k, r.AccessesPerRequest[k])
 	}
 	if r.Sweeper.SweptLines > 0 {
-		fmt.Printf("sweeper: %d relinquishes, %d lines swept, %d dirty dropped, %d written back (%.2f GB/s saved)\n",
+		fmt.Printf("sweeper: %d relinquishes, %d lines swept, %d dirty dropped (%.2f GB/s saved)\n",
 			r.Sweeper.Relinquishes, r.Sweeper.SweptLines,
-			r.Sweeper.DroppedDirtyLines, r.Sweeper.WrittenBackLines, r.SweeperSavedGBps)
-	}
-	if r.Tier1Accesses > 0 {
-		fmt.Printf("tier1:           %d accesses, %.2f GB/s\n", r.Tier1Accesses, r.Tier1BWGBps)
+			r.Sweeper.DroppedDirtyLines, r.SweeperSavedGBps)
 	}
 }

@@ -125,11 +125,6 @@ func (s *Space) AllocApp(size uint64) uint64 {
 // End returns the first address beyond every allocated region.
 func (s *Space) End() uint64 { return s.cursor }
 
-// AppBase returns the first application-heap address — the boundary the
-// hybrid-memory static split is measured from. RX and TX rings live below it
-// and are always tier-0 resident (the NIC DMA-targets them).
-func (s *Space) AppBase() uint64 { return s.txEnd }
-
 // Classify maps a line address to its traffic class and, for network
 // buffers, the owning core (-1 for application data).
 func (s *Space) Classify(a uint64) (Class, int) {

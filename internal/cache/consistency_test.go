@@ -50,10 +50,8 @@ func TestWritebackConservation(t *testing.T) {
 			case 4, 5:
 				h.NICWriteDDIO(uint64(op), core, a)
 				dirtied[a]++
-			case 6:
+			case 6, 7:
 				h.Sweep(uint64(op), core, a)
-			case 7:
-				h.Flush(uint64(op), core, a)
 			case 8:
 				h.CLWB(uint64(op), core, a)
 			}
@@ -98,9 +96,9 @@ func TestSweeperSavesExactlyTheDirtyLines(t *testing.T) {
 }
 
 // TestInvalidateFamilyClosedLoop runs the same NIC-write/consume/relinquish
-// loop under each invalidation instruction and checks its defining property:
-// clsweep drops every dirty line with zero DRAM traffic, clflush writes back
-// exactly the dirty lines and evicts them, clwb writes back exactly the dirty
+// loop under the hierarchy's two invalidation primitives and checks each
+// one's defining property: clsweep drops every dirty line with zero DRAM
+// traffic, clwb (the page guard's primitive) writes back exactly the dirty
 // lines but leaves them cached clean.
 func TestInvalidateFamilyClosedLoop(t *testing.T) {
 	const lines = 300
@@ -136,19 +134,10 @@ func TestInvalidateFamilyClosedLoop(t *testing.T) {
 			t.Fatalf("%d writebacks despite sweeping", n)
 		}
 	})
-	t.Run("clflush", func(t *testing.T) {
-		h, sink := loop(t, func(h *Hierarchy, now, a uint64) bool { return h.Flush(now, 0, a) })
-		if ops, wbs := h.Flushes(); ops != lines || wbs != lines {
-			t.Fatalf("Flushes() = (%d, %d), want (%d, %d)", ops, wbs, lines, lines)
-		}
-		if n := total(sink); n != lines {
-			t.Fatalf("clflush wrote back %d lines, want %d", n, lines)
-		}
-	})
 	t.Run("clwb", func(t *testing.T) {
 		h, sink := loop(t, func(h *Hierarchy, now, a uint64) bool { return h.CLWB(now, 0, a) })
-		if ops, wbs := h.Flushes(); ops != lines || wbs != lines {
-			t.Fatalf("Flushes() = (%d, %d), want (%d, %d)", ops, wbs, lines, lines)
+		if ops, dropped := h.Sweeps(); ops != 0 || dropped != 0 {
+			t.Fatalf("Sweeps() = (%d, %d) after clwb only, want (0, 0)", ops, dropped)
 		}
 		if n := total(sink); n != lines {
 			t.Fatalf("clwb wrote back %d lines, want %d", n, lines)
@@ -189,7 +178,6 @@ func TestInvalidateFamilyClosedLoop(t *testing.T) {
 func TestInvalidateFamilyCleanLinesFree(t *testing.T) {
 	ops := map[string]func(h *Hierarchy, now, a uint64) bool{
 		"clsweep": func(h *Hierarchy, now, a uint64) bool { return h.Sweep(now, 0, a) },
-		"clflush": func(h *Hierarchy, now, a uint64) bool { return h.Flush(now, 0, a) },
 		"clwb":    func(h *Hierarchy, now, a uint64) bool { return h.CLWB(now, 0, a) },
 	}
 	for name, op := range ops {
@@ -212,12 +200,11 @@ func TestInvalidateFamilyCleanLinesFree(t *testing.T) {
 				t.Fatalf("writebacks charged for clean/absent lines: %v", sink.writebacks)
 			}
 			sweepOps, dropped := h.Sweeps()
-			flushOps, flushWBs := h.Flushes()
-			if dropped != 0 || flushWBs != 0 {
-				t.Fatalf("dirty-line counters inflated: dropped=%d flushWBs=%d", dropped, flushWBs)
+			if dropped != 0 {
+				t.Fatalf("dropped-dirty counter inflated: dropped=%d", dropped)
 			}
-			if sweepOps+flushOps != 2 {
-				t.Fatalf("op counters = %d sweeps + %d flushes, want 2 total", sweepOps, flushOps)
+			if want := map[string]uint64{"clsweep": 2, "clwb": 0}[name]; sweepOps != want {
+				t.Fatalf("sweep op counter = %d, want %d", sweepOps, want)
 			}
 		})
 	}

@@ -90,8 +90,6 @@ type Hierarchy struct {
 
 	sweeps     uint64
 	sweptDirty uint64
-	flushes    uint64
-	flushWBs   uint64
 
 	flow FlowStats
 }
@@ -152,7 +150,6 @@ func (h *Hierarchy) Reset() {
 	h.llc.Reset()
 	h.nicMask = MaskAll(h.cfg.LLCWays)
 	h.sweeps, h.sweptDirty = 0, 0
-	h.flushes, h.flushWBs = 0, 0
 	h.flow = FlowStats{}
 }
 
@@ -207,8 +204,6 @@ func (h *Hierarchy) RegisterMetrics(r *obs.Registry) {
 	r.Counter("llc.misses", h.llc.Misses)
 	r.Counter("llc.sweep_ops", func() uint64 { return h.sweeps })
 	r.Counter("llc.sweep_dropped_dirty", func() uint64 { return h.sweptDirty })
-	r.Counter("llc.flush_ops", func() uint64 { return h.flushes })
-	r.Counter("llc.flush_writebacks", func() uint64 { return h.flushWBs })
 	r.Gauge("llc.ddio_ways", func(uint64) float64 { return float64(h.nicMask.Count()) })
 }
 
@@ -219,12 +214,6 @@ func (h *Hierarchy) Flow() FlowStats { return h.flow }
 // lines they dropped (each dropped line is one 64B writeback avoided).
 func (h *Hierarchy) Sweeps() (ops, droppedDirty uint64) {
 	return h.sweeps, h.sweptDirty
-}
-
-// Flushes returns how many flush-class operations (clflush/clwb) were
-// executed and how many writebacks they issued.
-func (h *Hierarchy) Flushes() (ops, writebacks uint64) {
-	return h.flushes, h.flushWBs
 }
 
 // llcInsert places a line into the LLC under mask, writing back any dirty
@@ -438,36 +427,11 @@ func (h *Hierarchy) Sweep(now uint64, owner int, a uint64) bool {
 	return dropped
 }
 
-// Flush executes one clflush for line a: every copy in the hierarchy is
-// invalidated and a dirty copy is written back to memory first — the baseline
-// x86 semantics the paper contrasts clsweep against. A clean or absent line
-// is invalidated for free: no writeback is charged. It reports whether a
-// writeback was issued.
-func (h *Hierarchy) Flush(now uint64, owner int, a uint64) bool {
-	h.flushes++
-	dirty := false
-	if _, d := h.l1[owner].Invalidate(a); d {
-		dirty = true
-	}
-	if _, d := h.l2[owner].Invalidate(a); d {
-		dirty = true
-	}
-	if _, d := h.llc.Invalidate(a); d {
-		dirty = true
-	}
-	if dirty {
-		h.flushWBs++
-		h.sink.WritebackEvict(now, a)
-	}
-	return dirty
-}
-
 // CLWB writes line a back to DRAM if any level holds it dirty, leaving the
 // copies clean in place — the x86 CLWB semantics used by the paper's OS
 // page-recycling mitigation (§V-B). It reports whether a writeback was
 // issued.
 func (h *Hierarchy) CLWB(now uint64, owner int, a uint64) bool {
-	h.flushes++
 	dirty := false
 	if _, d := h.l1[owner].MakeClean(a); d {
 		dirty = true
@@ -479,7 +443,6 @@ func (h *Hierarchy) CLWB(now uint64, owner int, a uint64) bool {
 		dirty = true
 	}
 	if dirty {
-		h.flushWBs++
 		h.sink.WritebackEvict(now, a)
 	}
 	return dirty

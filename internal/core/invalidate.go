@@ -6,32 +6,16 @@ import (
 	"sweeper/internal/registry"
 )
 
-// This file generalizes the relinquish path from the hardwired clsweep
-// primitive into a name-keyed family of invalidation instructions, mirroring
-// the nic arrival-process registry: scenarios select the instruction by name
-// (`invalidate_insn` knob), and the registry supplies its per-line hardware
-// semantics, its core-visible issue-latency model and its knob validation.
-// ROADMAP item 4(b); the alternatives are grounded in the x86 CLFLUSH/CLWB
-// baselines the paper contrasts clsweep against (§V-B) and the SIMF paper's
-// single-instruction multiple-flush proposal (PAPERS.md).
+// This file keys the relinquish path's per-line primitive by name, mirroring
+// the nic arrival-process registry: Config.Insn selects the instruction, and
+// the registry supplies its per-line hardware semantics, its core-visible
+// issue-latency model and its knob validation. clsweep is the one shipped
+// instruction; the registry stays so harnesses can register instrumented
+// copies of it under names of their own.
 
-// Registered instruction names. InsnCLSweep is the default and preserves the
-// seed's exact semantics and accounting.
-const (
-	// InsnCLSweep drops every cached copy with no writeback — Sweeper's
-	// hardware primitive (§V-B).
-	InsnCLSweep = "clsweep"
-	// InsnCLFlush invalidates every copy but writes a dirty one back
-	// first — the baseline x86 semantics.
-	InsnCLFlush = "clflush"
-	// InsnCLWB writes a dirty copy back and leaves the copies clean in
-	// place, so the dead buffer keeps occupying cache until overwritten.
-	InsnCLWB = "clwb"
-	// InsnSIMF applies clflush semantics per line but issues them as
-	// SIMF-style bulk operations: one instruction covers a batch of lines,
-	// so the core-side cost is per batch, not per line.
-	InsnSIMF = "simf"
-)
+// InsnCLSweep drops every cached copy with no writeback — Sweeper's hardware
+// primitive (§V-B) and the default instruction.
+const InsnCLSweep = "clsweep"
 
 // InsnRegistration describes one invalidation instruction to the registry.
 type InsnRegistration struct {
@@ -77,36 +61,14 @@ func (c Config) insnName() string {
 	return c.Insn
 }
 
-// simfBatchLines resolves the lines-per-operation knob (default 64: one simf
-// covers a 4KB page worth of lines).
-func (c Config) simfBatchLines() uint64 {
-	if c.SIMFBatchLines == 0 {
-		return 64
-	}
-	return uint64(c.SIMFBatchLines)
-}
-
-// simfBatchCycles resolves the per-operation issue cost (default 16).
-func (c Config) simfBatchCycles() uint64 {
-	if c.SIMFBatchCycles == 0 {
-		return 16
-	}
-	return uint64(c.SIMFBatchCycles)
-}
-
 // Validate rejects configurations the registry cannot honor: unknown
-// instruction names and bad instruction knobs. machine.Config.Validate calls
-// it, so bad combinations fail before any simulation runs.
+// instruction names and knobs the instruction rejects.
+// machine.Config.Validate calls it, so bad combinations fail before any
+// simulation runs.
 func (c Config) Validate() error {
 	reg, err := insns.Get(c.insnName())
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
-	}
-	if c.SIMFBatchLines < 0 {
-		return fmt.Errorf("core: simf batch lines %d must be non-negative", c.SIMFBatchLines)
-	}
-	if c.SIMFBatchCycles < 0 {
-		return fmt.Errorf("core: simf batch cycles %d must be non-negative", c.SIMFBatchCycles)
 	}
 	if reg.Validate != nil {
 		return reg.Validate(c)
@@ -124,50 +86,15 @@ func mustInsn(cfg Config) *InsnRegistration {
 	return reg
 }
 
-// perLineCycles is the issue model shared by the per-line instructions:
-// one instruction per covered cache line.
-func perLineCycles(cfg Config, lines uint64) uint64 {
-	return lines * cfg.IssueCyclesPerLine
-}
-
-// flushLine is the per-line semantics shared by clflush and simf.
-func flushLine(hw Sweepable, now uint64, owner int, a uint64) (bool, bool) {
-	return false, hw.Flush(now, owner, a)
-}
-
 func init() {
 	RegisterInsn(InsnRegistration{
 		Name: InsnCLSweep,
 		Line: func(hw Sweepable, now uint64, owner int, a uint64) (bool, bool) {
 			return hw.Sweep(now, owner, a), false
 		},
-		IssueCycles: perLineCycles,
-	})
-	RegisterInsn(InsnRegistration{
-		Name:        InsnCLFlush,
-		Line:        flushLine,
-		IssueCycles: perLineCycles,
-	})
-	RegisterInsn(InsnRegistration{
-		Name: InsnCLWB,
-		Line: func(hw Sweepable, now uint64, owner int, a uint64) (bool, bool) {
-			return false, hw.CLWB(now, owner, a)
-		},
-		IssueCycles: perLineCycles,
-	})
-	RegisterInsn(InsnRegistration{
-		Name: InsnSIMF,
-		Line: flushLine,
+		// One clsweep per covered cache line.
 		IssueCycles: func(cfg Config, lines uint64) uint64 {
-			batch := cfg.simfBatchLines()
-			ops := (lines + batch - 1) / batch
-			return uint64(cfg.SIMFSetupCycles) + ops*cfg.simfBatchCycles()
-		},
-		Validate: func(cfg Config) error {
-			if cfg.SIMFSetupCycles < 0 {
-				return fmt.Errorf("core: simf setup cycles %d must be non-negative", cfg.SIMFSetupCycles)
-			}
-			return nil
+			return lines * cfg.IssueCyclesPerLine
 		},
 	})
 }

@@ -22,19 +22,12 @@ import (
 	"sweeper/internal/addr"
 )
 
-// Sweepable is the hardware side of the invalidation-instruction family.
-// The cache hierarchy implements it; the instruction registry (invalidate.go)
-// picks which hook a relinquish drives per line.
+// Sweepable is the hardware side of the relinquish path. The cache hierarchy
+// implements it; the instruction registry (invalidate.go) drives it per line.
 type Sweepable interface {
 	// Sweep invalidates every copy of the line with no writeback (clsweep
 	// §V-B), reporting whether a dirty copy was dropped.
 	Sweep(now uint64, owner int, a uint64) bool
-	// Flush invalidates every copy, writing a dirty one back first
-	// (clflush), reporting whether a writeback was issued.
-	Flush(now uint64, owner int, a uint64) bool
-	// CLWB writes a dirty copy back and leaves the copies clean in place,
-	// reporting whether a writeback was issued.
-	CLWB(now uint64, owner int, a uint64) bool
 }
 
 // Config selects which sweeping mechanisms are active.
@@ -58,13 +51,6 @@ type Config struct {
 	// from the registry in invalidate.go. Empty selects clsweep, the
 	// paper's primitive.
 	Insn string
-	// SIMFBatchLines is the number of lines one SIMF-style bulk flush
-	// covers (0 = 64); SIMFBatchCycles its per-operation issue cost
-	// (0 = 16); SIMFSetupCycles a fixed cost per relinquish. Only the
-	// simf instruction reads them.
-	SIMFBatchLines  int
-	SIMFBatchCycles int
-	SIMFSetupCycles int
 }
 
 // DefaultConfig enables RX sweeping with a 1-cycle clsweep issue cost.
@@ -215,7 +201,9 @@ type Stats struct {
 	// each is 64 bytes of DRAM write bandwidth conserved.
 	DroppedDirtyLines uint64
 	// WrittenBackLines counts dirty lines the relinquish instruction
-	// itself wrote back (clflush/clwb/simf; always 0 for clsweep).
+	// itself wrote back. clsweep never writes back, so it is always 0; it
+	// stays only because perfbench digests the JSON of machine.Results,
+	// and deleting it would change every reference digest.
 	WrittenBackLines uint64
 }
 

@@ -9,35 +9,14 @@ import (
 
 // fakeHW records sweep operations and reports dirtiness per a scripted set.
 type fakeHW struct {
-	swept   []uint64
-	flushed []uint64
-	cleaned []uint64
-	dirty   map[uint64]bool
+	swept []uint64
+	dirty map[uint64]bool
 }
 
 func (h *fakeHW) Sweep(now uint64, owner int, a uint64) bool {
 	h.swept = append(h.swept, a)
 	if h.dirty[a] {
 		delete(h.dirty, a)
-		return true
-	}
-	return false
-}
-
-func (h *fakeHW) Flush(now uint64, owner int, a uint64) bool {
-	h.flushed = append(h.flushed, a)
-	if h.dirty[a] {
-		delete(h.dirty, a)
-		return true
-	}
-	return false
-}
-
-func (h *fakeHW) CLWB(now uint64, owner int, a uint64) bool {
-	h.cleaned = append(h.cleaned, a)
-	if h.dirty[a] {
-		// The copy stays cached but clean; a second CLWB writes nothing.
-		h.dirty[a] = false
 		return true
 	}
 	return false

@@ -18,8 +18,8 @@ type Variant struct {
 }
 
 // Apply stamps the variant onto a config. The Sweeper toggle mutates in
-// place so the base machine's invalidation-instruction selection and simf
-// batch knobs survive variant application.
+// place so the base machine's invalidation-instruction selection survives
+// variant application.
 func (v Variant) Apply(cfg machine.Config) machine.Config {
 	cfg.NICMode = v.Mode
 	if v.Mode == nic.ModeDDIO {

@@ -312,7 +312,7 @@ func TestCellFromResults(t *testing.T) {
 func TestRegistryNames(t *testing.T) {
 	names := Names()
 	want := []string{"fig1", "fig10", "fig2", "fig5",
-		"fig6", "fig7", "fig8", "fig9", "slo", "tiers"}
+		"fig6", "fig7", "fig8", "fig9"}
 	if len(names) != len(want) {
 		t.Fatalf("names = %v", names)
 	}

@@ -368,8 +368,6 @@ func Registry() map[string]func(Scale) []Table {
 		"fig8":  Fig8,
 		"fig9":  Fig9,
 		"fig10": Fig10,
-		"slo":   SLOCurve,
-		"tiers": Tiers,
 	}
 }
 

@@ -9,13 +9,12 @@ import (
 )
 
 // TestGoldenCSVs regenerates Figure 2's panels, Figure 6 (summary +
-// latency CDFs), Figure 7's panels (the L3Fwd closed loop), the tiers
-// study (the hybrid-memory datapath and the invalidation instructions) and
-// the SLO-headroom curves (the only goldens that run MMPP arrivals) at the
-// committed artifacts' fidelity and byte-compares the CSVs against
-// results/. It is the end-to-end regression gate: any drift in the
-// simulator, the scenario expansion, or the CSV writer shows up as a byte
-// diff.
+// latency CDFs), Figure 7's panels (the L3Fwd closed loop) and Figure 9's
+// panels (forwarders collocated with X-Mem tenants, the only goldens with
+// X-Mem cores and LLC way partitions) at the committed artifacts' fidelity
+// and byte-compares the CSVs against results/. It is the end-to-end
+// regression gate: any drift in the simulator, the scenario expansion, or
+// the CSV writer shows up as a byte diff.
 //
 // Skipped under -short and under the race detector (the outputs are
 // deterministic regardless of scheduling, so rerunning at 10x cost buys
@@ -30,7 +29,7 @@ func TestGoldenCSVs(t *testing.T) {
 
 	sc := QuickScale() // the scale results/README.md documents
 	dir := t.TempDir()
-	for _, fig := range []func(Scale) []Table{Fig2, Fig7, Tiers, SLOCurve} {
+	for _, fig := range []func(Scale) []Table{Fig2, Fig7, Fig9} {
 		for _, tb := range fig(sc) {
 			writeGolden(t, dir, tb.ID+".csv", tb.WriteCSV)
 		}
@@ -39,7 +38,7 @@ func TestGoldenCSVs(t *testing.T) {
 	writeGolden(t, dir, "fig6.csv", r.Summary.WriteCSV)
 	writeGolden(t, dir, "fig6_cdf.csv", func(w io.Writer) error { return WriteCDFCSV(w, r) })
 	compareGoldens(t, dir, "fig2a.csv", "fig2b.csv", "fig2c.csv", "fig6.csv", "fig6_cdf.csv",
-		"fig7a.csv", "fig7b.csv", "tiers.csv", "slo_kvs.csv", "slo_l3fwd.csv")
+		"fig7a.csv", "fig7b.csv", "fig9a.csv", "fig9b.csv")
 }
 
 // TestGoldenSlowCSVs extends the golden gate to the figures too slow for

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"math"
 	"testing"
 
 	"sweeper/internal/nic"
@@ -14,11 +13,6 @@ func arrivalCases(t *testing.T) map[string]Config {
 	t.Helper()
 	arrivals := map[string]nic.ArrivalConfig{
 		nic.ArrivalPoisson: {},
-		nic.ArrivalMMPP: {
-			Process:          nic.ArrivalMMPP,
-			BurstRatio:       6,
-			BurstDwellCycles: 40_000,
-		},
 	}
 	cases := map[string]Config{}
 	for _, name := range nic.ArrivalNames() {
@@ -35,34 +29,22 @@ func arrivalCases(t *testing.T) map[string]Config {
 }
 
 // TestArrivalPooledReset checks the pool/Reset contract per process: a
-// machine recycled through Reset — including across process switches, which
-// replace the generator — must reproduce fresh-machine Results
+// machine recycled through Reset must reproduce fresh-machine Results
 // bit-identically.
 func TestArrivalPooledReset(t *testing.T) {
 	checkPooledWalk(t, nic.ArrivalNames(), arrivalCases(t), nil)
 }
 
 // TestArrivalConfigValidation exercises the machine-level arrival plumbing
-// errors: unknown processes, bad burst ratios, MMPP shapes whose burst-state
-// gap outruns the dwell (which would spin the gap draw), and the
+// errors: unknown processes, the retired mmpp among them, and the
 // closed-loop/arrival conflict.
 func TestArrivalConfigValidation(t *testing.T) {
-	mmpp := func(ratio float64) func(*Config) {
-		return func(c *Config) { c.Arrival = nic.ArrivalConfig{Process: nic.ArrivalMMPP, BurstRatio: ratio} }
-	}
 	bad := map[string]func(*Config){
-		"unknown process":   func(c *Config) { c.Arrival.Process = "nonesuch" },
-		"burst ratio":       mmpp(0.5),
-		"NaN burst ratio":   mmpp(math.NaN()),
-		"Inf burst ratio":   mmpp(math.Inf(1)),
-		"1e308 burst ratio": mmpp(1e308),
-		"mmpp at 1e-300 Mrps": func(c *Config) {
-			c.OfferedMrps = 1e-300
-			c.Arrival = nic.ArrivalConfig{Process: nic.ArrivalMMPP}
-		},
+		"unknown process": func(c *Config) { c.Arrival.Process = "nonesuch" },
+		"removed mmpp":    func(c *Config) { c.Arrival.Process = "mmpp" },
 		"closed loop + arrival": func(c *Config) {
 			c.ClosedLoopDepth = 16
-			c.Arrival = nic.ArrivalConfig{Process: nic.ArrivalMMPP}
+			c.Arrival = nic.ArrivalConfig{Process: nic.ArrivalPoisson}
 		},
 	}
 	for name, mutate := range bad {

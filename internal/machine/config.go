@@ -58,17 +58,10 @@ type Config struct {
 	// NIC sweeps transmitted buffers (§V-D).
 	Sweeper core.Config
 
-	// MemTier configures the hybrid second memory tier (ROADMAP item 4a).
-	// The zero value keeps the machine DRAM-only. MemTier is not machine
-	// geometry: the tier structures are rebuilt on every configure, so
-	// pooled machines may toggle tiering across Resets.
-	MemTier mem.TierConfig
-
 	// Traffic: OfferedMrps drives the open-loop arrival process; a
 	// positive ClosedLoopDepth switches to the §IV-B keep-D-queued
-	// closed loop instead. Arrival selects and tunes the open-loop
-	// process (Poisson by default, or MMPP with its burst knobs per
-	// nic.ArrivalConfig).
+	// closed loop instead. Arrival selects the open-loop process from the
+	// nic registry (Poisson by default).
 	OfferedMrps     float64
 	ClosedLoopDepth int
 	Arrival         nic.ArrivalConfig
@@ -170,9 +163,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("machine: Shards %d: the sharded event engine was removed; leave it zero", c.Shards)
 	}
 	if err := c.Sweeper.Validate(); err != nil {
-		return fmt.Errorf("machine: %w", err)
-	}
-	if err := c.MemTier.Validate(); err != nil {
 		return fmt.Errorf("machine: %w", err)
 	}
 	if err := c.Arrival.Validate(); err != nil {

@@ -19,12 +19,6 @@ type datapath struct {
 	hier  *cache.Hierarchy
 	dram  *mem.DDR4
 
-	// Hybrid-memory second tier; nil when tiering is off, so the DRAM-only
-	// fast path costs one pointer test per transaction. place decides per
-	// access which tier owns the address.
-	tier1 *mem.Tier1
-	place *mem.Placement
-
 	// Cumulative accounting (window deltas are taken at snap).
 	breakdown stats.Breakdown
 	dramLat   *stats.Histogram
@@ -52,7 +46,6 @@ func newDatapath(space *addr.Space, memCfg mem.Config, cacheCfg cache.Config) *d
 func (dp *datapath) reset() {
 	dp.space.Reset()
 	dp.dram.Reset()
-	dp.tier1, dp.place = nil, nil
 	dp.hier.Reset()
 	dp.dramLat.Reset()
 	dp.breakdown.Reset()
@@ -62,7 +55,7 @@ func (dp *datapath) reset() {
 
 // configure applies the configuration's way-allocation policy: the NIC's
 // DDIO ways (or explicit mask) and the per-core LLC masks of the §VI-E
-// partition scenarios, and builds the hybrid memory tier when enabled.
+// partition scenarios.
 func (dp *datapath) configure(cfg Config) {
 	if cfg.NICMode == nic.ModeDDIO {
 		if cfg.NICWayMask != 0 {
@@ -81,27 +74,6 @@ func (dp *datapath) configure(cfg Config) {
 			dp.hier.SetCPUWayMask(i, cfg.NetCPUWayMask)
 		}
 	}
-	if cfg.MemTier.Enabled() {
-		dp.tier1 = mem.NewTier1(cfg.MemTier, cfg.FreqHz)
-		dp.place = mem.NewPlacement(cfg.MemTier, dp.space.AppBase())
-	}
-}
-
-// memRead routes a timed line read to the owning tier.
-func (dp *datapath) memRead(now uint64, a uint64) uint64 {
-	if dp.tier1 != nil && dp.place.Route(now, a) {
-		return dp.tier1.Read(now, a)
-	}
-	return dp.dram.Read(now, a)
-}
-
-// memWrite routes a timed line write to the owning tier.
-func (dp *datapath) memWrite(now uint64, a uint64) {
-	if dp.tier1 != nil && dp.place.Route(now, a) {
-		dp.tier1.Write(now, a)
-		return
-	}
-	dp.dram.Write(now, a)
 }
 
 // readKind classifies a demand read into the paper's breakdown categories by
@@ -135,7 +107,7 @@ func (dp *datapath) evictKind(a uint64) stats.AccessKind {
 // DemandRead implements cache.MemSink, classifying the transaction into the
 // paper's breakdown categories by requestor and address class.
 func (dp *datapath) DemandRead(now uint64, a uint64, src cache.Requestor) uint64 {
-	done := dp.memRead(now, a)
+	done := dp.dram.Read(now, a)
 	kind := dp.readKind(a, src)
 	dp.breakdown.Add(kind, 1)
 	if dp.measuring {
@@ -149,7 +121,7 @@ func (dp *datapath) DemandRead(now uint64, a uint64, src cache.Requestor) uint64
 
 // WritebackEvict implements cache.MemSink.
 func (dp *datapath) WritebackEvict(now uint64, a uint64) {
-	dp.memWrite(now, a)
+	dp.dram.Write(now, a)
 	kind := dp.evictKind(a)
 	dp.breakdown.Add(kind, 1)
 	if dp.measuring && dp.trace != nil {
@@ -159,7 +131,7 @@ func (dp *datapath) WritebackEvict(now uint64, a uint64) {
 
 // DMAWrite implements cache.MemSink.
 func (dp *datapath) DMAWrite(now uint64, a uint64) {
-	dp.memWrite(now, a)
+	dp.dram.Write(now, a)
 	dp.breakdown.Add(stats.NICRXWr, 1)
 	if dp.measuring && dp.trace != nil {
 		dp.trace(TraceEvent{Cycle: now, Addr: a, Kind: stats.NICRXWr})

@@ -39,9 +39,10 @@ type Machine struct {
 	xmem  []*cpu.XMemCore
 
 	// agen is the open-loop arrival process, built through the nic
-	// arrival registry (Poisson by default, MMPP by Config.Arrival);
-	// agenProc records its registry name so Reset can reuse the generator
-	// when the process is unchanged. cgen is the closed-loop alternative.
+	// arrival registry (Poisson unless Config.Arrival names another
+	// registered process); agenProc records its registry name so Reset can
+	// reuse the generator when the process is unchanged. cgen is the
+	// closed-loop alternative.
 	agen     nic.ArrivalGen
 	agenProc string
 	cgen     *nic.ClosedLoopGen

@@ -57,10 +57,6 @@ func (dp *datapath) registerMetrics(r *obs.Registry) {
 		r.Counter("dram.acc."+metricName(k.String()), func() uint64 { return dp.breakdown.Count(k) })
 	}
 	dp.dram.RegisterMetrics(r)
-	if dp.tier1 != nil {
-		dp.tier1.RegisterMetrics(r)
-		dp.place.RegisterMetrics(r)
-	}
 	dp.hier.RegisterMetrics(r)
 	r.Histogram("dram.latency", dp.dramLat)
 }

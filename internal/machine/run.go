@@ -33,8 +33,7 @@ type Results struct {
 	DRAMLatP99  uint64
 	DRAMLatCDF  []stats.CDFPoint
 	// ReqLatMean/P99/P999 summarize end-to-end request latency (arrival
-	// to response posted): the SLO check gates on p99, the SLO-headroom
-	// curves plot the p99.9 tail.
+	// to response posted); the SLO check gates on p99.
 	ReqLatMean float64
 	ReqLatP99  uint64
 	ReqLatP999 uint64
@@ -57,10 +56,10 @@ type Results struct {
 	XMemAccesses uint64
 	// LLCMissRatio is the shared-cache miss ratio over the window.
 	LLCMissRatio float64
-	// Tier1Accesses counts memory transactions served by the hybrid second
-	// tier in the window; Tier1BWGBps is the bandwidth they consumed. Both
-	// are zero on DRAM-only machines. MemBWGBps above remains DRAM-only, so
-	// tiered and untiered runs compare like for like.
+	// Tier1Accesses and Tier1BWGBps are always 0: the machine has no
+	// second memory tier. They stay only because perfbench digests the
+	// JSON of Results, and deleting them would change every reference
+	// digest.
 	Tier1Accesses uint64
 	Tier1BWGBps   float64
 	// Sweeper summarizes sweep activity over the whole run.
@@ -87,7 +86,6 @@ func totalPerReq(b [stats.NumKinds]float64) float64 {
 type windowSnap struct {
 	breakdown  [stats.NumKinds]uint64
 	dramTxns   uint64
-	tierTxns   uint64
 	served     uint64
 	offered    uint64
 	dropped    uint64
@@ -124,9 +122,6 @@ func (m *Machine) snap() windowSnap {
 		llcHits:   m.dp.hier.LLC().Hits(),
 		llcMisses: m.dp.hier.LLC().Misses(),
 		start:     m.eng.Now(),
-	}
-	if m.dp.tier1 != nil {
-		s.tierTxns = m.dp.tier1.Transactions()
 	}
 	if m.agen != nil {
 		s.offered = m.agen.Offered()
@@ -227,11 +222,6 @@ func (m *Machine) collect(snap windowSnap, measure uint64) Results {
 	txns := m.dp.dram.Transactions() - snap.dramTxns
 	r.MemBWGBps = stats.GBps(txns, measure, freq)
 	r.MemBWUtilization = r.MemBWGBps / m.dp.dram.PeakGBps(freq)
-
-	if m.dp.tier1 != nil {
-		r.Tier1Accesses = m.dp.tier1.Transactions() - snap.tierTxns
-		r.Tier1BWGBps = stats.GBps(r.Tier1Accesses, measure, freq)
-	}
 
 	r.AccessCounts = m.dp.breakdown.Sub(snap.breakdown)
 	r.AccessesPerRequest = stats.PerRequest(r.AccessCounts, r.Served)

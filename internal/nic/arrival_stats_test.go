@@ -8,9 +8,9 @@ import (
 )
 
 // This file locks the statistical properties of every registered arrival
-// process: mean rates within confidence bounds, per-state MMPP behaviour
-// and burstiness. The umbrella test walks the registry, so a newly
-// registered process fails until a property test is added for it.
+// process: mean rates within confidence bounds and burstiness. The umbrella
+// test walks the registry, so a newly registered process fails until a
+// property test is added for it.
 
 type arrivalRec struct {
 	now  uint64
@@ -40,12 +40,11 @@ func collectArrivals(t *testing.T, spec ArrivalSpec, horizon uint64) []arrivalRe
 }
 
 // checkMeanRate asserts the arrival count over the horizon is within a
-// ±4σ Poisson band around horizon/meanGap, widened by slack for
-// over-dispersed processes (slack 1 = plain Poisson).
-func checkMeanRate(t *testing.T, recs []arrivalRec, horizon uint64, meanGap, slack float64) {
+// ±4σ Poisson band around horizon/meanGap.
+func checkMeanRate(t *testing.T, recs []arrivalRec, horizon uint64, meanGap float64) {
 	t.Helper()
 	want := float64(horizon) / meanGap
-	band := 4 * slack * math.Sqrt(want)
+	band := 4 * math.Sqrt(want)
 	if got := float64(len(recs)); math.Abs(got-want) > band {
 		t.Errorf("arrivals = %.0f, want %.0f ± %.0f", got, want, band)
 	}
@@ -83,7 +82,6 @@ func burstIndex(recs []arrivalRec, horizon, window uint64) float64 {
 func TestArrivalRegistryStatistics(t *testing.T) {
 	cases := map[string]func(t *testing.T){
 		ArrivalPoisson: testPoissonStats,
-		ArrivalMMPP:    testMMPPStats,
 	}
 	for _, name := range ArrivalNames() {
 		fn, ok := cases[name]
@@ -101,63 +99,10 @@ func testPoissonStats(t *testing.T) {
 		horizon = 2_000_000
 	)
 	recs := collectArrivals(t, ArrivalSpec{Cores: 4, Size: 64, MeanGap: meanGap, Seed: 11}, horizon)
-	checkMeanRate(t, recs, horizon, meanGap, 1)
+	checkMeanRate(t, recs, horizon, meanGap)
 	// A Poisson stream is not bursty at any window scale.
 	if bi := burstIndex(recs, horizon, 10_000); bi > 1.5 {
 		t.Errorf("poisson burst index = %.2f, want ~1", bi)
-	}
-}
-
-func testMMPPStats(t *testing.T) {
-	const (
-		meanGap = 100.0
-		ratio   = 8.0
-		dwell   = 50_000
-		horizon = 5_000_000
-	)
-	spec := ArrivalSpec{
-		Cores: 4, Size: 64, MeanGap: meanGap, Seed: 12,
-		Config: ArrivalConfig{Process: ArrivalMMPP, BurstRatio: ratio, BurstDwellCycles: dwell},
-	}
-	eng := sim.NewEngine()
-	var recs []arrivalRec
-	gaps := &mmppGaps{}
-	g, err := newOpenLoop(eng, spec, func(now uint64, core int, size uint64, tag uint64) {
-		recs = append(recs, arrivalRec{now, core, size, tag})
-	}, gaps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Start()
-	eng.RunUntil(horizon)
-
-	// Blended mean rate: over-dispersed, so widen the Poisson band. The
-	// asymptotic inflation of the count variance for a balanced 2-state
-	// MMPP is 1 + 2λ̄d(R-1)²/(R+1)² ≈ 31 here; 4σ·√31 ≈ 22σ.
-	slack := math.Sqrt(1 + 2*(float64(dwell)/meanGap)*(ratio-1)*(ratio-1)/((ratio+1)*(ratio+1)))
-	checkMeanRate(t, recs, horizon, meanGap, slack)
-
-	// Per-state rates: arrivals[s]/cycles[s] must match each state's
-	// configured rate. With tens of thousands of arrivals per state a 10%
-	// band is ~10σ wide.
-	for s := 0; s < 2; s++ {
-		if gaps.arrivals[s] < 100 {
-			t.Fatalf("state %d saw only %d arrivals; horizon too short", s, gaps.arrivals[s])
-		}
-		got := gaps.cycles[s] / float64(gaps.arrivals[s])
-		if want := gaps.gap[s]; math.Abs(got-want) > 0.1*want {
-			t.Errorf("state %d mean gap = %.1f, want %.1f ± 10%%", s, got, want)
-		}
-	}
-	wantOff := meanGap * (1 + ratio) / 2
-	if gaps.gap[0] != wantOff || gaps.gap[1] != wantOff/ratio {
-		t.Errorf("state gaps = %v, want [%g %g]", gaps.gap, wantOff, wantOff/ratio)
-	}
-
-	// Burstiness: windows shorter than a dwell must see clear
-	// over-dispersion relative to Poisson's index of 1.
-	if bi := burstIndex(recs, horizon, 10_000); bi < 2 {
-		t.Errorf("mmpp burst index = %.2f, want > 2", bi)
 	}
 }
 
@@ -166,8 +111,6 @@ func testMMPPStats(t *testing.T) {
 func TestArrivalReplayDeterminism(t *testing.T) {
 	specs := map[string]ArrivalSpec{
 		ArrivalPoisson: {Cores: 4, Size: 64, MeanGap: 120, Seed: 21},
-		ArrivalMMPP: {Cores: 4, Size: 64, MeanGap: 120, Seed: 22,
-			Config: ArrivalConfig{Process: ArrivalMMPP, BurstRatio: 4}},
 	}
 	for _, name := range ArrivalNames() {
 		spec, ok := specs[name]

@@ -6,9 +6,9 @@ import (
 	"sweeper/internal/obs"
 )
 
-// The open-loop generators (Poisson, MMPP) live in arrival.go behind the
-// ArrivalGen registry; this file keeps the closed loop, whose keep-D-queued
-// contract is driven by the cores rather than by an arrival clock.
+// The open-loop Poisson generator lives in arrival.go behind the ArrivalGen
+// registry; this file keeps the closed loop, whose keep-D-queued contract is
+// driven by the cores rather than by an arrival clock.
 
 // ClosedLoopGen emulates the §IV-B batching study: it keeps at least D
 // unconsumed packets in every core's RX ring at all times, so the system

@@ -106,35 +106,6 @@ func builtins() []Spec {
 			Machine:     collocationKnobs(),
 		},
 		{
-			Name:        "mmpp",
-			Description: "KVS under bursty 2-state MMPP arrivals",
-			Machine: Knobs{
-				Workload: workload.NameKVS,
-				Arrival:  "mmpp",
-				Set: map[string]float64{
-					"arrival_burst_dwell": 131072,
-				},
-			},
-			Variants: []Variant{vDDIO(2, false), vDDIO(2, true)},
-			Sweep: []Axis{{Name: "burst ratio", Points: []Point{
-				{Label: "R=2", Set: map[string]float64{"arrival_burst_ratio": 2}},
-				{Label: "R=8", Set: map[string]float64{"arrival_burst_ratio": 8}},
-			}}},
-		},
-		{
-			Name:        "tiers",
-			Description: "KVS on a hybrid DRAM+NVM memory with SIMF bulk invalidation",
-			Machine: Knobs{
-				Workload:       workload.NameKVS,
-				InvalidateInsn: "simf",
-				MemTierPolicy:  "hotpage",
-				// Keep 16 MiB of the heap on DRAM; the rest is tier-1
-				// candidate space governed by the hot-page migrator.
-				Set: map[string]float64{"mem_tier_split": 16777216},
-			},
-			Variants: []Variant{vDDIO(2, false), vDDIO(2, true)},
-		},
-		{
 			Name:        "fig1",
 			Description: "KVS network data leaks: DMA vs DDIO vs Ideal across ring depths",
 			Machine:     kvsKnobs(),

@@ -12,7 +12,6 @@ import (
 
 	"sweeper/internal/cache"
 	"sweeper/internal/machine"
-	"sweeper/internal/mem"
 	"sweeper/internal/nic"
 )
 
@@ -41,19 +40,6 @@ type Knobs struct {
 	// Workload names the networked application in the workload registry;
 	// empty keeps the default (the KVS).
 	Workload string `json:"workload,omitempty"`
-	// Arrival names the open-loop arrival process in the nic registry
-	// ("poisson", "mmpp"; empty keeps Poisson). The numeric arrival
-	// knobs (arrival_burst_ratio, arrival_burst_dwell) live in Set.
-	Arrival string `json:"arrival,omitempty"`
-	// InvalidateInsn names the relinquish instruction in the core
-	// registry ("clsweep", "clflush", "clwb", "simf"; empty keeps
-	// clsweep). The simf_* batch knobs live in Set.
-	InvalidateInsn string `json:"invalidate_insn,omitempty"`
-	// MemTierPolicy enables the hybrid second memory tier under the named
-	// placement policy ("static" or "hotpage"; empty keeps the machine
-	// DRAM-only), starting from mem.DefaultTierConfig. The numeric tier
-	// knobs (mem_tier_split, mem_tier_read_lat, ...) live in Set.
-	MemTierPolicy string `json:"mem_tier_policy,omitempty"`
 	// Set holds numeric knob overrides, applied in any order (each knob
 	// writes an independent configuration field).
 	Set map[string]float64 `json:"set,omitempty"`
@@ -163,8 +149,8 @@ func (v Variant) Apply(cfg machine.Config) (machine.Config, error) {
 		cfg.DDIOWays = v.Ways
 	}
 	// Mutate the sweep toggles in place rather than overwriting the whole
-	// Sweeper config, so the base machine's instruction selection and
-	// simf batch knobs survive variant application.
+	// Sweeper config, so the base machine's instruction selection survives
+	// variant application.
 	cfg.Sweeper.RXSweep = v.Sweeper
 	cfg.Sweeper.TXSweep = v.TXSweep
 	cfg.Sweeper.IssueCyclesPerLine = 1
@@ -260,28 +246,6 @@ func knobField(m *machine.Config, knob string) any {
 		return &m.MLPWidth
 	case "seed":
 		return &m.Seed
-	case "arrival_burst_ratio":
-		return &m.Arrival.BurstRatio
-	case "arrival_burst_dwell":
-		return &m.Arrival.BurstDwellCycles
-	case "mem_tier_split":
-		return &m.MemTier.DRAMBytes
-	case "mem_tier_read_lat":
-		return &m.MemTier.ReadLatency
-	case "mem_tier_write_lat":
-		return &m.MemTier.WriteLatency
-	case "mem_tier_bw_gbps":
-		return &m.MemTier.BandwidthGBps
-	case "mem_tier_hot_thresh":
-		return &m.MemTier.HotPageThreshold
-	case "mem_tier_hot_epoch":
-		return &m.MemTier.HotPageEpochCycles
-	case "simf_batch_lines":
-		return &m.Sweeper.SIMFBatchLines
-	case "simf_batch_cycles":
-		return &m.Sweeper.SIMFBatchCycles
-	case "simf_setup_cycles":
-		return &m.Sweeper.SIMFSetupCycles
 	}
 	return nil
 }
@@ -292,15 +256,6 @@ func (s Spec) baseConfig() (machine.Config, error) {
 	m := machine.DefaultConfig()
 	if s.Machine.Workload != "" {
 		m.Workload = s.Machine.Workload
-	}
-	if s.Machine.Arrival != "" {
-		m.Arrival.Process = s.Machine.Arrival
-	}
-	if s.Machine.InvalidateInsn != "" {
-		m.Sweeper.Insn = s.Machine.InvalidateInsn
-	}
-	if s.Machine.MemTierPolicy != "" {
-		m.MemTier = mem.DefaultTierConfig(s.Machine.MemTierPolicy)
 	}
 	for knob, v := range s.Machine.Set {
 		if err := applyKnob(&m, knob, v); err != nil {

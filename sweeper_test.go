@@ -31,10 +31,10 @@ func TestFacadeEnableSweeper(t *testing.T) {
 	// Enabling RX sweeping keeps the instruction and TX sweeping already
 	// selected.
 	cfg = sweeper.DefaultConfig()
-	cfg.Sweeper.Insn = "simf"
+	cfg.Sweeper.Insn = "clsweep"
 	sweeper.EnableTXSweep(&cfg)
 	sweeper.EnableSweeper(&cfg)
-	if !cfg.Sweeper.RXSweep || !cfg.Sweeper.TXSweep || cfg.Sweeper.Insn != "simf" {
+	if !cfg.Sweeper.RXSweep || !cfg.Sweeper.TXSweep || cfg.Sweeper.Insn != "clsweep" {
 		t.Fatalf("EnableSweeper clobbered the Sweeper config: %+v", cfg.Sweeper)
 	}
 }
@@ -64,7 +64,7 @@ func TestFacadeModesAndWorkloads(t *testing.T) {
 
 func TestFacadeExperimentsRegistry(t *testing.T) {
 	names := sweeper.ExperimentNames()
-	if len(names) != 10 {
+	if len(names) != 8 {
 		t.Fatalf("experiments = %v", names)
 	}
 	reg := sweeper.Experiments()
