@@ -73,9 +73,10 @@ obs-smoke:
 		-manifest artifacts/manifest.json
 	SWEEPER_OBS_DIR=$(CURDIR)/artifacts $(GO) test ./internal/obs -run TestObsSmoke -count=1 -v
 
-# Slow golden gate: byte-compares regenerated fig1a-c and fig8a-b CSVs
-# against results/. 78 peak searches (~12 min single-core), so it is opt-in
-# via the env guard rather than part of the default `go test ./...` budget.
+# Slow golden gate: byte-compares regenerated fig1a-c, fig5a-c and fig8a-b
+# CSVs against results/. 120 peak searches, 90 of them distinct (the run
+# memo replays the rest; ~11 min at two workers), so it is opt-in via the
+# env guard rather than part of the default `go test ./...` budget.
 golden-slow:
 	SWEEPER_GOLDEN_SLOW=1 $(GO) test ./internal/experiments \
 		-run TestGoldenSlowCSVs -count=1 -timeout 40m -v

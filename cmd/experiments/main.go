@@ -22,8 +22,6 @@ import (
 	"time"
 
 	"sweeper/internal/experiments"
-	"sweeper/internal/machine"
-	"sweeper/internal/obs"
 	"sweeper/internal/prof"
 )
 
@@ -47,8 +45,6 @@ func run(args []string) error {
 		outDir     = fs.String("out", "", "directory for CSV output (optional)")
 		parallel   = fs.Int("parallel", 0, "max concurrent simulations (0 = $SWEEPER_WORKERS, then GOMAXPROCS)")
 		manifest   = fs.String("manifest", "", "write an invocation manifest (scale + generated tables) as JSON to this file")
-		metricsOut = fs.String("metrics", "", "write a metric time-series CSV from an instrumented reference run to this file")
-		traceOut   = fs.String("trace", "", "write a Chrome trace_event JSON from an instrumented reference run to this file")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -108,7 +104,9 @@ func run(args []string) error {
 			tables = []experiments.Table{r.Summary}
 			experiments.RenderCDFChart(os.Stdout, r.Curves)
 			if *outDir != "" {
-				if err := writeCDFs(filepath.Join(*outDir, "fig6_cdf.csv"), r); err != nil {
+				if err := writeWith(filepath.Join(*outDir, "fig6_cdf.csv"), func(f *os.File) error {
+					return experiments.WriteCDFCSV(f, r)
+				}); err != nil {
 					return err
 				}
 			}
@@ -131,44 +129,8 @@ func run(args []string) error {
 		allTables = append(allTables, tables...)
 	}
 
-	if *metricsOut != "" || *traceOut != "" {
-		if err := writeReferenceRun(sc, *metricsOut, *traceOut); err != nil {
-			return err
-		}
-	}
 	if *manifest != "" {
 		return writeInvocationManifest(*manifest, *figFlag, *quick, sc, allTables)
-	}
-	return nil
-}
-
-// writeReferenceRun simulates the default (Table I) configuration at the
-// selected scale with metric sampling armed and exports the requested
-// time-series artifacts, giving figure regeneration a companion record of
-// what the simulated machine was doing.
-func writeReferenceRun(sc experiments.Scale, metricsPath, tracePath string) error {
-	cfg := machine.DefaultConfig()
-	m, err := machine.New(cfg)
-	if err != nil {
-		return err
-	}
-	m.EnableSampling(0)
-	r := m.Run(sc.Warmup, sc.Measure)
-	fmt.Printf("reference run: %s\n", r)
-	if metricsPath != "" {
-		if err := writeWith(metricsPath, func(f *os.File) error {
-			return obs.WriteSeriesCSV(f, m.ObsSeries())
-		}); err != nil {
-			return err
-		}
-	}
-	if tracePath != "" {
-		meta := obs.TraceMeta{Process: "experiments reference " + cfg.Workload, FreqHz: cfg.FreqHz}
-		if err := writeWith(tracePath, func(f *os.File) error {
-			return obs.WriteChromeTrace(f, m.ObsSeries(), meta)
-		}); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -206,13 +168,4 @@ func writeWith(path string, write func(*os.File) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-func writeCDFs(path string, r experiments.Fig6Result) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return experiments.WriteCDFCSV(f, r)
 }

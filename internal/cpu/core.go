@@ -352,7 +352,7 @@ type XMemCore struct {
 	id     int
 	eng    *sim.Engine
 	env    Env
-	stream workload.Stream
+	stream *workload.XMem
 
 	accesses uint64
 	stopped  bool
@@ -363,7 +363,7 @@ type XMemCore struct {
 const XMemMLP = 4
 
 // NewXMemCore creates an X-Mem tenant core.
-func NewXMemCore(id int, eng *sim.Engine, env Env, stream workload.Stream) *XMemCore {
+func NewXMemCore(id int, eng *sim.Engine, env Env, stream *workload.XMem) *XMemCore {
 	return &XMemCore{id: id, eng: eng, env: env, stream: stream}
 }
 
@@ -381,7 +381,7 @@ func (x *XMemCore) ID() int { return x.id }
 func (x *XMemCore) Accesses() uint64 { return x.accesses }
 
 // Stream returns the underlying access stream.
-func (x *XMemCore) Stream() workload.Stream { return x.stream }
+func (x *XMemCore) Stream() *workload.XMem { return x.stream }
 
 // RegisterMetrics exposes the tenant core's access counter to the
 // observability registry.

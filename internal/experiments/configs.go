@@ -30,15 +30,6 @@ func (v Variant) Apply(cfg machine.Config) machine.Config {
 	return cfg
 }
 
-// variantOf converts a declarative scenario variant into the harness form.
-func variantOf(v scenario.Variant) Variant {
-	mode, err := v.NICMode()
-	if err != nil {
-		panic(err)
-	}
-	return Variant{Name: v.DisplayName(), Mode: mode, Ways: v.Ways, Sweeper: v.Sweeper}
-}
-
 // DMAVariant, IdealVariant and DDIOVariant build the paper's baselines.
 func DMAVariant() Variant   { return Variant{Name: "DMA", Mode: nic.ModeDMA} }
 func IdealVariant() Variant { return Variant{Name: "Ideal DDIO", Mode: nic.ModeIdeal} }

@@ -3,6 +3,9 @@ package experiments
 import (
 	"bytes"
 	"encoding/csv"
+	"io"
+	"maps"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -123,6 +126,11 @@ func TestPeakThroughputFindsFeasiblePoint(t *testing.T) {
 	if pk.At.ThroughputMrps < 0.9*pk.PeakMrps {
 		t.Fatalf("throughput %.1f far below offered %.1f", pk.At.ThroughputMrps, pk.PeakMrps)
 	}
+	// A repeated search replays every run from the memo.
+	n := len(memoCopy())
+	if again := PeakThroughput(cfg, tinyScale()); !reflect.DeepEqual(again, pk) || len(memoCopy()) != n {
+		t.Fatal("a repeated search must return the first's result and simulate nothing")
+	}
 }
 
 func TestPeakOrderingAcrossBaselines(t *testing.T) {
@@ -170,6 +178,64 @@ func TestRunClosedLoopAndAtRate(t *testing.T) {
 	r2 := RunAtRate(KVSConfig(1024, 512), 4, tinyScale())
 	if r2.ThroughputMrps < 3 || r2.ThroughputMrps > 5 {
 		t.Fatalf("RunAtRate throughput %.2f for 4 offered", r2.ThroughputMrps)
+	}
+}
+
+// unseen makes the memo tests' keys new on every run, so that they also
+// hold under go test -count.
+var unseen uint64
+
+// memoCopy returns a copy of runOnce's memo.
+func memoCopy() map[runKey]*runEntry {
+	memoMu.Lock()
+	defer memoMu.Unlock()
+	return maps.Clone(memo)
+}
+
+// TestMemoMatchesFreshRuns renders Fig6, whose peak and iso curves share
+// memoized Results, and then checks that every run it memoized still equals
+// a fresh machine's: no figure or renderer writes through a shared
+// DRAMLatCDF.
+func TestMemoMatchesFreshRuns(t *testing.T) {
+	unseen++
+	sc := tinyScale()
+	sc.Measure += unseen
+	before := memoCopy()
+	r := Fig6(sc)
+	RenderCDFChart(io.Discard, r.Curves)
+	r.Summary.RenderDefault(io.Discard)
+	if err := WriteCDFCSV(io.Discard, r); err != nil {
+		t.Fatal(err)
+	}
+	after := memoCopy()
+	if len(after) == len(before) {
+		t.Fatal("Fig6 memoized no runs")
+	}
+	for k, e := range after {
+		if before[k] == nil && !reflect.DeepEqual(machine.MustNew(k.cfg).Run(k.warmup, k.measure), e.r) {
+			t.Errorf("memoized run at %.2f Mrps differs from a fresh run", k.cfg.OfferedMrps)
+		}
+	}
+}
+
+// TestConcurrentRunsSimulateOnce issues identical runs from concurrent
+// workers: they must all receive one simulation's Results, backing array
+// included.
+func TestConcurrentRunsSimulateOnce(t *testing.T) {
+	unseen++
+	cfg := KVSConfig(1024, 256)
+	cfg.Seed += int64(unseen)
+	sc := Scale{Warmup: 100_000, Measure: 100_000, Parallelism: 6}
+	n := len(memoCopy())
+	res := make([]machine.Results, sc.Parallelism)
+	parallelFor(len(res), sc, func(i int) { res[i] = RunAtRate(cfg, 3, sc) })
+	if added := len(memoCopy()) - n; added != 1 {
+		t.Fatalf("%d identical runs made %d memo entries", len(res), added)
+	}
+	for i := range res {
+		if len(res[i].DRAMLatCDF) == 0 || &res[i].DRAMLatCDF[0] != &res[0].DRAMLatCDF[0] {
+			t.Fatalf("run %d did not share the first run's Results", i)
+		}
 	}
 }
 

@@ -11,10 +11,11 @@ import (
 	"sweeper/internal/stats"
 )
 
-// job is one (param, variant) simulation of a figure sweep.
+// job is one (param, variant) simulation of a figure sweep. cfg is final:
+// the variant is already applied, and variant is only its display name.
 type job struct {
 	param   string
-	variant Variant
+	variant string
 	cfg     machine.Config
 	// closedLoopDepth > 0 runs the keep-D-queued loop instead of a peak
 	// search.
@@ -25,16 +26,15 @@ type job struct {
 func runJobs(jobs []job, sc Scale) {
 	parallelFor(len(jobs), sc, func(i int) {
 		j := &jobs[i]
-		cfg := j.variant.Apply(j.cfg)
 		if j.closedLoopDepth > 0 {
-			r := RunClosedLoop(cfg, j.closedLoopDepth, sc)
-			j.cell = CellFromResults(j.param, j.variant.Name, r).
+			r := RunClosedLoop(j.cfg, j.closedLoopDepth, sc)
+			j.cell = CellFromResults(j.param, j.variant, r).
 				WithExtra("p99_dram", float64(r.DRAMLatP99)).
 				WithExtra("xmem_ipc", r.XMemIPC)
 			return
 		}
-		pk := PeakThroughput(cfg, sc)
-		j.cell = CellFromResults(j.param, j.variant.Name, pk.At).
+		pk := PeakThroughput(j.cfg, sc)
+		j.cell = CellFromResults(j.param, j.variant, pk.At).
 			WithExtra("peak_offered_mrps", pk.PeakMrps).
 			WithExtra("slo_cycles", float64(pk.SLOCycles)).
 			WithExtra("p99_req", float64(pk.At.ReqLatP99))
@@ -60,7 +60,7 @@ func jobsFromSpec(name string) []job {
 	for i, r := range runs {
 		jobs[i] = job{
 			param:           r.Param,
-			variant:         variantOf(r.Variant),
+			variant:         r.Variant.DisplayName(),
 			cfg:             r.Config,
 			closedLoopDepth: r.ClosedLoopDepth,
 		}
@@ -222,31 +222,21 @@ const fig9Depth = 32
 // for X-Mem), (b) X-Mem free to use the whole LLC while DDIO ways grow.
 func Fig9(sc Scale) []Table {
 	var jobs []job
+	add := func(param string, ways int, cfg machine.Config) {
+		for _, sw := range []bool{false, true} {
+			v := DDIOVariant(ways, sw)
+			jobs = append(jobs, job{param: param, variant: v.Name, cfg: v.Apply(cfg), closedLoopDepth: fig9Depth})
+		}
+	}
 	// (a) disjoint partitions, via the scenario partition_split knob.
 	for _, a := range []int{2, 4, 6, 8, 10} {
-		for _, sw := range []bool{false, true} {
-			cfg := scenario.MustConfig("collocation",
-				map[string]float64{"partition_split": float64(a)})
-			jobs = append(jobs, job{
-				param:           fmt.Sprintf("(%d,%d)", a, 12-a),
-				variant:         DDIOVariant(a, sw),
-				cfg:             cfg,
-				closedLoopDepth: fig9Depth,
-			})
-		}
+		add(fmt.Sprintf("(%d,%d)", a, 12-a), a, scenario.MustConfig("collocation",
+			map[string]float64{"partition_split": float64(a)}))
 	}
 	nPartA := len(jobs)
 	// (b) overlapping: X-Mem and the network cores may use all ways.
 	for _, a := range []int{2, 4, 6, 8, 10, 12} {
-		for _, sw := range []bool{false, true} {
-			cfg := CollocationConfig()
-			jobs = append(jobs, job{
-				param:           fmt.Sprintf("%d ways", a),
-				variant:         DDIOVariant(a, sw),
-				cfg:             cfg,
-				closedLoopDepth: fig9Depth,
-			})
-		}
+		add(fmt.Sprintf("%d ways", a), a, CollocationConfig())
 	}
 	runJobs(jobs, sc)
 

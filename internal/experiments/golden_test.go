@@ -43,28 +43,31 @@ func TestGoldenCSVs(t *testing.T) {
 
 // TestGoldenSlowCSVs extends the golden gate to the figures too slow for
 // the default `go test` budget: Figure 1's three panels (the only committed
-// DMA rows) and Figure 8's two panels, 78 peak searches in all (about 6 min
-// at two workers, 12 CPU-minutes). It is opt-in via SWEEPER_GOLDEN_SLOW,
-// driven by `make golden-slow` and CI with an explicit -timeout.
+// DMA rows), Figure 5's three and Figure 8's two. That is 120 peak searches,
+// but the run memo replays Figure 5's 9 Figure 1 cells and Figure 8's 21
+// Figure 5 cells, so 90 are simulated (about 11 min at two workers). It is
+// opt-in via SWEEPER_GOLDEN_SLOW, driven by `make golden-slow` and CI with
+// an explicit -timeout.
 func TestGoldenSlowCSVs(t *testing.T) {
 	if testing.Short() {
-		t.Skip("fig1 and fig8 regeneration is 78 peak searches; skipped with -short")
+		t.Skip("fig1, fig5 and fig8 regeneration is 90 peak searches; skipped with -short")
 	}
 	if raceEnabled {
 		t.Skip("outputs are scheduling-independent; skipped under -race")
 	}
 	if os.Getenv("SWEEPER_GOLDEN_SLOW") == "" {
-		t.Skip("~12 min single-core; set SWEEPER_GOLDEN_SLOW=1 (or run `make golden-slow`)")
+		t.Skip("~11 min at two workers; set SWEEPER_GOLDEN_SLOW=1 (or run `make golden-slow`)")
 	}
 
 	sc := QuickScale()
 	dir := t.TempDir()
-	for _, fig := range []func(Scale) []Table{Fig1, Fig8} {
+	for _, fig := range []func(Scale) []Table{Fig1, Fig5, Fig8} {
 		for _, tb := range fig(sc) {
 			writeGolden(t, dir, tb.ID+".csv", tb.WriteCSV)
 		}
 	}
-	compareGoldens(t, dir, "fig1a.csv", "fig1b.csv", "fig1c.csv", "fig8a.csv", "fig8b.csv")
+	compareGoldens(t, dir, "fig1a.csv", "fig1b.csv", "fig1c.csv",
+		"fig5a.csv", "fig5b.csv", "fig5c.csv", "fig8a.csv", "fig8b.csv")
 }
 
 // writeGolden creates dir/name and fills it with emit.

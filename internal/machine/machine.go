@@ -415,21 +415,16 @@ func (m *Machine) Transmit(now uint64, wqe nic.WorkQueueEntry) {
 	m.nicD.Transmit(now, wqe)
 }
 
-// ExtraServiceCycles implements cpu.Env: any workload-imposed delay plus the
-// §VI-F spike injector.
+// ExtraServiceCycles implements cpu.Env: the §VI-F spike injector.
 func (m *Machine) ExtraServiceCycles(c int, tag uint64) uint64 {
-	extra := m.drv.ExtraServiceCycles(tag)
-	if m.cfg.SpikeProb <= 0 {
-		return extra
-	}
-	if m.rng.Float64() >= m.cfg.SpikeProb {
-		return extra
+	if m.cfg.SpikeProb <= 0 || m.rng.Float64() >= m.cfg.SpikeProb {
+		return 0
 	}
 	span := m.cfg.SpikeMaxCycles - m.cfg.SpikeMinCycles
 	if span == 0 {
-		return extra + m.cfg.SpikeMinCycles
+		return m.cfg.SpikeMinCycles
 	}
-	return extra + m.cfg.SpikeMinCycles + uint64(m.rng.Int63n(int64(span)))
+	return m.cfg.SpikeMinCycles + uint64(m.rng.Int63n(int64(span)))
 }
 
 // OnRequestDone implements cpu.Env.

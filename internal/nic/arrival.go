@@ -99,8 +99,6 @@ type ArrivalGen interface {
 	// Offered returns injection attempts so far (including arrivals
 	// dropped at full rings).
 	Offered() uint64
-	// ResetCounters zeroes the offered-load counter.
-	ResetCounters()
 	// RegisterMetrics exposes the generator's counters.
 	RegisterMetrics(r *obs.Registry)
 }
@@ -213,9 +211,6 @@ func (g *openLoop) Stop() { g.stopped = true }
 // Offered returns the number of injection attempts so far (including
 // arrivals dropped at full rings).
 func (g *openLoop) Offered() uint64 { return g.offered }
-
-// ResetCounters zeroes the offered-load counter.
-func (g *openLoop) ResetCounters() { g.offered = 0 }
 
 // RegisterMetrics exposes the generator's offered-load counter.
 func (g *openLoop) RegisterMetrics(r *obs.Registry) {

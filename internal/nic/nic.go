@@ -264,11 +264,3 @@ func (n *NIC) RegisterMetrics(r *obs.Registry) {
 		rg.RegisterMetrics(r, fmt.Sprintf("nic.ring%02d.occupancy", i))
 	}
 }
-
-// ResetCounters zeroes per-window counters on the NIC and its rings.
-func (n *NIC) ResetCounters() {
-	n.injected, n.txPackets, n.txLines = 0, 0, 0
-	for _, r := range n.rings {
-		r.ResetCounters()
-	}
-}

@@ -208,15 +208,6 @@ func TestNilInjectorPanics(t *testing.T) {
 	New(Config{Mode: ModeDDIO, RingSlots: 1, SlotBytes: 1024}, space, nil)
 }
 
-func TestResetCounters(t *testing.T) {
-	n, _, _ := newTestNIC(t, ModeDDIO)
-	n.Inject(0, 0, 64, 0)
-	n.ResetCounters()
-	if n.Injected() != 0 || n.Dropped() != 0 {
-		t.Fatal("reset")
-	}
-}
-
 func TestTotalQueued(t *testing.T) {
 	n, _, _ := newTestNIC(t, ModeDDIO)
 	n.Inject(0, 0, 64, 0)

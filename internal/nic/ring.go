@@ -102,9 +102,6 @@ func (r *Ring) Full() bool { return r.inUse == r.nSlots }
 func (r *Ring) Enqueued() uint64 { return r.enqueued }
 func (r *Ring) Dropped() uint64  { return r.dropped }
 
-// ResetCounters zeroes the enqueue/drop counters (measurement windows).
-func (r *Ring) ResetCounters() { r.enqueued, r.dropped = 0, 0 }
-
 // Reset empties the ring, reusing the packet queue storage. Stale Packet
 // values remain in the backing array but are unreachable (countQ == 0) and
 // overwritten before any Pop can observe them.

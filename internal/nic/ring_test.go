@@ -104,10 +104,6 @@ func TestRingCounters(t *testing.T) {
 	if r.Enqueued() != 1 || r.Dropped() != 1 {
 		t.Fatal("counters")
 	}
-	r.ResetCounters()
-	if r.Enqueued() != 0 || r.Dropped() != 0 {
-		t.Fatal("reset")
-	}
 }
 
 // Property: under random reserve/enqueue/pop/free traffic, occupancy

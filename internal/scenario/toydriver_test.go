@@ -19,8 +19,6 @@ type toyDriver struct {
 	reqs  uint64
 }
 
-func (d *toyDriver) Name() string { return "toy" }
-
 func (d *toyDriver) Layout(space *addr.Space) {
 	d.base = space.AllocApp(d.lines * 64)
 }
@@ -30,12 +28,6 @@ func (d *toyDriver) PlanRequest(tag uint64, pktBytes uint64, plan *workload.Plan
 	plan.Ops = append(plan.Ops, workload.Op{Addr: d.base + (tag%d.lines)*64})
 	plan.ComputeCycles = 100
 	plan.RespBytes = 64
-}
-
-func (d *toyDriver) ExtraServiceCycles(tag uint64) uint64 { return 0 }
-
-func (d *toyDriver) Snapshot() []workload.Counter {
-	return []workload.Counter{{Name: "requests", Value: d.reqs}}
 }
 
 func init() {
@@ -80,7 +72,7 @@ func TestToyDriverEndToEnd(t *testing.T) {
 	if !ok {
 		t.Fatalf("machine runs %T, want *toyDriver", m.Workload())
 	}
-	if snap := drv.Snapshot(); snap[0].Value == 0 {
+	if drv.reqs == 0 {
 		t.Error("driver counters never advanced")
 	}
 	if r.Sweeper.Relinquishes == 0 {

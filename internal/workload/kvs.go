@@ -116,7 +116,7 @@ func (k *KVS) advanceLog() {
 	}
 }
 
-// Name implements Workload.
+// Name labels the driver in reports.
 func (k *KVS) Name() string { return fmt.Sprintf("kvs-%dB", k.cfg.ItemBytes) }
 
 // Config returns the store's configuration.
@@ -152,7 +152,7 @@ func (k *KVS) RequestBytes(tag uint64) uint64 {
 	return k.cfg.ItemBytes
 }
 
-// PlanRequest implements Workload: a GET probes the bucket and reads the
+// PlanRequest implements Driver: a GET probes the bucket and reads the
 // item from the log; a SET probes and updates the bucket and appends the
 // item at the log head. SET requests carry the full item in the packet
 // (read by the core from the RX buffer); GET responses carry the item back.
@@ -187,15 +187,6 @@ func (k *KVS) PlanRequest(tag uint64, pktBytes uint64, plan *Plan) {
 	k.keyVer[key] = splitmix64(tag)
 	k.advanceLog()
 	plan.RespBytes = addr.LineBytes // acknowledgment
-}
-
-// ExtraServiceCycles implements Driver: the KVS adds no service delay
-// beyond its plan.
-func (k *KVS) ExtraServiceCycles(uint64) uint64 { return 0 }
-
-// Snapshot implements Driver.
-func (k *KVS) Snapshot() []Counter {
-	return []Counter{{Name: "gets", Value: k.gets}, {Name: "sets", Value: k.sets}}
 }
 
 // WarmLLC implements LLCWarmer: the store's steady state keeps the LLC full

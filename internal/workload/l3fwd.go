@@ -62,7 +62,7 @@ func (f *L3Fwd) Layout(space *addr.Space) {
 	f.forwarded = 0
 }
 
-// Name implements Workload.
+// Name labels the driver in reports.
 func (f *L3Fwd) Name() string { return fmt.Sprintf("l3fwd-%dr", f.cfg.Rules) }
 
 // Config returns the forwarder's configuration.
@@ -74,7 +74,7 @@ func (f *L3Fwd) NextHop(tag uint64) uint64 {
 	return splitmix64(tag^0x1234abcd) % f.cfg.Rules
 }
 
-// PlanRequest implements Workload.
+// PlanRequest implements Driver.
 func (f *L3Fwd) PlanRequest(tag uint64, pktBytes uint64, plan *Plan) {
 	plan.reset()
 	// Per-packet jitter stands in for the natural service variation of
@@ -91,15 +91,6 @@ func (f *L3Fwd) PlanRequest(tag uint64, pktBytes uint64, plan *Plan) {
 	}
 	plan.RespBytes = pktBytes // forward the whole packet
 	f.forwarded++
-}
-
-// ExtraServiceCycles implements Driver: the forwarder's jitter is already
-// part of its plan compute.
-func (f *L3Fwd) ExtraServiceCycles(uint64) uint64 { return 0 }
-
-// Snapshot implements Driver.
-func (f *L3Fwd) Snapshot() []Counter {
-	return []Counter{{Name: "forwarded", Value: f.forwarded}}
 }
 
 // Forwarded returns the number of packets planned.

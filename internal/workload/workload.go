@@ -49,16 +49,6 @@ func (p *Plan) writeFull(a uint64) {
 	p.Ops = append(p.Ops, Op{Addr: a, Write: true, FullLine: true})
 }
 
-// Workload converts an arriving packet (identified by its generator tag and
-// size) into the access plan its service requires. Implementations must be
-// deterministic in tag so runs are reproducible.
-type Workload interface {
-	// PlanRequest fills plan for the packet. plan is reused across calls.
-	PlanRequest(tag uint64, pktBytes uint64, plan *Plan)
-	// Name labels the workload in reports.
-	Name() string
-}
-
 // splitmix64 is a fast, high-quality mixer used to derive independent
 // pseudo-random streams from a packet tag deterministically.
 func splitmix64(x uint64) uint64 {

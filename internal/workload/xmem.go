@@ -46,9 +46,9 @@ func NewXMem(cfg XMemConfig) *XMem {
 	}
 }
 
-// Layout implements Stream: it allocates the private array in the address
-// space and (re)starts the access sequence from seed. Re-laying-out against
-// a freshly Reset space reproduces a fresh instance exactly.
+// Layout allocates the private array in the address space and (re)starts
+// the access sequence from seed. Re-laying-out against a freshly Reset space
+// reproduces a fresh instance exactly.
 func (x *XMem) Layout(space *addr.Space, seed uint64) {
 	x.base = space.AllocApp(x.cfg.ArrayBytes)
 	x.state = splitmix64(seed | 1)
@@ -61,10 +61,10 @@ func (x *XMem) Name() string { return fmt.Sprintf("xmem-%dMB", x.cfg.ArrayBytes>
 // Config returns the instance's configuration.
 func (x *XMem) Config() XMemConfig { return x.cfg }
 
-// ComputeCycles implements Stream: the fixed gap between access batches.
+// ComputeCycles returns the fixed gap between access batches.
 func (x *XMem) ComputeCycles() uint64 { return x.cfg.ComputeCycles }
 
-// InstrPerAccess implements Stream: the IPC-proxy conversion factor.
+// InstrPerAccess returns the IPC-proxy conversion factor.
 func (x *XMem) InstrPerAccess() uint64 { return x.cfg.InstrPerAccess }
 
 // Next returns the next dependent random line address in the stream.
