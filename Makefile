@@ -50,10 +50,11 @@ bench-mem:
 	$(GO) test ./internal/mem/ -run=XXX -bench='MapAddr' -benchmem $(BENCHFLAGS)
 	$(GO) test ./internal/fastdiv/ -run=XXX -bench=. -benchmem $(BENCHFLAGS)
 
-# One iteration of every bench-mem benchmark, so a benchmark that a change
-# breaks or makes panic fails the check.
+# One iteration of every benchmark in the module (engine, memory path,
+# ablations, end to end), so a benchmark that a change breaks or makes panic
+# fails the check.
 bench-smoke:
-	$(MAKE) bench-mem BENCHFLAGS=-benchtime=1x
+	$(GO) test ./... -run=XXX -bench=. -benchtime=1x
 
 # End-to-end single-run benchmark (whole machine, short windows).
 bench-e2e:

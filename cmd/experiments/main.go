@@ -43,7 +43,6 @@ func run(args []string) error {
 		figFlag    = fs.String("fig", "all", "comma-separated experiment ids ("+strings.Join(experiments.Names(), ", ")+"), 'claims' or 'all'")
 		quick      = fs.Bool("quick", false, "use the reduced-fidelity quick scale")
 		outDir     = fs.String("out", "", "directory for CSV output (optional)")
-		parallel   = fs.Int("parallel", 0, "max concurrent simulations (0 = $SWEEPER_WORKERS, then GOMAXPROCS)")
 		manifest   = fs.String("manifest", "", "write an invocation manifest (scale + generated tables) as JSON to this file")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -62,7 +61,6 @@ func run(args []string) error {
 	if *quick {
 		sc = experiments.QuickScale()
 	}
-	sc.Parallelism = *parallel
 
 	registry := experiments.Registry()
 	var ids []string

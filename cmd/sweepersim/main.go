@@ -110,7 +110,7 @@ func run(args []string) (err error) {
 	if *txSlots > 0 {
 		cfg.TXSlots = *txSlots
 	}
-	cfg.Sweeper = core.Config{RXSweep: *sweeperOn, TXSweep: *sweepTX, IssueCyclesPerLine: 1}
+	cfg.Sweeper = core.Config{RXSweep: *sweeperOn, TXSweep: *sweepTX}
 	if *mlp > 0 {
 		cfg.MLPWidth = *mlp
 	}

@@ -38,7 +38,7 @@ func TestWritebackConservation(t *testing.T) {
 		for op := 0; op < 4000; op++ {
 			core := rng.Intn(2)
 			a := uint64(rng.Intn(512)) * 64
-			switch rng.Intn(9) {
+			switch rng.Intn(8) {
 			case 0, 1:
 				h.CPURead(uint64(op), core, a)
 			case 2:
@@ -52,8 +52,6 @@ func TestWritebackConservation(t *testing.T) {
 				dirtied[a]++
 			case 6, 7:
 				h.Sweep(uint64(op), core, a)
-			case 8:
-				h.CLWB(uint64(op), core, a)
 			}
 			// CPUWrite on a clean cached line re-dirties it without a
 			// new "event" in our ledger only when it was already
@@ -95,15 +93,12 @@ func TestSweeperSavesExactlyTheDirtyLines(t *testing.T) {
 	}
 }
 
-// TestInvalidateFamilyClosedLoop runs the same NIC-write/consume/relinquish
-// loop under the hierarchy's two invalidation primitives and checks each
-// one's defining property: clsweep drops every dirty line with zero DRAM
-// traffic, clwb (the page guard's primitive) writes back exactly the dirty
-// lines but leaves them cached clean.
+// TestInvalidateFamilyClosedLoop runs the NIC-write/consume/relinquish loop
+// under the hierarchy's invalidation primitive and checks its defining
+// property: clsweep drops every dirty line with zero DRAM traffic.
 func TestInvalidateFamilyClosedLoop(t *testing.T) {
 	const lines = 300
-	loop := func(t *testing.T, relinquish func(h *Hierarchy, now uint64, a uint64) bool) (*Hierarchy, *countingSink) {
-		t.Helper()
+	t.Run("clsweep", func(t *testing.T) {
 		sink := &countingSink{writebacks: map[uint64]int{}}
 		h := NewHierarchy(smallConfig(), sink)
 		h.SetNICWays(2)
@@ -111,63 +106,15 @@ func TestInvalidateFamilyClosedLoop(t *testing.T) {
 			a := uint64(0x100000) + uint64(i)*64
 			h.NICWriteDDIO(uint64(i*3), 0, a)
 			h.CPURead(uint64(i*3+1), 0, a)
-			if !relinquish(h, uint64(i*3+2), a) {
+			if !h.Sweep(uint64(i*3+2), 0, a) {
 				t.Fatalf("line %d: relinquish found nothing dirty", i)
 			}
 		}
-		return h, sink
-	}
-	total := func(s *countingSink) int {
-		n := 0
-		for _, wb := range s.writebacks {
-			n += wb
-		}
-		return n
-	}
-
-	t.Run("clsweep", func(t *testing.T) {
-		h, sink := loop(t, func(h *Hierarchy, now, a uint64) bool { return h.Sweep(now, 0, a) })
 		if ops, dropped := h.Sweeps(); ops != lines || dropped != lines {
 			t.Fatalf("Sweeps() = (%d, %d), want (%d, %d)", ops, dropped, lines, lines)
 		}
-		if n := total(sink); n != 0 {
-			t.Fatalf("%d writebacks despite sweeping", n)
-		}
-	})
-	t.Run("clwb", func(t *testing.T) {
-		h, sink := loop(t, func(h *Hierarchy, now, a uint64) bool { return h.CLWB(now, 0, a) })
-		if ops, dropped := h.Sweeps(); ops != 0 || dropped != 0 {
-			t.Fatalf("Sweeps() = (%d, %d) after clwb only, want (0, 0)", ops, dropped)
-		}
-		if n := total(sink); n != lines {
-			t.Fatalf("clwb wrote back %d lines, want %d", n, lines)
-		}
-		// CLWB keeps the copies resident and clean: rechecking a line
-		// right after its writeback must find nothing dirty, add no
-		// writebacks, and still hit in cache (no new demand reads). A
-		// small working set keeps capacity evictions out of the picture.
-		sink2 := &countingSink{writebacks: map[uint64]int{}}
-		h2 := NewHierarchy(smallConfig(), sink2)
-		h2.SetNICWays(2)
-		for i := 0; i < 4; i++ {
-			a := uint64(0x100000) + uint64(i)*64
-			now := uint64(i * 5)
-			h2.NICWriteDDIO(now, 0, a)
-			h2.CPURead(now+1, 0, a)
-			if !h2.CLWB(now+2, 0, a) {
-				t.Fatalf("line %d: clwb found nothing dirty", i)
-			}
-			if h2.CLWB(now+3, 0, a) {
-				t.Fatalf("line %d: second clwb found a dirty copy", i)
-			}
-			reads := sink2.reads
-			h2.CPURead(now+4, 0, a)
-			if sink2.reads != reads {
-				t.Fatalf("line %d: clwb evicted the copy (demand read after writeback)", i)
-			}
-		}
-		if n := total(sink2); n != 4 {
-			t.Fatalf("residency loop wrote back %d lines, want 4", n)
+		if len(sink.writebacks) != 0 {
+			t.Fatalf("%d addresses written back despite sweeping", len(sink.writebacks))
 		}
 	})
 }
@@ -176,38 +123,28 @@ func TestInvalidateFamilyClosedLoop(t *testing.T) {
 // accounting bug class: relinquishing a clean or absent line must never
 // charge a writeback, and must not inflate the dropped-dirty counter.
 func TestInvalidateFamilyCleanLinesFree(t *testing.T) {
-	ops := map[string]func(h *Hierarchy, now, a uint64) bool{
-		"clsweep": func(h *Hierarchy, now, a uint64) bool { return h.Sweep(now, 0, a) },
-		"clwb":    func(h *Hierarchy, now, a uint64) bool { return h.CLWB(now, 0, a) },
-	}
-	for name, op := range ops {
-		t.Run(name, func(t *testing.T) {
-			sink := &countingSink{writebacks: map[uint64]int{}}
-			h := NewHierarchy(smallConfig(), sink)
-			h.SetNICWays(2)
+	t.Run("clsweep", func(t *testing.T) {
+		sink := &countingSink{writebacks: map[uint64]int{}}
+		h := NewHierarchy(smallConfig(), sink)
+		h.SetNICWays(2)
 
-			// A clean cached line (demand read fills clean) and a line
-			// the hierarchy has never seen.
-			clean, absent := uint64(0x100000), uint64(0x900000)
-			h.CPURead(0, 0, clean)
-			if op(h, 10, clean) {
-				t.Fatal("clean line reported dirty")
-			}
-			if op(h, 20, absent) {
-				t.Fatal("absent line reported dirty")
-			}
-			if len(sink.writebacks) != 0 {
-				t.Fatalf("writebacks charged for clean/absent lines: %v", sink.writebacks)
-			}
-			sweepOps, dropped := h.Sweeps()
-			if dropped != 0 {
-				t.Fatalf("dropped-dirty counter inflated: dropped=%d", dropped)
-			}
-			if want := map[string]uint64{"clsweep": 2, "clwb": 0}[name]; sweepOps != want {
-				t.Fatalf("sweep op counter = %d, want %d", sweepOps, want)
-			}
-		})
-	}
+		// A clean cached line (demand read fills clean) and a line the
+		// hierarchy has never seen.
+		clean, absent := uint64(0x100000), uint64(0x900000)
+		h.CPURead(0, 0, clean)
+		if h.Sweep(10, 0, clean) {
+			t.Fatal("clean line reported dirty")
+		}
+		if h.Sweep(20, 0, absent) {
+			t.Fatal("absent line reported dirty")
+		}
+		if len(sink.writebacks) != 0 {
+			t.Fatalf("writebacks charged for clean/absent lines: %v", sink.writebacks)
+		}
+		if ops, dropped := h.Sweeps(); ops != 2 || dropped != 0 {
+			t.Fatalf("Sweeps() = (%d, %d), want (2, 0)", ops, dropped)
+		}
+	})
 }
 
 // TestConsumedBufferLeakWithoutSweeper is the paper's §IV-A in miniature:

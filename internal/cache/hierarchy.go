@@ -427,27 +427,6 @@ func (h *Hierarchy) Sweep(now uint64, owner int, a uint64) bool {
 	return dropped
 }
 
-// CLWB writes line a back to DRAM if any level holds it dirty, leaving the
-// copies clean in place — the x86 CLWB semantics used by the paper's OS
-// page-recycling mitigation (§V-B). It reports whether a writeback was
-// issued.
-func (h *Hierarchy) CLWB(now uint64, owner int, a uint64) bool {
-	dirty := false
-	if _, d := h.l1[owner].MakeClean(a); d {
-		dirty = true
-	}
-	if _, d := h.l2[owner].MakeClean(a); d {
-		dirty = true
-	}
-	if _, d := h.llc.MakeClean(a); d {
-		dirty = true
-	}
-	if dirty {
-		h.sink.WritebackEvict(now, a)
-	}
-	return dirty
-}
-
 // CheckInvariants validates internal cache consistency across every level:
 // tags and ages agree on which ways are valid, a set's valid ages are
 // distinct and within its clock, no line appears twice in a set, and every

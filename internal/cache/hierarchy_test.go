@@ -319,24 +319,6 @@ func TestSweepCleanLine(t *testing.T) {
 	}
 }
 
-func TestCLWB(t *testing.T) {
-	h, sink := newTestHierarchy(t)
-	a := uint64(0xE0000)
-	h.CPUWriteFull(0, 0, a)
-	if !h.CLWB(10, 0, a) {
-		t.Fatal("CLWB of dirty line reported no writeback")
-	}
-	if len(sink.writebacks) != 1 {
-		t.Fatal("CLWB must write back")
-	}
-	if h.L1(0).Peek(a) != Clean {
-		t.Fatal("CLWB must leave the line cached clean")
-	}
-	if h.CLWB(20, 0, a) {
-		t.Fatal("second CLWB found dirty data")
-	}
-}
-
 func TestDirtyL1VictimReachesL2(t *testing.T) {
 	h, _ := newTestHierarchy(t)
 	// Write more distinct lines than L1 holds in one set; dirty victims

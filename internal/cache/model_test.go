@@ -119,14 +119,6 @@ func (r *refCache) Invalidate(a uint64) (present, dirty bool) {
 	return present, dirty
 }
 
-func (r *refCache) MakeClean(a uint64) (present, wasDirty bool) {
-	if w := r.find(a); w != nil {
-		present, wasDirty = true, w.dirty
-		w.dirty = false
-	}
-	return present, wasDirty
-}
-
 func (r *refCache) Extract(a uint64) State {
 	w := r.find(a)
 	st := w.state()
@@ -201,10 +193,6 @@ func runAgainstModel(t *testing.T, c *SetAssoc, rng *rand.Rand, ops int) {
 			p, d := c.Invalidate(a)
 			rp, rd := ref.Invalidate(a)
 			got, want = [2]bool{p, d}, [2]bool{rp, rd}
-		case k < 910:
-			p, d := c.MakeClean(a)
-			rp, rd := ref.MakeClean(a)
-			got, want = [2]bool{p, d}, [2]bool{rp, rd}
 		case k < 999:
 			got, want = c.Extract(a), ref.Extract(a)
 		default:
@@ -228,7 +216,7 @@ func runAgainstModel(t *testing.T, c *SetAssoc, rng *rand.Rand, ops int) {
 
 // TestSetAssocMatchesReferenceModel drives SetAssoc op for op beside the
 // naive model over random geometries: 1-32 ways, power-of-two, odd and
-// Table I's 49152 set counts, random way masks and all eight operations.
+// Table I's 49152 set counts, random way masks and all seven operations.
 func TestSetAssocMatchesReferenceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	setCounts := []int{1, 2, 64, 1024, 3, 7, 97, 49151, 49152}

@@ -153,15 +153,6 @@ func (c *SetAssoc) CapacityBytes() uint64 {
 func (c *SetAssoc) Hits() uint64   { return c.hits }
 func (c *SetAssoc) Misses() uint64 { return c.misses }
 
-// MissRatio returns misses / lookups, or 0 with no lookups.
-func (c *SetAssoc) MissRatio() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.misses) / float64(total)
-}
-
 // Reset invalidates every line and zeroes the statistics, returning the
 // cache to its just-constructed state. Zeroed ages matter as much as zeroed
 // tags: empty ways then fill lowest index first, as in a fresh cache, and
@@ -359,19 +350,6 @@ func (c *SetAssoc) drop(s, w int) State {
 func (c *SetAssoc) Invalidate(a uint64) (present, dirty bool) {
 	if s, w := c.find(a); w >= 0 {
 		return true, c.drop(s, w) == Dirty
-	}
-	return false, false
-}
-
-// MakeClean marks a present line clean without removing it (the CLWB
-// behaviour after its writeback has been issued). It reports presence and
-// whether the line had been dirty.
-func (c *SetAssoc) MakeClean(a uint64) (present, wasDirty bool) {
-	if s, w := c.find(a); w >= 0 {
-		_, ages := c.set(s)
-		wasDirty = ages[w]&dirtyBit != 0
-		ages[w] &^= dirtyBit
-		return true, wasDirty
 	}
 	return false, false
 }

@@ -92,9 +92,8 @@ func init() {
 		Line: func(hw Sweepable, now uint64, owner int, a uint64) (bool, bool) {
 			return hw.Sweep(now, owner, a), false
 		},
-		// One clsweep per covered cache line.
-		IssueCycles: func(cfg Config, lines uint64) uint64 {
-			return lines * cfg.IssueCyclesPerLine
-		},
+		// One clsweep per covered cache line, one cycle each to issue; the
+		// sweep message itself propagates off the critical path.
+		IssueCycles: func(_ Config, lines uint64) uint64 { return lines },
 	})
 }

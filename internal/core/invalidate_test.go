@@ -43,7 +43,7 @@ func TestInsnCounterConsistency(t *testing.T) {
 				hw.dirty[base+i*64] = true
 				dirty++
 			}
-			s := New(hw, Config{RXSweep: true, IssueCyclesPerLine: 1, Insn: name})
+			s := New(hw, Config{RXSweep: true, Insn: name})
 			s.Relinquish(0, 0, base, size)
 			st := s.Stats()
 			if st.Relinquishes != 1 || st.SweptLines != 32 {
@@ -65,12 +65,12 @@ func TestInsnCounterConsistency(t *testing.T) {
 }
 
 // TestInsnIssueLatency pins clsweep's core-visible cost model: one
-// instruction per covered line, at IssueCyclesPerLine each.
+// instruction per covered line, one cycle each.
 func TestInsnIssueLatency(t *testing.T) {
 	const base, size = uint64(0), uint64(64 * 100) // 100 lines
-	s := New(&fakeHW{}, Config{RXSweep: true, IssueCyclesPerLine: 3, Insn: InsnCLSweep})
-	if done := s.Relinquish(1000, 0, base, size); done != 1000+300 {
-		t.Errorf("clsweep: done = %d, want 1300", done)
+	s := New(&fakeHW{}, Config{RXSweep: true, Insn: InsnCLSweep})
+	if done := s.Relinquish(1000, 0, base, size); done != 1000+100 {
+		t.Errorf("clsweep: done = %d, want 1100", done)
 	}
 }
 

@@ -12,8 +12,7 @@
 //
 // The package also implements the transmit-path variant (§V-D), where the
 // NIC — the last reader of a zero-copy TX buffer — initiates the sweep after
-// transmission, triggered by the SweepBuffer field of the Work Queue entry,
-// and the OS page-recycling mitigation from the paper's security discussion.
+// transmission, triggered by the SweepBuffer field of the Work Queue entry.
 package core
 
 import (
@@ -39,10 +38,6 @@ type Config struct {
 	// Work Queue SweepBuffer field (§V-D). Off in the paper's headline
 	// evaluation; exercised by this repo's ablation benchmarks.
 	TXSweep bool
-	// IssueCyclesPerLine is the core-side cost of issuing one clsweep
-	// instruction. The sweep message itself propagates off the critical
-	// path.
-	IssueCyclesPerLine uint64
 	// DebugUseAfterRelinquish enables a sanitizer that records
 	// relinquished lines and flags reads before the next NIC overwrite
 	// (the undefined behaviour §V-A warns about).
@@ -53,9 +48,9 @@ type Config struct {
 	Insn string
 }
 
-// DefaultConfig enables RX sweeping with a 1-cycle clsweep issue cost.
+// DefaultConfig enables RX sweeping.
 func DefaultConfig() Config {
-	return Config{RXSweep: true, IssueCyclesPerLine: 1}
+	return Config{RXSweep: true}
 }
 
 // Sweeper binds the software API to the simulated hardware.
@@ -216,11 +211,6 @@ func (s *Sweeper) Stats() Stats {
 		DroppedDirtyLines: s.droppedDirty,
 		WrittenBackLines:  s.wroteBack,
 	}
-}
-
-// SavedBandwidthBytes returns the DRAM write traffic avoided by sweeping.
-func (s *Sweeper) SavedBandwidthBytes() uint64 {
-	return s.droppedDirty * addr.LineBytes
 }
 
 func (s *Sweeper) String() string {

@@ -3,8 +3,6 @@ package core
 import (
 	"testing"
 	"testing/quick"
-
-	"sweeper/internal/addr"
 )
 
 // fakeHW records sweep operations and reports dirtiness per a scripted set.
@@ -24,7 +22,7 @@ func (h *fakeHW) Sweep(now uint64, owner int, a uint64) bool {
 
 func TestRelinquishSweepsEveryLine(t *testing.T) {
 	hw := &fakeHW{dirty: map[uint64]bool{}}
-	s := New(hw, Config{RXSweep: true, IssueCyclesPerLine: 1})
+	s := New(hw, Config{RXSweep: true})
 	done := s.Relinquish(100, 0, 4096, 1024)
 	if len(hw.swept) != 16 {
 		t.Fatalf("swept %d lines, want 16", len(hw.swept))
@@ -41,7 +39,7 @@ func TestRelinquishSweepsEveryLine(t *testing.T) {
 
 func TestRelinquishUnalignedRange(t *testing.T) {
 	hw := &fakeHW{}
-	s := New(hw, Config{RXSweep: true, IssueCyclesPerLine: 1})
+	s := New(hw, Config{RXSweep: true})
 	// [100, 260) covers lines 64,128,192,256.
 	s.Relinquish(0, 0, 100, 160)
 	if len(hw.swept) != 4 || hw.swept[0] != 64 || hw.swept[3] != 256 {
@@ -51,7 +49,7 @@ func TestRelinquishUnalignedRange(t *testing.T) {
 
 func TestRelinquishDisabledIsFreeNoOp(t *testing.T) {
 	hw := &fakeHW{}
-	s := New(hw, Config{RXSweep: false, IssueCyclesPerLine: 1})
+	s := New(hw, Config{RXSweep: false})
 	done := s.Relinquish(50, 0, 0, 4096)
 	if done != 50 {
 		t.Fatalf("disabled relinquish cost cycles: %d", done)
@@ -66,7 +64,7 @@ func TestRelinquishDisabledIsFreeNoOp(t *testing.T) {
 
 func TestRelinquishZeroSize(t *testing.T) {
 	hw := &fakeHW{}
-	s := New(hw, Config{RXSweep: true, IssueCyclesPerLine: 1})
+	s := New(hw, Config{RXSweep: true})
 	if done := s.Relinquish(10, 0, 64, 0); done != 10 {
 		t.Fatal("zero-size relinquish must be free")
 	}
@@ -74,14 +72,11 @@ func TestRelinquishZeroSize(t *testing.T) {
 
 func TestDroppedDirtyAccounting(t *testing.T) {
 	hw := &fakeHW{dirty: map[uint64]bool{0: true, 64: true}}
-	s := New(hw, Config{RXSweep: true, IssueCyclesPerLine: 1})
+	s := New(hw, Config{RXSweep: true})
 	s.Relinquish(0, 0, 0, 256) // 4 lines, 2 dirty
 	st := s.Stats()
 	if st.SweptLines != 4 || st.DroppedDirtyLines != 2 || st.Relinquishes != 1 {
 		t.Fatalf("stats = %+v", st)
-	}
-	if s.SavedBandwidthBytes() != 2*64 {
-		t.Fatalf("saved bytes = %d", s.SavedBandwidthBytes())
 	}
 }
 
@@ -111,14 +106,14 @@ func TestRXEnabledAccessor(t *testing.T) {
 	if !s.RXEnabled() || s.TXEnabled() {
 		t.Fatal("accessors")
 	}
-	if s.Config().IssueCyclesPerLine != 0 {
+	if s.Config() != (Config{RXSweep: true}) {
 		t.Fatal("config passthrough")
 	}
 }
 
 func TestDefaultConfig(t *testing.T) {
 	cfg := DefaultConfig()
-	if !cfg.RXSweep || cfg.TXSweep || cfg.IssueCyclesPerLine != 1 {
+	if cfg != (Config{RXSweep: true}) {
 		t.Fatalf("DefaultConfig = %+v", cfg)
 	}
 }
@@ -192,66 +187,4 @@ func TestRelinquishCoverageProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// hwOverHierarchy checks the package integrates with the real cache types
-// (compile-time + basic behaviour).
-func TestPageGuard(t *testing.T) {
-	hw := &zeroHW{}
-	g := NewPageGuard(hw)
-	if g.IsSweepCapable(3) {
-		t.Fatal("unexpected capability")
-	}
-
-	// Non-capable process: zeroing writes every line, no CLWB.
-	g.TransferPage(0, 3, 8192)
-	if hw.writes != PageBytes/addr.LineBytes {
-		t.Fatalf("zeroing wrote %d lines", hw.writes)
-	}
-	if hw.clwbs != 0 {
-		t.Fatal("CLWB for non-capable process")
-	}
-
-	// Capable process: every zeroed block is forced to memory.
-	g.GrantClsweep(5)
-	hw.writes, hw.clwbs = 0, 0
-	g.TransferPage(0, 5, 16384)
-	if hw.clwbs != PageBytes/addr.LineBytes {
-		t.Fatalf("CLWB count = %d", hw.clwbs)
-	}
-	lines, wbs := g.CLWBStats()
-	if lines != PageBytes/addr.LineBytes || wbs != lines {
-		t.Fatalf("CLWB stats %d/%d", lines, wbs)
-	}
-	if g.ZeroedPages() != 2 {
-		t.Fatalf("pages = %d", g.ZeroedPages())
-	}
-}
-
-func TestPageGuardAlignsPage(t *testing.T) {
-	hw := &zeroHW{}
-	g := NewPageGuard(hw)
-	g.TransferPage(0, 0, 8192+123) // unaligned -> page 8192
-	if hw.firstWrite != 8192 {
-		t.Fatalf("zeroing started at %#x", hw.firstWrite)
-	}
-}
-
-type zeroHW struct {
-	writes     int
-	clwbs      int
-	firstWrite uint64
-}
-
-func (h *zeroHW) CPUWrite(now uint64, core int, a uint64) uint64 {
-	if h.writes == 0 {
-		h.firstWrite = a
-	}
-	h.writes++
-	return now + 1
-}
-
-func (h *zeroHW) CLWB(now uint64, owner int, a uint64) bool {
-	h.clwbs++
-	return true
 }

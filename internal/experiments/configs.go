@@ -26,7 +26,6 @@ func (v Variant) Apply(cfg machine.Config) machine.Config {
 		cfg.DDIOWays = v.Ways
 	}
 	cfg.Sweeper.RXSweep = v.Sweeper
-	cfg.Sweeper.IssueCyclesPerLine = 1
 	return cfg
 }
 

@@ -43,9 +43,6 @@ func New(d uint64) Divisor {
 	return Divisor{d: d, magic: ^uint64(0)/d + 1}
 }
 
-// D returns the divisor value.
-func (v Divisor) D() uint64 { return v.d }
-
 // Div returns n / d.
 func (v Divisor) Div(n uint64) uint64 {
 	if v.pow2 {

@@ -111,13 +111,24 @@ func DefaultConfig() Config {
 		TXSlots:     128,
 		Workload:    workload.NameKVS,
 		ItemBytes:   1024,
-		Sweeper:     core.Config{RXSweep: false, IssueCyclesPerLine: 1},
+		Sweeper:     core.Config{RXSweep: false},
 		OfferedMrps: 10,
 		PollCycles:  50,
 		MLPWidth:    12,
 		Seed:        1,
 	}
 }
+
+// Upper bounds on the sizes that drive New's allocations: per-core cache
+// metadata and rings, per-channel DRAM state and per-packet line lists. They
+// sit far above any studied machine (24 cores, 2048-slot rings, 1KB packets,
+// 8 channels) and keep scenario files and flags from exhausting the host.
+const (
+	maxCores       = 256
+	maxRingSlots   = 1 << 14
+	maxPacketBytes = 64 << 10
+	maxMemChannels = 64
+)
 
 // Validate reports configuration errors before assembly.
 func (c *Config) Validate() error {
@@ -126,20 +137,30 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("machine: NetCores must be positive, got %d", c.NetCores)
 	case c.XMemCores < 0:
 		return fmt.Errorf("machine: XMemCores must be non-negative, got %d", c.XMemCores)
+	case c.NetCores > maxCores || c.XMemCores > maxCores-c.NetCores:
+		return fmt.Errorf("machine: NetCores+XMemCores must be at most %d, got %d+%d", maxCores, c.NetCores, c.XMemCores)
 	case c.FreqHz <= 0:
 		return fmt.Errorf("machine: FreqHz must be positive, got %g", c.FreqHz)
 	case c.RingSlots <= 0:
 		return fmt.Errorf("machine: RingSlots must be positive, got %d", c.RingSlots)
 	case c.RingSlots&(c.RingSlots-1) != 0:
 		return fmt.Errorf("machine: RingSlots must be a power of two, got %d", c.RingSlots)
+	case c.RingSlots > maxRingSlots:
+		return fmt.Errorf("machine: RingSlots must be at most %d, got %d", maxRingSlots, c.RingSlots)
 	case c.PacketBytes == 0:
 		return fmt.Errorf("machine: PacketBytes must be positive")
+	case c.PacketBytes > maxPacketBytes:
+		return fmt.Errorf("machine: PacketBytes must be at most %d, got %d", maxPacketBytes, c.PacketBytes)
 	case c.TXSlots <= 0:
 		return fmt.Errorf("machine: TXSlots must be positive, got %d", c.TXSlots)
 	case c.TXSlots&(c.TXSlots-1) != 0:
 		return fmt.Errorf("machine: TXSlots must be a power of two, got %d", c.TXSlots)
+	case c.TXSlots > maxRingSlots:
+		return fmt.Errorf("machine: TXSlots must be at most %d, got %d", maxRingSlots, c.TXSlots)
 	case c.Mem.Channels <= 0:
 		return fmt.Errorf("machine: Mem.Channels must be positive, got %d", c.Mem.Channels)
+	case c.Mem.Channels > maxMemChannels:
+		return fmt.Errorf("machine: Mem.Channels must be at most %d, got %d", maxMemChannels, c.Mem.Channels)
 	case c.NICMode == nic.ModeDDIO && (c.DDIOWays <= 0 || c.DDIOWays > c.Cache.LLCWays) && c.NICWayMask == 0:
 		return fmt.Errorf("machine: DDIOWays %d out of range [1,%d]", c.DDIOWays, c.Cache.LLCWays)
 	case c.OfferedMrps <= 0 && c.ClosedLoopDepth <= 0:

@@ -16,7 +16,7 @@ func determinismCases() map[string]func(*Config) {
 	return map[string]func(*Config){
 		"open-loop-ddio": func(c *Config) {},
 		"sweeper": func(c *Config) {
-			c.Sweeper = core.Config{RXSweep: true, IssueCyclesPerLine: 1}
+			c.Sweeper = core.Config{RXSweep: true}
 		},
 		"closed-loop": func(c *Config) {
 			c.OfferedMrps = 0

@@ -53,6 +53,11 @@ func TestConfigValidation(t *testing.T) {
 		"spike range":              func(c *Config) { c.SpikeProb, c.SpikeMinCycles, c.SpikeMaxCycles = 0.5, 100, 10 },
 		"rate above one per cycle": func(c *Config) { c.OfferedMrps = 1e5 },
 		"NaN rate":                 func(c *Config) { c.OfferedMrps = math.NaN() },
+		"too many cores":           func(c *Config) { c.NetCores, c.XMemCores = 200, 57 },
+		"ring too deep":            func(c *Config) { c.RingSlots = 1 << 15 },
+		"tx too deep":              func(c *Config) { c.TXSlots = 1 << 15 },
+		"packet too big":           func(c *Config) { c.PacketBytes = 64<<10 + 1 },
+		"too many channels":        func(c *Config) { c.Mem.Channels = 65 },
 	}
 	for name, mutate := range cases {
 		cfg := DefaultConfig()
@@ -68,6 +73,14 @@ func TestConfigValidation(t *testing.T) {
 	good.OfferedMrps = good.FreqHz / 1e6
 	if err := good.Validate(); err != nil {
 		t.Fatalf("one arrival per cycle rejected: %v", err)
+	}
+	// Each size bound is inclusive.
+	good.NetCores, good.XMemCores = 200, 56
+	good.RingSlots, good.TXSlots = 1<<14, 1<<14
+	good.PacketBytes = 64 << 10
+	good.Mem.Channels = 64
+	if err := good.Validate(); err != nil {
+		t.Fatalf("config at the size bounds rejected: %v", err)
 	}
 }
 
@@ -192,7 +205,7 @@ func TestSweeperEliminatesConsumedEvictions(t *testing.T) {
 	base := quickRun(t, quickCfg())
 
 	cfg := quickCfg()
-	cfg.Sweeper = core.Config{RXSweep: true, IssueCyclesPerLine: 1}
+	cfg.Sweeper = core.Config{RXSweep: true}
 	swept := quickRun(t, cfg)
 
 	if base.AccessesPerRequest[stats.RXEvct] < 0.5 {
@@ -359,7 +372,7 @@ func TestSweepTXEliminatesTXEvictions(t *testing.T) {
 	r1 := quickRun(t, base)
 
 	swept := base
-	swept.Sweeper = core.Config{RXSweep: true, TXSweep: true, IssueCyclesPerLine: 1}
+	swept.Sweeper = core.Config{RXSweep: true, TXSweep: true}
 	r2 := quickRun(t, swept)
 
 	if r1.AccessesPerRequest[stats.TXEvct] < 0.5 {
@@ -373,7 +386,7 @@ func TestSweepTXEliminatesTXEvictions(t *testing.T) {
 
 func TestUseAfterRelinquishSanitizerCleanRun(t *testing.T) {
 	cfg := quickCfg()
-	cfg.Sweeper = core.Config{RXSweep: true, IssueCyclesPerLine: 1, DebugUseAfterRelinquish: true}
+	cfg.Sweeper = core.Config{RXSweep: true, DebugUseAfterRelinquish: true}
 	m := MustNew(cfg)
 	m.Run(600_000, 400_000)
 	if n := len(m.Sweeper().Violations()); n != 0 {

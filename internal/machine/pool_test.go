@@ -15,7 +15,7 @@ import (
 func dirtyVariant(cfg Config) Config {
 	d := cfg
 	d.Seed = cfg.Seed + 17
-	d.Sweeper = core.Config{RXSweep: !cfg.Sweeper.RXSweep, IssueCyclesPerLine: 1}
+	d.Sweeper = core.Config{RXSweep: !cfg.Sweeper.RXSweep}
 	if d.NICMode == nic.ModeDDIO {
 		d.NICMode = nic.ModeDMA
 	} else {

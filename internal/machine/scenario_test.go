@@ -94,7 +94,7 @@ func TestSweeperImprovesLatencyUnderLoad(t *testing.T) {
 	r1 := quickRun(t, base)
 
 	swept := base
-	swept.Sweeper = core.Config{RXSweep: true, IssueCyclesPerLine: 1}
+	swept.Sweeper = core.Config{RXSweep: true}
 	r2 := quickRun(t, swept)
 
 	if r2.DRAMLatMean >= r1.DRAMLatMean {

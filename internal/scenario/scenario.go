@@ -153,7 +153,6 @@ func (v Variant) Apply(cfg machine.Config) (machine.Config, error) {
 	// variant application.
 	cfg.Sweeper.RXSweep = v.Sweeper
 	cfg.Sweeper.TXSweep = v.TXSweep
-	cfg.Sweeper.IssueCyclesPerLine = 1
 	return cfg, nil
 }
 

@@ -435,18 +435,6 @@ func TestXMemDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestXMemIPC(t *testing.T) {
-	x := NewXMem(DefaultXMemConfig())
-	x.Layout(testSpace(), 1)
-	// 1000 accesses x 8 instr over 16000 cycles = 0.5 IPC.
-	if got := x.IPC(1000, 16_000); got != 0.5 {
-		t.Fatalf("IPC = %g", got)
-	}
-	if x.IPC(10, 0) != 0 {
-		t.Fatal("zero-cycle IPC")
-	}
-}
-
 func TestXMemValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {

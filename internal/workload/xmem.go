@@ -76,12 +76,3 @@ func (x *XMem) Next() uint64 {
 
 // Accesses returns the number of accesses generated.
 func (x *XMem) Accesses() uint64 { return x.accesses }
-
-// IPC converts an access count over a cycle window into the instructions-
-// per-cycle proxy the paper plots for X-Mem in Figure 9.
-func (x *XMem) IPC(accesses, cycles uint64) float64 {
-	if cycles == 0 {
-		return 0
-	}
-	return float64(accesses*x.cfg.InstrPerAccess) / float64(cycles)
-}
