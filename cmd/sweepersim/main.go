@@ -317,7 +317,7 @@ func printResults(cfg machine.Config, r machine.Results) {
 		fmt.Printf("  %-14s %7.3f\n", k, r.AccessesPerRequest[k])
 	}
 	if r.Sweeper.SweptLines > 0 {
-		fmt.Printf("sweeper: %d relinquishes, %d lines swept, %d dirty dropped (%.2f GB/s saved)\n",
+		fmt.Printf("sweeper: %d relinquishes, %d lines swept, %d dirty dropped (whole run, warm-up included); %.2f GB/s saved in the window\n",
 			r.Sweeper.Relinquishes, r.Sweeper.SweptLines,
 			r.Sweeper.DroppedDirtyLines, r.SweeperSavedGBps)
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
 )
 
@@ -19,6 +20,35 @@ func TestProfilesSurviveFailedRun(t *testing.T) {
 	}
 	for _, p := range []string{cpu, mem} {
 		checkGzip(t, p)
+	}
+}
+
+// TestSweeperLineLabelsItsSpan runs a short -sweeper simulation and checks
+// that the sweeper line keeps its "sweeper: N relinquishes" prefix and says
+// that its counts cover the whole run while the saved bandwidth covers only
+// the measured window.
+func TestSweeperLineLabelsItsSpan(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "stdout")
+	f, err := os.Create(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = f
+	err = run([]string{"-rate", "12", "-sweeper", "-warmup", "20000", "-measure", "40000"})
+	os.Stdout = stdout
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := regexp.MustCompile(`(?m)^sweeper: \d+ relinquishes, \d+ lines swept, \d+ dirty dropped ` +
+		`\(whole run, warm-up included\); \d+\.\d+ GB/s saved in the window$`)
+	if !line.Match(text) {
+		t.Fatalf("no labelled sweeper line in:\n%s", text)
 	}
 }
 

@@ -78,8 +78,9 @@ type PeakResult struct {
 }
 
 // pool recycles machines across the many probes of a figure sweep: a peak
-// search runs ~20 probes per configuration, and a fresh Table I machine
-// costs tens of megabytes to build. Machine.Reset guarantees a recycled
+// search runs a calibration and one probe per rate it tries (six probes in
+// perfbench's QuickScale kvs-peak search), and a fresh Table I KVS machine
+// allocates about 17MB. Machine.Reset guarantees a recycled
 // machine runs bit-identically to a fresh one, so pooling is invisible to
 // the committed results.
 var pool = machine.NewPool(0)

@@ -5,11 +5,12 @@ import (
 	"sync"
 )
 
-// Pool recycles machines across runs. Building a Table I machine allocates
-// tens of megabytes (cache arrays, the engine's event slab, the KVS key
-// tables), and a figure sweep's peak search builds ~20 machines per
-// configuration; pooling replaces that churn with in-place resets, which
-// clear the caches' 5.6MB of metadata (Table I) instead of reallocating it.
+// Pool recycles machines across runs. Building a Table I KVS machine
+// allocates about 17MB (5.6MB of cache metadata, the KVS's 9.6MB of per-key
+// log slots, the engine's event slab), and a peak search runs one machine
+// per probe (six probes in perfbench's QuickScale kvs-peak search); pooling
+// replaces that churn with in-place resets, which clear the cache metadata
+// and re-lay-out the key slots instead of reallocating them.
 // Machines are keyed by allocation geometry, so a pool can serve a sweep
 // that varies rates, seeds, modes and Sweeper settings over one shape.
 //

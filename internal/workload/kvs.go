@@ -45,13 +45,16 @@ func (c KVSConfig) Validate() error {
 	if c.LogBytes < c.ItemBytes {
 		return fmt.Errorf("workload: KVS log (%dB) too small to hold one %dB item", c.LogBytes, c.ItemBytes)
 	}
+	if slots := c.LogBytes / c.ItemBytes; slots > 1<<32 {
+		return fmt.Errorf("workload: KVS log holds %d items, above the 2^32 a key's uint32 slot index can name", slots)
+	}
 	return nil
 }
 
 // KVS is the MICA-like store: a bucket array indexes items appended to a
-// circular log. The simulator executes its access plan; the functional
-// layer stores an 8-byte fingerprint per key so correctness (GET returns
-// the latest SET) is testable without materializing gigabytes of values.
+// circular log. The simulator executes its access plan; the only functional
+// state is where each key's latest value lives, so a GET reads the log slot
+// of the key's latest SET without gigabytes of values being materialized.
 type KVS struct {
 	cfg KVSConfig
 
@@ -59,18 +62,18 @@ type KVS struct {
 	logBase     uint64
 	zipf        *Zipf
 
-	// keyLoc is each key's current byte offset into the log (where its
-	// latest value lives); keyVer is the fingerprint of the latest SET.
-	keyLoc []uint64
-	keyVer []uint64
+	// keySlot is the log slot (item index) of each key's latest value:
+	// 4 bytes per key, 9.6 MB for the default 2.4M keys.
+	keySlot []uint32
 
-	logHead   uint64
+	logHead   uint32 // slot the next SET appends to; wraps by itself at 2^32
+	logSlots  uint64 // items the circular log holds
 	itemLines uint64
 
 	gets, sets uint64
 }
 
-// NewKVS allocates the store's in-memory structures (per-key arrays, Zipf
+// NewKVS allocates the store's in-memory structures (per-key slots, Zipf
 // sampler). Call Layout before use to place and pre-populate the store in an
 // address space.
 func NewKVS(cfg KVSConfig) *KVS {
@@ -84,8 +87,8 @@ func NewKVS(cfg KVSConfig) *KVS {
 	return &KVS{
 		cfg:       cfg,
 		zipf:      NewZipf(cfg.Keys, cfg.ZipfTheta, true),
-		keyLoc:    make([]uint64, cfg.Keys),
-		keyVer:    make([]uint64, cfg.Keys),
+		keySlot:   make([]uint32, cfg.Keys),
+		logSlots:  cfg.LogBytes / cfg.ItemBytes,
 		itemLines: cfg.ItemBytes / addr.LineBytes,
 	}
 }
@@ -93,25 +96,24 @@ func NewKVS(cfg KVSConfig) *KVS {
 // Layout implements Driver: it lays the store's structures out in the
 // address space — buckets then log, always in that order — and
 // pre-populates every key, mirroring the paper's pre-populated 2.4M pairs.
-// Re-laying-out against a freshly Reset space reuses the per-key arrays
-// (tens of MB for the default 2.4M keys) and reproduces the identical
-// initial state a fresh store would have.
+// Re-laying-out against a freshly Reset space reuses the per-key slots
+// (9.6 MB for the default 2.4M keys) and reproduces the identical initial
+// state a fresh store would have.
 func (k *KVS) Layout(space *addr.Space) {
 	k.bucketsBase = space.AllocApp(k.cfg.Buckets * addr.LineBytes)
 	k.logBase = space.AllocApp(k.cfg.LogBytes)
 	k.logHead = 0
 	k.gets, k.sets = 0, 0
 	// Pre-populate: each key gets an initial log slot, in key order.
-	for i := uint64(0); i < k.cfg.Keys; i++ {
-		k.keyLoc[i] = k.logHead
-		k.keyVer[i] = splitmix64(i)
+	for i := range k.keySlot {
+		k.keySlot[i] = k.logHead
 		k.advanceLog()
 	}
 }
 
 func (k *KVS) advanceLog() {
-	k.logHead += k.cfg.ItemBytes
-	if k.logHead+k.cfg.ItemBytes > k.cfg.LogBytes {
+	k.logHead++
+	if uint64(k.logHead) == k.logSlots {
 		k.logHead = 0
 	}
 }
@@ -136,17 +138,19 @@ func (k *KVS) bucketAddr(key uint64) uint64 {
 
 // DecodeOp derives the deterministic (isGet, key) pair for a packet tag.
 func (k *KVS) DecodeOp(tag uint64) (isGet bool, key uint64) {
-	opBits := splitmix64(tag ^ 0xdeadbeefcafef00d)
-	isGet = opBits%100 < k.cfg.GetPercent
-	key = k.zipf.Sample(tag)
-	return isGet, key
+	return k.isGet(tag), k.zipf.Sample(tag)
+}
+
+// isGet is DecodeOp's operation half, without the key's zipf draw.
+func (k *KVS) isGet(tag uint64) bool {
+	return splitmix64(tag^0xdeadbeefcafef00d)%100 < k.cfg.GetPercent
 }
 
 // RequestBytes returns the wire size of the request a tag denotes: GETs
 // carry only a key (one line); SETs carry the full item, matching the
 // paper's "commensurate network packet size".
 func (k *KVS) RequestBytes(tag uint64) uint64 {
-	if isGet, _ := k.DecodeOp(tag); isGet {
+	if k.isGet(tag) {
 		return addr.LineBytes
 	}
 	return k.cfg.ItemBytes
@@ -166,7 +170,7 @@ func (k *KVS) PlanRequest(tag uint64, pktBytes uint64, plan *Plan) {
 		// GETs carry only the key: the core reads just the header
 		// line of the request packet.
 		plan.ReadFullPacket = false
-		loc := k.logBase + k.keyLoc[key]
+		loc := k.logBase + k.Location(key)
 		for i := uint64(0); i < k.itemLines; i++ {
 			plan.read(loc + i*addr.LineBytes)
 		}
@@ -176,15 +180,14 @@ func (k *KVS) PlanRequest(tag uint64, pktBytes uint64, plan *Plan) {
 	k.sets++
 	plan.ReadFullPacket = true
 	plan.write(k.bucketAddr(key)) // install the new location
-	loc := k.logBase + k.logHead
+	loc := k.logBase + uint64(k.logHead)*k.cfg.ItemBytes
 	for i := uint64(0); i < k.itemLines; i++ {
 		// Log appends are streaming full-line stores: no
 		// read-for-ownership fetch of soon-overwritten data.
 		plan.writeFull(loc + i*addr.LineBytes)
 	}
 	// Functional update.
-	k.keyLoc[key] = k.logHead
-	k.keyVer[key] = splitmix64(tag)
+	k.keySlot[key] = k.logHead
 	k.advanceLog()
 	plan.RespBytes = addr.LineBytes // acknowledgment
 }
@@ -194,20 +197,8 @@ func (k *KVS) PlanRequest(tag uint64, pktBytes uint64, plan *Plan) {
 // pre-filled hierarchy.
 func (k *KVS) WarmLLC() bool { return true }
 
-// Get returns the fingerprint of the key's latest value (functional layer).
-func (k *KVS) Get(key uint64) uint64 {
-	if key >= k.cfg.Keys {
-		panic("workload: key out of range")
-	}
-	return k.keyVer[key]
-}
-
-// Location returns the key's current log offset, for tests.
-func (k *KVS) Location(key uint64) uint64 { return k.keyLoc[key] }
+// Location returns the byte offset into the log of the key's latest value.
+func (k *KVS) Location(key uint64) uint64 { return uint64(k.keySlot[key]) * k.cfg.ItemBytes }
 
 // OpCounts returns the number of GETs and SETs served.
 func (k *KVS) OpCounts() (gets, sets uint64) { return k.gets, k.sets }
-
-// FingerprintForTag returns the value fingerprint a SET with the given tag
-// installs; tests use it to verify GET-after-SET semantics.
-func FingerprintForTag(tag uint64) uint64 { return splitmix64(tag) }

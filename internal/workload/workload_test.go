@@ -2,6 +2,8 @@ package workload
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -73,6 +75,22 @@ func TestZipfPanics(t *testing.T) {
 	}
 }
 
+// TestTableIZeta recomputes the normalizer of the Table I domain and
+// requires the committed constant to match it bit for bit: a different last
+// bit would move the zipf ranks behind every KVS golden.
+func TestTableIZeta(t *testing.T) {
+	sum := zetaSum(2_400_000, 0.99)
+	if got, want := math.Float64bits(sum), math.Float64bits(tableIZeta); got != want {
+		t.Fatalf("zeta(2.4M, 0.99) sums to %#x, committed constant is %#x", got, want)
+	}
+	if got := math.Float64bits(zeta(2_400_000, 0.99)); got != 0x403066c46f8111de {
+		t.Fatalf("zeta returns %#x for the Table I domain", got)
+	}
+	if zeta(12345, 0.99) != zetaSum(12345, 0.99) {
+		t.Fatal("zeta of another domain is not its sum")
+	}
+}
+
 // Property: ranks stay in range for arbitrary uniform inputs.
 func TestZipfRangeProperty(t *testing.T) {
 	z := NewZipf(12345, 0.99, true)
@@ -119,6 +137,7 @@ func TestKVSValidation(t *testing.T) {
 		"unaligned item": {Keys: 10, Buckets: 4, LogBytes: 1 << 20, ItemBytes: 100, ZipfTheta: 0.9},
 		"zero item":      {Keys: 10, Buckets: 4, LogBytes: 1 << 20, ItemBytes: 0, ZipfTheta: 0.9},
 		"log too small":  {Keys: 10, Buckets: 4, LogBytes: 64, ItemBytes: 128, ZipfTheta: 0.9},
+		"log over 2^32":  {Keys: 10, Buckets: 4, LogBytes: (1<<32 + 1) * 64, ItemBytes: 64, ZipfTheta: 0.9},
 	} {
 		func() {
 			defer func() {
@@ -129,6 +148,28 @@ func TestKVSValidation(t *testing.T) {
 			NewKVS(cfg)
 		}()
 	}
+	largest := KVSConfig{Keys: 10, Buckets: 4, LogBytes: (1 << 32) * 64, ItemBytes: 64, ZipfTheta: 0.9}
+	if err := largest.Validate(); err != nil {
+		t.Fatalf("a log of exactly 2^32 items: %v", err)
+	}
+}
+
+// TestKVSStateFootprint pins the store's per-key state at one 4-byte log
+// slot index: every pooled Reset re-lays it out, so its size is set-up time.
+func TestKVSStateFootprint(t *testing.T) {
+	k := NewKVS(DefaultKVSConfig(1024))
+	v := reflect.ValueOf(k).Elem()
+	bytes := 0
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Slice {
+			bytes += f.Len() * int(f.Type().Elem().Size())
+		}
+	}
+	keys := int(k.Config().Keys)
+	if limit := 4 * keys; bytes > limit {
+		t.Fatalf("KVS per-key state %d bytes, above %d (4 per key)", bytes, limit)
+	}
+	t.Logf("%d keys: %.1f MB of per-key state", keys, float64(bytes)/1e6)
 }
 
 func TestKVSGetPlanShape(t *testing.T) {
@@ -208,19 +249,53 @@ func TestKVSMixApproximatesGetPercent(t *testing.T) {
 	}
 }
 
+// TestKVSGetAfterSetSemantics checks at plan level that a GET reads what
+// the latest SET of its key wrote: its item reads are exactly the SET's
+// full-line log appends, and were not before the SET.
 func TestKVSGetAfterSetSemantics(t *testing.T) {
 	k := smallKVS(t)
-	var setTag uint64
-	for ; ; setTag++ {
-		if isGet, _ := k.DecodeOp(setTag); !isGet {
+	getTags, setTags := map[uint64]uint64{}, map[uint64]uint64{}
+	var getTag, setTag uint64
+	for tag := uint64(0); ; tag++ {
+		isGet, key := k.DecodeOp(tag)
+		if isGet {
+			getTags[key] = tag
+		} else {
+			setTags[key] = tag
+		}
+		g, okG := getTags[key]
+		s, okS := setTags[key]
+		if okG && okS {
+			getTag, setTag = g, s
 			break
 		}
 	}
-	_, key := k.DecodeOp(setTag)
-	var plan Plan
-	k.PlanRequest(setTag, 1024, &plan)
-	if k.Get(key) != FingerprintForTag(setTag) {
-		t.Fatal("GET after SET returned a stale fingerprint")
+	itemReads := func() []uint64 {
+		var plan Plan
+		k.PlanRequest(getTag, 64, &plan)
+		var addrs []uint64
+		for _, op := range plan.Ops[1:] { // Ops[0] probes the bucket
+			addrs = append(addrs, op.Addr)
+		}
+		return addrs
+	}
+	before := itemReads()
+	var set Plan
+	k.PlanRequest(setTag, 1024, &set)
+	var appends []uint64
+	for _, op := range set.Ops {
+		if op.Write && op.FullLine {
+			appends = append(appends, op.Addr)
+		}
+	}
+	if len(appends) != 16 {
+		t.Fatalf("SET appended %d lines, want 16", len(appends))
+	}
+	if slices.Equal(before, appends) {
+		t.Fatal("GET before the SET already read the SET's log slot")
+	}
+	if after := itemReads(); !slices.Equal(after, appends) {
+		t.Fatalf("GET after SET read %#x, want the SET's appends %#x", after, appends)
 	}
 }
 

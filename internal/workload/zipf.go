@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // Zipf samples ranks in [0, n) with popularity rank^-theta for theta in
 // (0,1), using the Gray et al. incremental method popularized by YCSB.
@@ -40,20 +37,27 @@ func NewZipf(n uint64, theta float64, scramble bool) *Zipf {
 	return z
 }
 
-// zetaCache memoizes the O(n) harmonic sum: experiment sweeps construct
-// many KVS instances over the same 2.4M-key domain.
-var zetaCache sync.Map // map[[2]float64]float64
+// tableIZeta is zetaSum(2_400_000, 0.99), the normalizer of the paper's
+// 2.4M-key zipf(0.99) store: the loop's own sum, bits 0x403066c46f8111de,
+// as computed on linux/amd64 with go1.24.0. Every KVS build needs it, and
+// the sum costs 2.4M math.Pow calls; TestTableIZeta recomputes it bit for
+// bit, since a changed last bit would move the ranks behind every KVS golden.
+const tableIZeta = 0x1.066c46f8111dep+04
 
+// zeta returns the zipf normalizer sum_{i=1..n} i^-theta.
 func zeta(n uint64, theta float64) float64 {
-	key := [2]float64{float64(n), theta}
-	if v, ok := zetaCache.Load(key); ok {
-		return v.(float64)
+	if n == 2_400_000 && theta == 0.99 {
+		return tableIZeta
 	}
+	return zetaSum(n, theta)
+}
+
+// zetaSum computes the normalizer term by term, in rank order.
+func zetaSum(n uint64, theta float64) float64 {
 	var s float64
 	for i := uint64(1); i <= n; i++ {
 		s += 1 / math.Pow(float64(i), theta)
 	}
-	zetaCache.Store(key, s)
 	return s
 }
 
