@@ -4,12 +4,16 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race perfbench-test bench bench-engine bench-mem bench-smoke bench-e2e check results obs-smoke golden-slow test-debug
+.PHONY: all build fmt test vet lint race perfbench-test bench bench-engine bench-mem bench-smoke bench-e2e check results obs-smoke golden-slow test-debug
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# Fails, listing the files, when any file is not gofmt-formatted.
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l . ; exit 1 ; }
 
 test:
 	$(GO) test ./...
@@ -62,13 +66,13 @@ bench-e2e:
 
 bench: bench-engine bench-mem bench-e2e
 
-check: build vet lint test race perfbench-test bench-engine bench-smoke obs-smoke
+check: build fmt vet lint test race perfbench-test bench-engine bench-smoke obs-smoke
 
 # Observability smoke: drive the CLI with every exporter enabled against the
 # kvs scenario, then validate the artifacts (CSV/JSON structure) in-process.
 obs-smoke:
 	mkdir -p artifacts
-	$(GO) run ./cmd/sweepersim -scenario examples/scenarios/kvs.json \
+	$(GO) run ./cmd/sweepersim -scenario internal/scenario/specs/kvs.json \
 		-warmup 200000 -measure 400000 \
 		-metrics artifacts/metrics.csv -trace artifacts/trace.json \
 		-manifest artifacts/manifest.json

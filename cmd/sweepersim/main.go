@@ -6,7 +6,7 @@
 //
 //	sweepersim -workload kvs -mode ddio -ways 2 -ring 1024 -packet 1024 \
 //	           -rate 30 -sweeper
-//	sweepersim -scenario examples/scenarios/fig1.json
+//	sweepersim -scenario internal/scenario/specs/fig1.json
 //	sweepersim -list
 package main
 
@@ -45,7 +45,7 @@ func main() {
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
-		scenarioPath = fs.String("scenario", "", "run a declarative scenario spec file (overrides config flags)")
+		scenarioPath = fs.String("scenario", "", "run a declarative scenario spec file (takes only the window, profile and exporter flags)")
 		listAll      = fs.Bool("list", false, "list builtin scenarios and registered workloads, then exit")
 		workloadName = fs.String("workload", "kvs", "workload registry name (see -list)")
 		modeName     = fs.String("mode", "ddio", "injection: dma, ddio, ideal")
@@ -82,6 +82,11 @@ func run(args []string) (err error) {
 	if *listAll {
 		return list(os.Stdout)
 	}
+	if *scenarioPath != "" {
+		if err := scenarioOnlyFlags(fs); err != nil {
+			return err
+		}
+	}
 	if *measure == 0 {
 		return errors.New("-measure must be positive")
 	}
@@ -114,11 +119,7 @@ func run(args []string) (err error) {
 	if *mlp > 0 {
 		cfg.MLPWidth = *mlp
 	}
-	if *spikeProb > 0 {
-		cfg.SpikeProb = *spikeProb
-		cfg.SpikeMinCycles = 3_200   // 1us
-		cfg.SpikeMaxCycles = 320_000 // 100us
-	}
+	cfg.SpikeProb = *spikeProb
 	cfg.Sweeper.DebugUseAfterRelinquish = *sanitize
 
 	// The registry validates the workload name inside machine.New; the
@@ -162,9 +163,30 @@ func run(args []string) (err error) {
 	return nil
 }
 
+// scenarioOnlyFlags rejects every flag set on the command line that a
+// -scenario run would ignore: the spec file sets the machine, so only the
+// window, profile and exporter flags apply.
+func scenarioOnlyFlags(fs *flag.FlagSet) error {
+	honoured := map[string]bool{
+		"scenario": true, "warmup": true, "measure": true,
+		"cpuprofile": true, "memprofile": true,
+		"trace": true, "metrics": true, "manifest": true, "sample": true,
+	}
+	var ignored []string
+	fs.Visit(func(f *flag.Flag) {
+		if !honoured[f.Name] {
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	if len(ignored) > 0 {
+		return fmt.Errorf("-scenario runs the spec file's machines and would ignore %s", strings.Join(ignored, ", "))
+	}
+	return nil
+}
+
 // list prints the builtin scenarios and registered workloads.
 func list(w *os.File) error {
-	fmt.Fprintln(w, "builtin scenarios (run a copy with -scenario <file>; shipped under examples/scenarios/):")
+	fmt.Fprintln(w, "builtin scenarios (internal/scenario/specs/<name>.json; run one, or an edited copy, with -scenario <file>):")
 	for _, s := range scenario.Builtins() {
 		runs, err := s.Expand()
 		if err != nil {
@@ -246,7 +268,7 @@ func (o obsFlags) export(m *machine.Machine, cfg machine.Config, label string, r
 		}
 	}
 	if o.trace != "" {
-		meta := obs.TraceMeta{Process: "sweepersim " + label, FreqHz: cfg.FreqHz}
+		meta := obs.TraceMeta{Process: "sweepersim " + label, FreqHz: machine.FreqHz}
 		if err := writeArtifact(obsOutPath(o.trace, runIdx, nRuns), func(f *os.File) error {
 			return obs.WriteChromeTrace(f, m.ObsSeries(), meta)
 		}); err != nil {

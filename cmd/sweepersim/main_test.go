@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -49,6 +50,21 @@ func TestSweeperLineLabelsItsSpan(t *testing.T) {
 		`\(whole run, warm-up included\); \d+\.\d+ GB/s saved in the window$`)
 	if !line.Match(text) {
 		t.Fatalf("no labelled sweeper line in:\n%s", text)
+	}
+}
+
+// TestScenarioRejectsIgnoredFlags checks that -scenario refuses a flag it
+// would ignore instead of running without it: -dram-trace must fail the run
+// before any file is created.
+func TestScenarioRejectsIgnoredFlags(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "t.csv")
+	err := run([]string{"-scenario", filepath.Join("..", "..", "internal", "scenario", "specs", "kvs.json"),
+		"-warmup", "20000", "-measure", "40000", "-dram-trace", trace})
+	if err == nil || !strings.Contains(err.Error(), "-dram-trace") {
+		t.Fatalf("-scenario with -dram-trace: error %v, want one naming -dram-trace", err)
+	}
+	if _, err := os.Stat(trace); !os.IsNotExist(err) {
+		t.Fatalf("-dram-trace file exists after the rejected run (stat error %v)", err)
 	}
 }
 

@@ -21,14 +21,15 @@ func commandDocs(t *testing.T) []string {
 }
 
 var (
-	goCmd   = regexp.MustCompile(`\bgo (?:run|build|test|vet)\b(.*)`)
-	makeCmd = regexp.MustCompile(`\bmake ([A-Za-z0-9_-]+)`)
-	target  = regexp.MustCompile(`(?m)^([A-Za-z0-9_-]+):`)
+	goCmd       = regexp.MustCompile(`\bgo (?:run|build|test|vet)\b(.*)`)
+	makeCmd     = regexp.MustCompile(`\bmake ([A-Za-z0-9_-]+)`)
+	scenarioArg = regexp.MustCompile(`-scenario[ =]+(\S+)`)
+	target      = regexp.MustCompile(`(?m)^([A-Za-z0-9_-]+):`)
 )
 
 // TestDocCommands checks the commands the docs name: every ./path a
-// go run, build, test or vet command names exists, and every make target is
-// a Makefile target.
+// go run, build, test or vet command names exists, every spec file a
+// -scenario flag names exists, and every make target is a Makefile target.
 func TestDocCommands(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -54,6 +55,11 @@ func TestDocCommands(t *testing.T) {
 						if _, err := os.Stat(p); err != nil {
 							t.Errorf("%s: %q names a missing path: %v", doc, line, err)
 						}
+					}
+				}
+				for _, m := range scenarioArg.FindAllStringSubmatch(line, -1) {
+					if _, err := os.Stat(m[1]); err != nil {
+						t.Errorf("%s: %q names a missing spec file: %v", doc, line, err)
 					}
 				}
 				for _, m := range makeCmd.FindAllStringSubmatch(line, -1) {

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"sweeper/internal/machine"
 	"sweeper/internal/nic"
 	"sweeper/internal/scenario"
@@ -29,16 +27,19 @@ func (v Variant) Apply(cfg machine.Config) machine.Config {
 	return cfg
 }
 
-// DMAVariant, IdealVariant and DDIOVariant build the paper's baselines.
-func DMAVariant() Variant   { return Variant{Name: "DMA", Mode: nic.ModeDMA} }
-func IdealVariant() Variant { return Variant{Name: "Ideal DDIO", Mode: nic.ModeIdeal} }
+// DMAVariant, IdealVariant and DDIOVariant build the paper's baselines,
+// labelled as the scenario specs label them.
+func DMAVariant() Variant {
+	return Variant{Name: scenario.Variant{Mode: "dma"}.DisplayName(), Mode: nic.ModeDMA}
+}
+
+func IdealVariant() Variant {
+	return Variant{Name: scenario.Variant{Mode: "ideal"}.DisplayName(), Mode: nic.ModeIdeal}
+}
 
 // DDIOVariant returns an n-way DDIO configuration, optionally with Sweeper.
 func DDIOVariant(ways int, sweeper bool) Variant {
-	name := fmt.Sprintf("DDIO %d Ways", ways)
-	if sweeper {
-		name += " + Sweeper"
-	}
+	name := scenario.Variant{Mode: "ddio", Ways: ways, Sweeper: sweeper}.DisplayName()
 	return Variant{Name: name, Mode: nic.ModeDDIO, Ways: ways, Sweeper: sweeper}
 }
 

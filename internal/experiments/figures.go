@@ -275,8 +275,6 @@ func Fig10(sc Scale) []Table {
 		cfg := KVSConfig(1024, ring)
 		cfg.DDIOWays = 2
 		cfg.SpikeProb = 0.01
-		cfg.SpikeMinCycles = 3_200   // 1us at 3.2GHz
-		cfg.SpikeMaxCycles = 320_000 // 100us
 		cfg = DDIOVariant(2, sweeper).Apply(cfg)
 		return cfg
 	}

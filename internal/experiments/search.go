@@ -180,12 +180,12 @@ func searchPeak(cfg machine.Config, sc Scale, startMrps float64, mkOK func(slo u
 		return r, ok(r, rate)
 	}
 
-	maxMrps := cfg.FreqHz / 1e6
+	maxMrps := machine.FreqHz / 1e6
 	lo := startMrps
 	if lo <= 0 {
 		// An optimistic capacity estimate from the unloaded service
 		// time; the search expands or shrinks from a fraction of it.
-		lo = float64(cfg.NetCores) * cfg.FreqHz / service / 1e6 * 0.25
+		lo = float64(cfg.NetCores) * machine.FreqHz / service / 1e6 * 0.25
 	}
 	lo = math.Min(math.Max(lo, 0.5), maxMrps)
 	r, okLo := probe(lo)

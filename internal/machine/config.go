@@ -25,13 +25,9 @@ type Config struct {
 	NetCores  int
 	XMemCores int
 
-	// FreqHz is the core clock (3.2 GHz).
-	FreqHz float64
-
-	// Cache and Mem configure the hierarchy and DRAM. Cache.NCores is
-	// overwritten with NetCores+XMemCores during assembly.
-	Cache cache.Config
-	Mem   mem.Config
+	// Mem configures the DRAM. The cache hierarchy is always Table I's
+	// (cache.DefaultConfig), sized to NetCores+XMemCores.
+	Mem mem.Config
 
 	// NICMode selects DMA, DDIO or Ideal-DDIO injection; DDIOWays is the
 	// LLC way allocation under DDIO.
@@ -66,21 +62,15 @@ type Config struct {
 	ClosedLoopDepth int
 	Arrival         nic.ArrivalConfig
 
-	// NICWayMask, XMemWayMask and NetCPUWayMask, when non-zero, override
-	// the LLC allocation masks for the NIC, the X-Mem cores and the
-	// networked cores respectively (the §VI-E partition scenarios).
-	NICWayMask    cache.WayMask
-	XMemWayMask   cache.WayMask
-	NetCPUWayMask cache.WayMask
+	// PartitionSplit, when positive, is the §VI-E disjoint LLC partition:
+	// networked cores fill ways [0,PartitionSplit) and X-Mem cores the
+	// rest. Zero lets every core fill every way. The NIC's ways always
+	// come from DDIOWays.
+	PartitionSplit int
 
-	// Service-time spikes (§VI-F): with probability SpikeProb a request
-	// suffers an extra delay uniform in [SpikeMinCycles, SpikeMaxCycles].
-	SpikeProb      float64
-	SpikeMinCycles uint64
-	SpikeMaxCycles uint64
-
-	// PollCycles is the fixed per-request dispatch overhead.
-	PollCycles uint64
+	// SpikeProb is the chance that a request suffers a §VI-F service-time
+	// spike: an extra delay uniform in [spikeMinCycles, spikeMaxCycles).
+	SpikeProb float64
 
 	// MLPWidth is the cores' memory-level parallelism: independent
 	// accesses kept in flight concurrently (MSHR-bounded overlap of the
@@ -101,8 +91,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		NetCores:    24,
-		FreqHz:      3.2e9,
-		Cache:       cache.DefaultConfig(24),
 		Mem:         mem.DefaultConfig(),
 		NICMode:     nic.ModeDDIO,
 		DDIOWays:    2,
@@ -113,11 +101,30 @@ func DefaultConfig() Config {
 		ItemBytes:   1024,
 		Sweeper:     core.Config{RXSweep: false},
 		OfferedMrps: 10,
-		PollCycles:  50,
 		MLPWidth:    12,
 		Seed:        1,
 	}
 }
+
+// FreqHz is the core clock: Table I's 3.2 GHz.
+const FreqHz = 3.2e9
+
+// pollCycles is the fixed per-request dispatch overhead (ring poll, doorbell,
+// descriptor handling).
+const pollCycles = 50
+
+// spikeMinCycles and spikeMaxCycles bound the §VI-F service-time spikes:
+// 1 to 100 us at FreqHz.
+const (
+	spikeMinCycles = 3_200
+	spikeMaxCycles = 320_000
+)
+
+// tableI holds the Table I cache parameters that do not depend on the core
+// count: the LLC's way count bounds DDIOWays and PartitionSplit, and the
+// latencies price Ideal-DDIO's side cache. New builds the hierarchy from
+// cache.DefaultConfig for the machine's cores.
+var tableI = cache.DefaultConfig(0)
 
 // Upper bounds on the sizes that drive New's allocations: per-core cache
 // metadata and rings, per-channel DRAM state and per-packet line lists. They
@@ -139,8 +146,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("machine: XMemCores must be non-negative, got %d", c.XMemCores)
 	case c.NetCores > maxCores || c.XMemCores > maxCores-c.NetCores:
 		return fmt.Errorf("machine: NetCores+XMemCores must be at most %d, got %d+%d", maxCores, c.NetCores, c.XMemCores)
-	case c.FreqHz <= 0:
-		return fmt.Errorf("machine: FreqHz must be positive, got %g", c.FreqHz)
 	case c.RingSlots <= 0:
 		return fmt.Errorf("machine: RingSlots must be positive, got %d", c.RingSlots)
 	case c.RingSlots&(c.RingSlots-1) != 0:
@@ -161,23 +166,23 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("machine: Mem.Channels must be positive, got %d", c.Mem.Channels)
 	case c.Mem.Channels > maxMemChannels:
 		return fmt.Errorf("machine: Mem.Channels must be at most %d, got %d", maxMemChannels, c.Mem.Channels)
-	case c.NICMode == nic.ModeDDIO && (c.DDIOWays <= 0 || c.DDIOWays > c.Cache.LLCWays) && c.NICWayMask == 0:
-		return fmt.Errorf("machine: DDIOWays %d out of range [1,%d]", c.DDIOWays, c.Cache.LLCWays)
+	case c.NICMode == nic.ModeDDIO && (c.DDIOWays <= 0 || c.DDIOWays > tableI.LLCWays):
+		return fmt.Errorf("machine: DDIOWays %d out of range [1,%d]", c.DDIOWays, tableI.LLCWays)
+	case c.PartitionSplit < 0 || c.PartitionSplit >= tableI.LLCWays:
+		return fmt.Errorf("machine: PartitionSplit %d outside [0,%d)", c.PartitionSplit, tableI.LLCWays)
 	case c.OfferedMrps <= 0 && c.ClosedLoopDepth <= 0:
 		return fmt.Errorf("machine: need OfferedMrps > 0 or ClosedLoopDepth > 0")
-	case !(c.OfferedMrps*1e6 <= c.FreqHz):
+	case !(c.OfferedMrps*1e6 <= FreqHz):
 		// Open-loop gaps are whole cycles: past one arrival per cycle most
 		// draws truncate to zero and the clock stops advancing.
 		return fmt.Errorf("machine: OfferedMrps %g must be a number no greater than %g Mrps, the cap of one arrival per cycle at FreqHz %g",
-			c.OfferedMrps, c.FreqHz/1e6, c.FreqHz)
+			c.OfferedMrps, FreqHz/1e6, FreqHz)
 	case c.ClosedLoopDepth < 0:
 		return fmt.Errorf("machine: ClosedLoopDepth must be non-negative, got %d", c.ClosedLoopDepth)
 	case c.ClosedLoopDepth > c.RingSlots:
 		return fmt.Errorf("machine: ClosedLoopDepth %d exceeds RingSlots %d", c.ClosedLoopDepth, c.RingSlots)
 	case c.SpikeProb < 0 || c.SpikeProb > 1:
 		return fmt.Errorf("machine: SpikeProb %g outside [0,1]", c.SpikeProb)
-	case c.SpikeMinCycles > c.SpikeMaxCycles:
-		return fmt.Errorf("machine: SpikeMinCycles %d exceeds SpikeMaxCycles %d", c.SpikeMinCycles, c.SpikeMaxCycles)
 	case c.MLPWidth < 0:
 		return fmt.Errorf("machine: MLPWidth must be non-negative, got %d", c.MLPWidth)
 	case c.Shards != 0:

@@ -54,24 +54,18 @@ func (dp *datapath) reset() {
 }
 
 // configure applies the configuration's way-allocation policy: the NIC's
-// DDIO ways (or explicit mask) and the per-core LLC masks of the §VI-E
-// partition scenarios.
+// DDIO ways and, under a §VI-E partition, the per-core LLC masks.
 func (dp *datapath) configure(cfg Config) {
 	if cfg.NICMode == nic.ModeDDIO {
-		if cfg.NICWayMask != 0 {
-			dp.hier.SetNICWayMask(cfg.NICWayMask)
-		} else {
-			dp.hier.SetNICWays(cfg.DDIOWays)
-		}
+		dp.hier.SetNICWays(cfg.DDIOWays)
 	}
-	if cfg.XMemWayMask != 0 {
-		for i := 0; i < cfg.XMemCores; i++ {
-			dp.hier.SetCPUWayMask(cfg.NetCores+i, cfg.XMemWayMask)
-		}
-	}
-	if cfg.NetCPUWayMask != 0 {
-		for i := 0; i < cfg.NetCores; i++ {
-			dp.hier.SetCPUWayMask(i, cfg.NetCPUWayMask)
+	if n := cfg.PartitionSplit; n > 0 {
+		for c := 0; c < cfg.NetCores+cfg.XMemCores; c++ {
+			mask := cache.MaskAll(n)
+			if c >= cfg.NetCores {
+				mask = cache.MaskRange(n, tableI.LLCWays)
+			}
+			dp.hier.SetCPUWayMask(c, mask)
 		}
 	}
 }

@@ -34,8 +34,6 @@ func determinismCases() map[string]func(*Config) {
 		},
 		"spiky-service": func(c *Config) {
 			c.SpikeProb = 0.01
-			c.SpikeMinCycles = 3_200
-			c.SpikeMaxCycles = 320_000
 		},
 	}
 }

@@ -51,7 +51,6 @@ type Machine struct {
 
 	// Request-side accounting (window deltas are taken at snap).
 	reqLat   *stats.Histogram
-	served   uint64
 	svcSum   uint64
 	svcCount uint64
 
@@ -82,8 +81,6 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	total := cfg.NetCores + cfg.XMemCores
-	cfg.Cache.NCores = total
-
 	m := &Machine{
 		cfg:    cfg,
 		eng:    sim.NewEngine(),
@@ -95,7 +92,7 @@ func New(cfg Config) (*Machine, error) {
 	txBytes := uint64(cfg.TXSlots) * cfg.respSlotBytes()
 	space := addr.NewSpace(total, rxBytes, txBytes)
 
-	m.dp = newDatapath(space, cfg.Mem, cfg.Cache)
+	m.dp = newDatapath(space, cfg.Mem, cache.DefaultConfig(total))
 	m.sweep = core.New(m.dp.hier, cfg.Sweeper)
 	m.nicD = nic.New(nic.Config{
 		Mode:      cfg.NICMode,
@@ -152,7 +149,7 @@ func (m *Machine) configure(cfg Config) error {
 	}
 	for i := range m.cores {
 		ccfg := cpu.CoreConfig{
-			PollCycles:  cfg.PollCycles,
+			PollCycles:  pollCycles,
 			TXSlots:     cfg.TXSlots,
 			TXSlotBytes: cfg.respSlotBytes(),
 			TXBase:      m.dp.space.TXBase(i),
@@ -220,7 +217,7 @@ func (m *Machine) arrivalSpec(cfg Config) nic.ArrivalSpec {
 	return nic.ArrivalSpec{
 		Cores:   cfg.NetCores,
 		Size:    cfg.PacketBytes,
-		MeanGap: stats.CyclesPerSecond(cfg.OfferedMrps*1e6, cfg.FreqHz),
+		MeanGap: stats.CyclesPerSecond(cfg.OfferedMrps*1e6, FreqHz),
 		Seed:    cfg.Seed,
 		Config:  cfg.Arrival,
 	}
@@ -240,7 +237,6 @@ type geometry struct {
 	packetBytes         uint64
 	txSlots             int
 	respSlotBytes       uint64
-	cache               cache.Config
 	mem                 mem.Config
 }
 
@@ -252,7 +248,6 @@ func geometryOf(cfg Config) geometry {
 		packetBytes:   cfg.PacketBytes,
 		txSlots:       cfg.TXSlots,
 		respSlotBytes: cfg.respSlotBytes(),
-		cache:         cfg.Cache,
 		mem:           cfg.Mem,
 	}
 }
@@ -261,16 +256,14 @@ func geometryOf(cfg Config) geometry {
 // every geometry-sized allocation: the engine's event slab, the cache
 // metadata (5.6MB for Table I), DRAM channel state, ring storage and the
 // workload's per-key arrays. The new configuration must have the same
-// geometry as the one the machine was built with (same core counts, ring
-// shapes, cache and DRAM sizing); non-geometric knobs — seeds, rates, modes,
-// way masks, Sweeper settings — may differ freely. Reset-then-Run is
-// bit-identical to fresh-build-then-Run.
+// geometry as the one the machine was built with (same core counts, which
+// size the caches, ring shapes and DRAM sizing); non-geometric knobs —
+// seeds, rates, modes, DDIO ways, the LLC partition, Sweeper settings — may
+// differ freely. Reset-then-Run is bit-identical to fresh-build-then-Run.
 func (m *Machine) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	total := cfg.NetCores + cfg.XMemCores
-	cfg.Cache.NCores = total
 	if geometryOf(cfg) != geometryOf(m.cfg) {
 		return fmt.Errorf("machine: Reset geometry mismatch (build a fresh machine): have %+v, want %+v",
 			geometryOf(m.cfg), geometryOf(cfg))
@@ -283,7 +276,7 @@ func (m *Machine) Reset(cfg Config) error {
 	m.sweep.Reset(cfg.Sweeper)
 	m.nicD.Reset(cfg.NICMode)
 
-	m.served, m.svcSum, m.svcCount = 0, 0, 0
+	m.svcSum, m.svcCount = 0, 0
 	m.measuring, m.ran = false, false
 	m.winSnap = windowSnap{}
 	m.amatSum, m.amatCount = 0, 0
@@ -364,7 +357,7 @@ func (m *Machine) noteAccess(now, done uint64) uint64 {
 // real hierarchy (with the optional use-after-relinquish sanitizer).
 func (m *Machine) RXRead(now uint64, c int, a uint64) uint64 {
 	if m.cfg.NICMode == nic.ModeIdeal {
-		return m.noteAccess(now, now+m.cfg.Cache.NoCLat+m.cfg.Cache.LLCLat)
+		return m.noteAccess(now, now+tableI.NoCLat+tableI.LLCLat)
 	}
 	if m.cfg.Sweeper.DebugUseAfterRelinquish {
 		m.sweep.CheckRead(a)
@@ -393,7 +386,7 @@ func (m *Machine) AppWriteFull(now uint64, c int, a uint64) uint64 {
 // streaming full-line store.
 func (m *Machine) TXWrite(now uint64, c int, a uint64) uint64 {
 	if m.cfg.NICMode == nic.ModeIdeal {
-		return m.noteAccess(now, now+m.cfg.Cache.L1Lat)
+		return m.noteAccess(now, now+tableI.L1Lat)
 	}
 	return m.noteAccess(now, m.dp.hier.CPUWriteFull(now, c, a))
 }
@@ -420,16 +413,11 @@ func (m *Machine) ExtraServiceCycles(c int, tag uint64) uint64 {
 	if m.cfg.SpikeProb <= 0 || m.rng.Float64() >= m.cfg.SpikeProb {
 		return 0
 	}
-	span := m.cfg.SpikeMaxCycles - m.cfg.SpikeMinCycles
-	if span == 0 {
-		return m.cfg.SpikeMinCycles
-	}
-	return m.cfg.SpikeMinCycles + uint64(m.rng.Int63n(int64(span)))
+	return spikeMinCycles + uint64(m.rng.Int63n(spikeMaxCycles-spikeMinCycles))
 }
 
 // OnRequestDone implements cpu.Env.
 func (m *Machine) OnRequestDone(now uint64, c int, p nic.Packet, serviceCycles uint64) {
-	m.served++
 	if m.measuring {
 		m.reqLat.Record(now - p.Arrival)
 		m.svcSum += serviceCycles

@@ -33,7 +33,6 @@ func TestConfigValidation(t *testing.T) {
 	cases := map[string]func(*Config){
 		"no cores":                 func(c *Config) { c.NetCores = 0 },
 		"neg xmem":                 func(c *Config) { c.XMemCores = -1 },
-		"no freq":                  func(c *Config) { c.FreqHz = 0 },
 		"no ring":                  func(c *Config) { c.RingSlots = 0 },
 		"no packet":                func(c *Config) { c.PacketBytes = 0 },
 		"no tx":                    func(c *Config) { c.TXSlots = 0 },
@@ -50,7 +49,8 @@ func TestConfigValidation(t *testing.T) {
 		"removed shards":           func(c *Config) { c.Shards = 2 },
 		"neg depth":                func(c *Config) { c.ClosedLoopDepth = -3 },
 		"neg mlp":                  func(c *Config) { c.MLPWidth = -4 },
-		"spike range":              func(c *Config) { c.SpikeProb, c.SpikeMinCycles, c.SpikeMaxCycles = 0.5, 100, 10 },
+		"negative partition":       func(c *Config) { c.PartitionSplit = -1 },
+		"partition of every way":   func(c *Config) { c.PartitionSplit = 12 },
 		"rate above one per cycle": func(c *Config) { c.OfferedMrps = 1e5 },
 		"NaN rate":                 func(c *Config) { c.OfferedMrps = math.NaN() },
 		"too many cores":           func(c *Config) { c.NetCores, c.XMemCores = 200, 57 },
@@ -70,7 +70,7 @@ func TestConfigValidation(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-	good.OfferedMrps = good.FreqHz / 1e6
+	good.OfferedMrps = FreqHz / 1e6
 	if err := good.Validate(); err != nil {
 		t.Fatalf("one arrival per cycle rejected: %v", err)
 	}
@@ -86,22 +86,26 @@ func TestConfigValidation(t *testing.T) {
 
 func TestTableIParameters(t *testing.T) {
 	cfg := DefaultConfig()
-	if cfg.NetCores != 24 || cfg.FreqHz != 3.2e9 {
+	if cfg.NetCores != 24 || FreqHz != 3.2e9 {
 		t.Fatal("cores/frequency")
 	}
-	if cfg.Cache.LLCBytes != 36<<20 || cfg.Cache.LLCWays != 12 || cfg.Cache.LLCLat != 35 {
+	hc := MustNew(cfg).Hierarchy().Config()
+	if hc.NCores != 24 {
+		t.Fatalf("hierarchy has %d cores", hc.NCores)
+	}
+	if hc.LLCBytes != 36<<20 || hc.LLCWays != 12 || hc.LLCLat != 35 {
 		t.Fatal("LLC")
 	}
-	if cfg.Cache.L2Bytes != 1280<<10 || cfg.Cache.L2Ways != 20 {
+	if hc.L2Bytes != 1280<<10 || hc.L2Ways != 20 {
 		t.Fatal("L2")
 	}
-	if cfg.Cache.L1Bytes != 48<<10 {
+	if hc.L1Bytes != 48<<10 {
 		t.Fatal("L1d")
 	}
 	if cfg.Mem.Channels != 4 || cfg.Mem.RanksPerChannel != 4 || cfg.Mem.BanksPerRank != 8 {
 		t.Fatal("memory organization")
 	}
-	if cfg.Cache.NoCLat != 8 {
+	if hc.NoCLat != 8 {
 		t.Fatal("NoC")
 	}
 	if cfg.DDIOWays != 2 {
@@ -286,8 +290,6 @@ func TestSpikesInflateTailLatency(t *testing.T) {
 	base := quickRun(t, quickCfg())
 	cfg := quickCfg()
 	cfg.SpikeProb = 0.05
-	cfg.SpikeMinCycles = 50_000
-	cfg.SpikeMaxCycles = 50_001
 	spiky := quickRun(t, cfg)
 	if spiky.ReqLatP99 < base.ReqLatP99+10_000 {
 		t.Fatalf("spikes did not lift p99: %d vs %d", spiky.ReqLatP99, base.ReqLatP99)
@@ -340,11 +342,15 @@ func TestPartitionMasksRestrictOccupancy(t *testing.T) {
 	cfg.TXSlots = 512
 	cfg.ClosedLoopDepth = 32
 	cfg.OfferedMrps = 0
-	cfg.NICWayMask = cache.MaskAll(4)
-	cfg.NetCPUWayMask = cache.MaskAll(4)
-	cfg.XMemWayMask = cache.MaskRange(4, 12)
+	cfg.PartitionSplit = 4
+	cfg.DDIOWays = 4
 	m := MustNew(cfg)
 	m.Run(800_000, 400_000)
+
+	h := m.Hierarchy()
+	if got := h.NICWayMask(); got != cache.MaskAll(4) {
+		t.Fatalf("NIC way mask %b, want ways 0-3", got)
+	}
 
 	// Network buffer lines must only occupy partition A (ways 0-3), so
 	// their LLC occupancy is bounded by 4/12 of capacity.

@@ -28,7 +28,7 @@ func (m *Machine) buildRegistry() *obs.Registry {
 	if m.cgen != nil {
 		m.cgen.RegisterMetrics(r)
 	}
-	r.Counter("cpu.served", func() uint64 { return m.served })
+	r.Counter("cpu.served", m.served)
 	r.Gauge("cpu.idle_cores", func(uint64) float64 {
 		n := 0
 		for _, c := range m.cores {

@@ -87,6 +87,5 @@ func poolKey(cfg Config) (geometry, error) {
 	if err := cfg.Validate(); err != nil {
 		return geometry{}, err
 	}
-	cfg.Cache.NCores = cfg.NetCores + cfg.XMemCores
 	return geometryOf(cfg), nil
 }

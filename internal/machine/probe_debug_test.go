@@ -3,7 +3,6 @@
 package machine_test
 
 import (
-	"fmt"
 	"testing"
 
 	"sweeper/internal/machine"
@@ -63,19 +62,13 @@ func TestProbesAcrossBuiltinScenarios(t *testing.T) {
 // TestProbeCatchesWayMaskOverflow proves the probes actually fire: a DDIO
 // way mask wider than the LLC must panic under sweeperdebug.
 func TestProbeCatchesWayMaskOverflow(t *testing.T) {
+	cfg := machine.DefaultConfig()
+	cfg.NetCores = 2
+	h := machine.MustNew(cfg).Hierarchy()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("oversized way mask did not trip the probe")
 		}
 	}()
-	cfg := machine.DefaultConfig()
-	cfg.NetCores = 2
-	cfg.NICWayMask = 1 << uint(cfg.Cache.LLCWays) // one past the last way
-	m, err := machine.New(cfg)
-	if err != nil {
-		// Config validation rejecting it is also acceptable protection,
-		// but the probe is expected to fire first during assembly.
-		panic(fmt.Sprintf("config rejected: %v", err))
-	}
-	m.Run(10_000, 10_000)
+	h.SetNICWayMask(1 << uint(h.Config().LLCWays)) // one past the last way
 }

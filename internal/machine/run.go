@@ -113,21 +113,37 @@ func (m *Machine) start() {
 	}
 }
 
+// served sums the requests the networked cores have completed.
+func (m *Machine) served() uint64 {
+	var n uint64
+	for _, c := range m.cores {
+		n += c.Served()
+	}
+	return n
+}
+
+// xmemAccesses sums the tenant cores' accesses.
+func (m *Machine) xmemAccesses() uint64 {
+	var n uint64
+	for _, x := range m.xmem {
+		n += x.Accesses()
+	}
+	return n
+}
+
 func (m *Machine) snap() windowSnap {
 	s := windowSnap{
 		breakdown: m.dp.breakdown.Snapshot(),
 		dramTxns:  m.dp.dram.Transactions(),
-		served:    m.served,
+		served:    m.served(),
 		dropped:   m.nicD.Dropped(),
+		xmemAcc:   m.xmemAccesses(),
 		llcHits:   m.dp.hier.LLC().Hits(),
 		llcMisses: m.dp.hier.LLC().Misses(),
 		start:     m.eng.Now(),
 	}
 	if m.agen != nil {
 		s.offered = m.agen.Offered()
-	}
-	for _, x := range m.xmem {
-		s.xmemAcc += x.Accesses()
 	}
 	_, s.sweepDrops = m.dp.hier.Sweeps()
 	return s
@@ -214,14 +230,13 @@ func (m *Machine) finishRun() {
 
 func (m *Machine) collect(snap windowSnap, measure uint64) Results {
 	r := Results{MeasuredCycles: measure}
-	freq := m.cfg.FreqHz
 
-	r.Served = m.served - snap.served
-	r.ThroughputMrps = stats.Mrps(r.Served, measure, freq)
+	r.Served = m.served() - snap.served
+	r.ThroughputMrps = stats.Mrps(r.Served, measure, FreqHz)
 
 	txns := m.dp.dram.Transactions() - snap.dramTxns
-	r.MemBWGBps = stats.GBps(txns, measure, freq)
-	r.MemBWUtilization = r.MemBWGBps / m.dp.dram.PeakGBps(freq)
+	r.MemBWGBps = stats.GBps(txns, measure, FreqHz)
+	r.MemBWUtilization = r.MemBWGBps / m.dp.dram.PeakGBps(FreqHz)
 
 	r.AccessCounts = m.dp.breakdown.Sub(snap.breakdown)
 	r.AccessesPerRequest = stats.PerRequest(r.AccessCounts, r.Served)
@@ -250,11 +265,7 @@ func (m *Machine) collect(snap windowSnap, measure uint64) Results {
 	}
 
 	if len(m.xmem) > 0 {
-		var acc uint64
-		for _, x := range m.xmem {
-			acc += x.Accesses()
-		}
-		acc -= snap.xmemAcc
+		acc := m.xmemAccesses() - snap.xmemAcc
 		r.XMemAccesses = acc
 		perCore := float64(acc) / float64(len(m.xmem))
 		instr := float64(m.xmem[0].Stream().InstrPerAccess())
@@ -269,6 +280,6 @@ func (m *Machine) collect(snap windowSnap, measure uint64) Results {
 
 	r.Sweeper = m.sweep.Stats()
 	_, drops := m.dp.hier.Sweeps()
-	r.SweeperSavedGBps = stats.GBps(drops-snap.sweepDrops, measure, freq)
+	r.SweeperSavedGBps = stats.GBps(drops-snap.sweepDrops, measure, FreqHz)
 	return r
 }

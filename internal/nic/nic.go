@@ -84,7 +84,6 @@ type NIC struct {
 
 	seq       uint64
 	lineBuf   []uint64
-	injected  uint64
 	txPackets uint64
 	txLines   uint64
 }
@@ -130,7 +129,7 @@ func (n *NIC) Reset(mode Mode) {
 	n.mode = mode
 	n.sweeper, n.overw, n.onEnqueue = nil, nil, nil
 	n.seq = 0
-	n.injected, n.txPackets, n.txLines = 0, 0, 0
+	n.txPackets, n.txLines = 0, 0
 	for _, r := range n.rings {
 		r.Reset()
 	}
@@ -188,7 +187,6 @@ func (n *NIC) Inject(now uint64, core int, size uint64, tag uint64) bool {
 		// Side cache: no architectural effect.
 	}
 	n.seq++
-	n.injected++
 	r.Enqueue(Packet{
 		Seq:     n.seq,
 		Arrival: now,
@@ -224,8 +222,14 @@ func (n *NIC) Transmit(now uint64, wqe WorkQueueEntry) {
 	}
 }
 
-// Injected returns the number of packets successfully injected.
-func (n *NIC) Injected() uint64 { return n.injected }
+// Injected sums the packets successfully injected across all rings.
+func (n *NIC) Injected() uint64 {
+	var e uint64
+	for _, r := range n.rings {
+		e += r.Enqueued()
+	}
+	return e
+}
 
 // Dropped sums ring-full drops across all rings.
 func (n *NIC) Dropped() uint64 {
@@ -248,7 +252,7 @@ func (n *NIC) TotalQueued() int {
 // RegisterMetrics exposes the NIC's injection/transmit counters, aggregate
 // queue state and per-ring occupancy to the observability registry.
 func (n *NIC) RegisterMetrics(r *obs.Registry) {
-	r.Counter("nic.injected", func() uint64 { return n.injected })
+	r.Counter("nic.injected", n.Injected)
 	r.Counter("nic.dropped", n.Dropped)
 	r.Counter("nic.tx_packets", func() uint64 { return n.txPackets })
 	r.Counter("nic.tx_lines", func() uint64 { return n.txLines })

@@ -66,7 +66,7 @@ func TestObsSmoke(t *testing.T) {
 	if err := json.Unmarshal([]byte(readFile(t, filepath.Join(dir, "manifest.json"))), &man); err != nil {
 		t.Fatalf("manifest.json does not parse: %v", err)
 	}
-	if man.Config == nil || man.Config["FreqHz"] == nil {
+	if man.Config == nil || man.Config["NetCores"] == nil {
 		t.Errorf("manifest config missing or unresolved: %v", man.Config)
 	}
 	if man.Results == nil || man.Results["ThroughputMrps"] == nil {
@@ -107,7 +107,7 @@ func generateArtifacts(t *testing.T, dir string) {
 	})
 	write("trace.json", func(f *os.File) error {
 		return obs.WriteChromeTrace(f, m.ObsSeries(),
-			obs.TraceMeta{Process: "obs smoke", FreqHz: cfg.FreqHz})
+			obs.TraceMeta{Process: "obs smoke", FreqHz: machine.FreqHz})
 	})
 	write("manifest.json", func(f *os.File) error {
 		return obs.WriteManifest(f, m.BuildManifest("obs smoke", r))

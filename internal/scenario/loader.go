@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -40,16 +39,4 @@ func LoadFile(path string) (Spec, error) {
 		return Spec{}, fmt.Errorf("%s: %w", path, err)
 	}
 	return s, nil
-}
-
-// Marshal renders a spec as indented JSON, as shipped under
-// examples/scenarios/.
-func Marshal(s Spec) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(s); err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	return buf.Bytes(), nil
 }

@@ -10,7 +10,6 @@ import (
 	"math"
 	"strings"
 
-	"sweeper/internal/cache"
 	"sweeper/internal/machine"
 	"sweeper/internal/nic"
 )
@@ -83,7 +82,7 @@ type Point struct {
 type Run struct {
 	// Param is the joined axis labels ("1024B/512 buf"); empty for
 	// sweepless scenarios. Separators inside individual labels are
-	// escaped ("\/"), so SplitParam recovers the labels unambiguously.
+	// escaped ("\/"), so distinct label lists give distinct params.
 	Param string
 	// Variant is the injection policy applied to Config (zero for
 	// variantless scenarios).
@@ -156,23 +155,36 @@ func (v Variant) Apply(cfg machine.Config) (machine.Config, error) {
 	return cfg, nil
 }
 
-// applyKnob writes one numeric knob into a machine configuration. Every
-// knob targets an independent field (partition_split reads only the
-// immutable LLC way count), so a knob set may be applied in any order.
+// applyKnobs writes a knob set into a machine configuration. The knobs of
+// one set may come in any order: each writes a field of its own, except that
+// partition_split also writes ddio_ways, so one set may not name both.
+func applyKnobs(m *machine.Config, set map[string]float64) error {
+	_, split := set["partition_split"]
+	if _, ways := set["ddio_ways"]; split && ways {
+		return fmt.Errorf("scenario: partition_split sets ddio_ways too; set only one of them")
+	}
+	for knob, v := range set {
+		if err := applyKnob(m, knob, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// applyKnob writes one numeric knob into a machine configuration.
 func applyKnob(m *machine.Config, knob string, v float64) error {
 	if knob == "partition_split" {
-		// The §VI-E disjoint partition: the NIC and networked cores get
-		// the first n LLC ways, collocated tenants the rest.
+		// The §VI-E disjoint partition: the NIC's DDIO ways and the
+		// networked cores get the first n LLC ways, collocated tenants
+		// the rest. Validate bounds n by the LLC's way count.
 		var n int
 		if err := setKnob(&n, knob, v); err != nil {
 			return err
 		}
-		if n <= 0 || n >= m.Cache.LLCWays {
-			return fmt.Errorf("scenario: partition_split %d outside (0,%d)", n, m.Cache.LLCWays)
+		if n <= 0 {
+			return fmt.Errorf("scenario: partition_split %d must be positive", n)
 		}
-		m.NICWayMask = cache.MaskAll(n)
-		m.NetCPUWayMask = cache.MaskAll(n)
-		m.XMemWayMask = cache.MaskRange(n, m.Cache.LLCWays)
+		m.PartitionSplit, m.DDIOWays = n, n
 		return nil
 	}
 	field := knobField(m, knob)
@@ -235,12 +247,6 @@ func knobField(m *machine.Config, knob string) any {
 		return &m.Mem.Channels
 	case "spike_prob":
 		return &m.SpikeProb
-	case "spike_min_cycles":
-		return &m.SpikeMinCycles
-	case "spike_max_cycles":
-		return &m.SpikeMaxCycles
-	case "poll_cycles":
-		return &m.PollCycles
 	case "mlp_width":
 		return &m.MLPWidth
 	case "seed":
@@ -256,12 +262,7 @@ func (s Spec) baseConfig() (machine.Config, error) {
 	if s.Machine.Workload != "" {
 		m.Workload = s.Machine.Workload
 	}
-	for knob, v := range s.Machine.Set {
-		if err := applyKnob(&m, knob, v); err != nil {
-			return m, err
-		}
-	}
-	return m, nil
+	return m, applyKnobs(&m, s.Machine.Set)
 }
 
 // Config expands a sweepless view of the scenario: the base machine with
@@ -272,10 +273,8 @@ func (s Spec) Config(overrides map[string]float64) (machine.Config, error) {
 	if err != nil {
 		return m, err
 	}
-	for knob, v := range overrides {
-		if err := applyKnob(&m, knob, v); err != nil {
-			return m, err
-		}
+	if err := applyKnobs(&m, overrides); err != nil {
+		return m, err
 	}
 	if err := m.Validate(); err != nil {
 		return m, err
@@ -322,10 +321,8 @@ func (s Spec) Expand() ([]Run, error) {
 		ax := s.Sweep[axis]
 		for _, pt := range ax.Points {
 			c := m
-			for knob, v := range pt.Set {
-				if err := applyKnob(&c, knob, v); err != nil {
-					return fmt.Errorf("scenario %q, axis %d point %q: %w", s.Name, axis, pt.Label, err)
-				}
+			if err := applyKnobs(&c, pt.Set); err != nil {
+				return fmt.Errorf("scenario %q, axis %d point %q: %w", s.Name, axis, pt.Label, err)
 			}
 			if err := walk(axis+1, append(labels, pt.Label), c); err != nil {
 				return err
@@ -340,10 +337,9 @@ func (s Spec) Expand() ([]Run, error) {
 }
 
 // escapeLabel escapes the label-join separator (and the escape character
-// itself) inside one axis label, so a Param like "512B\/512 buf/3ch"
-// splits unambiguously back into its labels even when a label contains
-// "/". Before this, fig8's "512B/512 buf" joined with "3ch" was
-// indistinguishable from a three-axis sweep.
+// itself) inside one axis label, so a Param like "512B\/512 buf/3ch" stays
+// distinct from the three-axis "512B/512 buf/3ch" even when a label
+// contains "/".
 func escapeLabel(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	return strings.ReplaceAll(s, "/", `\/`)
@@ -359,31 +355,6 @@ func joinLabels(labels []string) string {
 		esc[i] = escapeLabel(l)
 	}
 	return strings.Join(esc, "/")
-}
-
-// SplitParam splits a Run.Param back into its original axis labels,
-// undoing joinLabels' escaping.
-func SplitParam(p string) []string {
-	if p == "" {
-		return nil
-	}
-	var out []string
-	var b strings.Builder
-	for i := 0; i < len(p); i++ {
-		switch c := p[i]; c {
-		case '\\':
-			if i+1 < len(p) {
-				i++
-				b.WriteByte(p[i])
-			}
-		case '/':
-			out = append(out, b.String())
-			b.Reset()
-		default:
-			b.WriteByte(c)
-		}
-	}
-	return append(out, b.String())
 }
 
 // Validate checks the spec structurally and expands it, so every swept

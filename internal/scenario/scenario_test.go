@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,27 +9,39 @@ import (
 	"sweeper/internal/nic"
 )
 
+// TestBuiltinSpecsValidate loads every builtin spec file. Builtin finds a
+// spec by its file name alone, so each file's name field must match it.
 func TestBuiltinSpecsValidate(t *testing.T) {
-	for _, s := range Builtins() {
-		if err := s.Validate(); err != nil {
-			t.Errorf("builtin %q: %v", s.Name, err)
+	ents, err := specs.ReadDir("specs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		name := strings.TrimSuffix(e.Name(), ".json")
+		names = append(names, name)
+		s, err := Builtin(name)
+		if err != nil {
+			t.Errorf("%s: %v", e.Name(), err)
+			continue
+		}
+		if s.Name != name {
+			t.Errorf("%s: spec named %q, want the file's name", e.Name(), s.Name)
 		}
 	}
-}
-
-func TestBuiltinJSONRoundTrip(t *testing.T) {
-	for _, want := range Builtins() {
-		b, err := Marshal(want)
-		if err != nil {
-			t.Fatalf("%s: marshal: %v", want.Name, err)
-		}
-		got, err := Load(strings.NewReader(string(b)))
-		if err != nil {
-			t.Fatalf("%s: load: %v", want.Name, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: round trip changed the spec\n got: %+v\nwant: %+v", want.Name, got, want)
-		}
+	want := []string{"collocation", "fig1", "fig2", "fig5", "fig7", "fig8", "kvs", "l3fwd"}
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("builtin files %q, want %q", names, want)
+	}
+	var got []string
+	for _, s := range Builtins() {
+		got = append(got, s.Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Builtins() = %q, want %q", got, want)
+	}
+	if _, err := Builtin("nonesuch"); err == nil {
+		t.Error("unknown builtin accepted")
 	}
 }
 
@@ -68,18 +78,18 @@ func TestLoadRejectsBadSpecs(t *testing.T) {
 		"removed shards":      `{"name": "x", "machine": {"set": {"shards": 2}}}`,
 		"removed xmem_workload": `{"name": "x", "machine": {"workload": "l3fwd-l1", "xmem_workload": "xmem",
 			"set": {"xmem_cores": 2}}}`,
-		"spike range": `{"name": "x", "machine": {"set": {"spike_prob": 0.5,
-			"spike_min_cycles": 100, "spike_max_cycles": 10}}}`,
 		"negative packet":      `{"name": "x", "machine": {"set": {"packet_bytes": -64}}}`,
-		"negative poll":        `{"name": "x", "machine": {"set": {"poll_cycles": -1}}}`,
 		"fractional ring":      `{"name": "x", "machine": {"set": {"ring_slots": 1024.7}}}`,
 		"negative mlp":         `{"name": "x", "machine": {"set": {"mlp_width": -4}}}`,
 		"negative depth":       `{"name": "x", "machine": {"set": {"closed_loop_depth": -3}}}`,
 		"fractional partition": `{"name": "x", "machine": {"set": {"partition_split": 4.5}}}`,
-		"removed nodes":        `{"name": "x", "machine": {"set": {"nodes": 2}}}`,
-		"removed fabric knob":  `{"name": "x", "machine": {"set": {"fabric_link_lat_cycles": 5}}}`,
-		"removed topology":     `{"name": "x", "machine": {"topology": "star"}}`,
-		"removed lb_policy":    `{"name": "x", "machine": {"lb_policy": "flow-hash"}}`,
+		"zero partition":       `{"name": "x", "machine": {"set": {"partition_split": 0}}}`,
+		"partition and ways": `{"name": "x", "machine": {"set": {"partition_split": 4,
+			"ddio_ways": 2}}}`,
+		"removed nodes":       `{"name": "x", "machine": {"set": {"nodes": 2}}}`,
+		"removed fabric knob": `{"name": "x", "machine": {"set": {"fabric_link_lat_cycles": 5}}}`,
+		"removed topology":    `{"name": "x", "machine": {"topology": "star"}}`,
+		"removed lb_policy":   `{"name": "x", "machine": {"lb_policy": "flow-hash"}}`,
 
 		// Names retired with trace replay and the arrival envelopes; each
 		// document was valid while they lived.
@@ -107,6 +117,12 @@ func TestLoadRejectsBadSpecs(t *testing.T) {
 		"removed simf_batch_lines":    `{"name": "x", "machine": {"set": {"simf_batch_lines": 32}}}`,
 		"removed mem_tier_policy":     `{"name": "x", "machine": {"mem_tier_policy": "hotpage"}}`,
 		"removed mem_tier_split":      `{"name": "x", "machine": {"set": {"mem_tier_split": 16777216}}}`,
+
+		// Names retired when the dispatch overhead and the spike bounds
+		// became constants; each document was valid while they lived.
+		"removed poll_cycles":      `{"name": "x", "machine": {"set": {"poll_cycles": 50}}}`,
+		"removed spike_min_cycles": `{"name": "x", "machine": {"set": {"spike_min_cycles": 3200}}}`,
+		"removed spike_max_cycles": `{"name": "x", "machine": {"set": {"spike_max_cycles": 320000}}}`,
 	}
 	for name, doc := range cases {
 		if _, err := Load(strings.NewReader(doc)); err == nil {
@@ -115,41 +131,6 @@ func TestLoadRejectsBadSpecs(t *testing.T) {
 	}
 	if _, err := Load(strings.NewReader(`{"name": "x", "machine": {"set": {"seed": -3}}}`)); err != nil {
 		t.Errorf("negative seed rejected: %v", err)
-	}
-}
-
-// TestShippedSpecFiles proves every examples/scenarios/*.json parses,
-// validates, and stays in lockstep with the builtin it ships.
-func TestShippedSpecFiles(t *testing.T) {
-	dir := filepath.Join("..", "..", "examples", "scenarios")
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("reading %s: %v", dir, err)
-	}
-	seen := map[string]bool{}
-	for _, e := range ents {
-		if filepath.Ext(e.Name()) != ".json" {
-			continue
-		}
-		got, err := LoadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Errorf("%s: %v", e.Name(), err)
-			continue
-		}
-		want, ok := Builtin(got.Name)
-		if !ok {
-			t.Errorf("%s: names unknown builtin %q", e.Name(), got.Name)
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: diverged from builtin %q; regenerate with scenario.Marshal", e.Name(), got.Name)
-		}
-		seen[got.Name] = true
-	}
-	for _, name := range BuiltinNames() {
-		if !seen[name] {
-			t.Errorf("builtin %q has no spec file under %s", name, dir)
-		}
 	}
 }
 
@@ -182,12 +163,9 @@ func TestExpandOrdering(t *testing.T) {
 		t.Fatalf("fig8: %d runs, want 63", len(runs))
 	}
 	// fig8's footprint labels contain "/" themselves; joined params escape
-	// it so the two axes split back unambiguously.
+	// it, so two axes never read as three.
 	if got, want := runs[0].Param, `512B\/512 buf/3ch`; got != want {
 		t.Errorf("fig8 first param %q, want %q", got, want)
-	}
-	if got, want := SplitParam(runs[0].Param), []string{"512B/512 buf", "3ch"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("fig8 first param splits to %q, want %q", got, want)
 	}
 	last := runs[len(runs)-1]
 	if got, want := last.Param, `1024B\/2048 buf/8ch`; got != want {
@@ -253,17 +231,17 @@ func TestConfigOverrides(t *testing.T) {
 
 func TestPartitionSplitKnob(t *testing.T) {
 	cfg := MustConfig("collocation", map[string]float64{"partition_split": 4})
-	if cfg.NICWayMask == 0 || cfg.NetCPUWayMask == 0 || cfg.XMemWayMask == 0 {
-		t.Fatalf("partition masks not set: %+v", cfg)
+	if cfg.PartitionSplit != 4 || cfg.DDIOWays != 4 {
+		t.Fatalf("partition_split 4 gave PartitionSplit %d, DDIOWays %d", cfg.PartitionSplit, cfg.DDIOWays)
 	}
-	if cfg.NICWayMask&cfg.XMemWayMask != 0 {
-		t.Errorf("NIC and X-Mem partitions overlap: %b vs %b", cfg.NICWayMask, cfg.XMemWayMask)
+	if cfg := MustConfig("collocation", nil); cfg.PartitionSplit != 0 {
+		t.Fatalf("collocation partitioned by default: %d", cfg.PartitionSplit)
 	}
 }
 
 // TestParamEscaping locks the label-joining fix: axis labels containing the
-// separator are escaped in Param and recovered exactly by SplitParam, so a
-// two-axis sweep can never masquerade as a three-axis one.
+// separator are escaped in Param, so a two-axis sweep can never masquerade as
+// a three-axis one.
 func TestParamEscaping(t *testing.T) {
 	cases := []struct {
 		labels []string
@@ -278,9 +256,6 @@ func TestParamEscaping(t *testing.T) {
 	for _, c := range cases {
 		if got := joinLabels(c.labels); got != c.param {
 			t.Errorf("joinLabels(%q) = %q, want %q", c.labels, got, c.param)
-		}
-		if got := SplitParam(c.param); !reflect.DeepEqual(got, c.labels) {
-			t.Errorf("SplitParam(%q) = %q, want %q", c.param, got, c.labels)
 		}
 	}
 	// The ambiguous pair that motivated the escape: distinct label sets

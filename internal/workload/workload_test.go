@@ -478,9 +478,6 @@ func TestXMemStream(t *testing.T) {
 		}
 		seen[a] = true
 	}
-	if x.Accesses() != 10_000 {
-		t.Fatal("access counter")
-	}
 	// Random coverage: 10k draws over 32k lines should touch many.
 	if len(seen) < 5000 {
 		t.Fatalf("stream touched only %d distinct lines", len(seen))

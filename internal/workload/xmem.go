@@ -30,8 +30,6 @@ type XMem struct {
 	base  uint64
 	lines uint64
 	state uint64
-
-	accesses uint64
 }
 
 // NewXMem builds one instance; call Layout to allocate its private array and
@@ -52,7 +50,6 @@ func NewXMem(cfg XMemConfig) *XMem {
 func (x *XMem) Layout(space *addr.Space, seed uint64) {
 	x.base = space.AllocApp(x.cfg.ArrayBytes)
 	x.state = splitmix64(seed | 1)
-	x.accesses = 0
 }
 
 // Name labels the instance.
@@ -70,9 +67,5 @@ func (x *XMem) InstrPerAccess() uint64 { return x.cfg.InstrPerAccess }
 // Next returns the next dependent random line address in the stream.
 func (x *XMem) Next() uint64 {
 	x.state = splitmix64(x.state)
-	x.accesses++
 	return x.base + (x.state%x.lines)*addr.LineBytes
 }
-
-// Accesses returns the number of accesses generated.
-func (x *XMem) Accesses() uint64 { return x.accesses }
