@@ -87,10 +87,12 @@ golden-slow:
 		-run TestGoldenSlowCSVs -count=1 -timeout 40m -v
 
 # Debug build with the invariant probes compiled in (ring slot conservation,
-# DRAM timing monotonicity, cache inclusion, DDIO way-mask bounds).
+# DRAM timing monotonicity, cache inclusion, DDIO way-mask bounds). It also
+# replays the FuzzScenario corpus, so every committed spec input runs with
+# the probes on.
 test-debug:
 	$(GO) build -tags sweeperdebug ./...
-	$(GO) test -tags sweeperdebug ./internal/machine/ ./internal/obs/ -run 'TestProbe|TestObs'
+	$(GO) test -tags sweeperdebug ./internal/machine/ ./internal/obs/ ./internal/scenario/ -run 'TestProbe|TestObs|FuzzScenario'
 
 # Regenerate the committed experiment artifacts (takes a while).
 results:

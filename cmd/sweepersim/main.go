@@ -107,7 +107,6 @@ func run(args []string) (err error) {
 	cfg.DDIOWays = *ways
 	cfg.RingSlots = *ring
 	cfg.PacketBytes = *packet
-	cfg.ItemBytes = *packet
 	cfg.OfferedMrps = *rate
 	cfg.ClosedLoopDepth = *queued
 	cfg.Mem.Channels = *channels

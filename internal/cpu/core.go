@@ -52,11 +52,12 @@ type Env interface {
 	OnRequestDone(now uint64, core int, p nic.Packet, serviceCycles uint64)
 }
 
+// pollCycles is the fixed dispatch overhead per request (ring poll,
+// doorbell, descriptor handling).
+const pollCycles = 50
+
 // CoreConfig tunes per-core behaviour.
 type CoreConfig struct {
-	// PollCycles is the fixed dispatch overhead per request (ring poll,
-	// doorbell, descriptor handling).
-	PollCycles uint64
 	// TXSlots and TXSlotBytes shape the core's transmit ring. Response
 	// buffers recycle quickly, so a modest in-flight window suffices.
 	TXSlots     int
@@ -246,7 +247,7 @@ func (c *Core) beginRequest(now uint64, p nic.Packet) {
 
 	c.phase = phaseRXRead
 	c.idx = 0
-	c.eng.Schedule(now+c.cfg.PollCycles, c, evStep)
+	c.eng.Schedule(now+pollCycles, c, evStep)
 }
 
 // step advances the in-flight request by exactly one access (or one

@@ -105,7 +105,6 @@ func (e *fakeEnv) OnRequestDone(now uint64, core int, p nic.Packet, svc uint64) 
 
 func coreConfig() CoreConfig {
 	return CoreConfig{
-		PollCycles:  10,
 		TXSlots:     4,
 		TXSlotBytes: 1024,
 		TXBase:      0x100000,
@@ -123,7 +122,7 @@ func runCore(t *testing.T, env *fakeEnv, cfg CoreConfig) *Core {
 }
 
 func onePacket(size uint64) []nic.Packet {
-	return []nic.Packet{{Seq: 1, Arrival: 0, Size: size, Addr: 0x8000, Tag: 42}}
+	return []nic.Packet{{Arrival: 0, Size: size, Addr: 0x8000, Tag: 42}}
 }
 
 func TestRequestLifecycleOrdering(t *testing.T) {
@@ -196,15 +195,10 @@ func TestMLPBatchesAdvanceByMax(t *testing.T) {
 	// 8 RX lines with MLP 4 and 5-cycle latency: two batches -> the RX
 	// phase spans 10 cycles, not 40.
 	env := &fakeEnv{queue: onePacket(512), plan: workload.Plan{ReadFullPacket: true}, lat: 5}
-	cfg := coreConfig()
-	cfg.PollCycles = 0
-	eng := sim.NewEngine()
-	c := NewCore(0, eng, env, cfg)
-	c.Start()
-	eng.Drain()
-	// Service: RX 2 batches x 5 + relinquish 1 = 11 (no ops, no TX).
-	if env.doneSvc[0] != 11 {
-		t.Fatalf("service = %d, want 11", env.doneSvc[0])
+	runCore(t, env, coreConfig())
+	// Service: poll + RX 2 batches x 5 + relinquish 1 (no ops, no TX).
+	if want := uint64(pollCycles + 11); env.doneSvc[0] != want {
+		t.Fatalf("service = %d, want %d", env.doneSvc[0], want)
 	}
 }
 
@@ -231,7 +225,7 @@ func TestResponseClampedToTXSlot(t *testing.T) {
 func TestTXSlotRotation(t *testing.T) {
 	var pkts []nic.Packet
 	for i := 0; i < 6; i++ {
-		pkts = append(pkts, nic.Packet{Seq: uint64(i), Size: 64, Addr: 0x8000, Tag: uint64(i)})
+		pkts = append(pkts, nic.Packet{Size: 64, Addr: 0x8000, Tag: uint64(i)})
 	}
 	env := &fakeEnv{queue: pkts, plan: workload.Plan{RespBytes: 64, ReadFullPacket: true}, lat: 1}
 	runCore(t, env, coreConfig())
@@ -291,7 +285,7 @@ func TestIdleWakeServesLateArrival(t *testing.T) {
 func TestWakeDuringStartDoesNotDoubleServe(t *testing.T) {
 	var pkts []nic.Packet
 	for i := 0; i < 4; i++ {
-		pkts = append(pkts, nic.Packet{Seq: uint64(i), Size: 64, Addr: 0x8000})
+		pkts = append(pkts, nic.Packet{Size: 64, Addr: 0x8000})
 	}
 	env := &fakeEnv{queue: pkts, plan: workload.Plan{ComputeCycles: 100, ReadFullPacket: true}, lat: 1}
 	eng := sim.NewEngine()
@@ -377,7 +371,7 @@ func TestCoreConfigValidation(t *testing.T) {
 func TestXMemCoreAccessLoop(t *testing.T) {
 	env := &fakeEnv{lat: 10}
 	eng := sim.NewEngine()
-	stream := workload.NewXMem(workload.DefaultXMemConfig())
+	stream := workload.NewXMem()
 	stream.Layout(addr.NewSpace(1, 1024, 1024), 1)
 	x := NewXMemCore(1, eng, env, stream)
 	if x.ID() != 1 || x.Stream() != stream {

@@ -56,7 +56,6 @@ func ddioPairs(ways ...int) []Variant {
 // the given RX ring depth, seeded deterministically.
 func KVSConfig(itemBytes uint64, ringSlots int) machine.Config {
 	return scenario.MustConfig("kvs", map[string]float64{
-		"item_bytes":   float64(itemBytes),
 		"packet_bytes": float64(itemBytes),
 		"ring_slots":   float64(ringSlots),
 	})

@@ -73,7 +73,7 @@ func TestVariants(t *testing.T) {
 
 func TestConfigConstructors(t *testing.T) {
 	kvs := KVSConfig(512, 2048)
-	if kvs.ItemBytes != 512 || kvs.PacketBytes != 512 || kvs.RingSlots != 2048 {
+	if kvs.PacketBytes != 512 || kvs.RingSlots != 2048 {
 		t.Fatal("KVS config")
 	}
 	if err := kvs.Validate(); err != nil {

@@ -25,7 +25,8 @@ type Config struct {
 	NetCores  int
 	XMemCores int
 
-	// Mem configures the DRAM. The cache hierarchy is always Table I's
+	// Mem sets the DRAM's channel count and write queue; its devices are
+	// always Table I's DDR4-3200. The cache hierarchy is always Table I's
 	// (cache.DefaultConfig), sized to NetCores+XMemCores.
 	Mem mem.Config
 
@@ -35,19 +36,18 @@ type Config struct {
 	DDIOWays int
 
 	// RingSlots is RX descriptors per core ("receive buffers per core");
-	// PacketBytes the MTU/slot size; TXSlots the per-core transmit ring
-	// depth (responses recycle quickly, so a modest window suffices).
-	// Both ring depths must be powers of two (the rings mask, not mod).
+	// PacketBytes the MTU/slot size, which is also the KVS item size (the
+	// paper pairs the two); TXSlots the per-core transmit ring depth
+	// (responses recycle quickly, so a modest window suffices). Both ring
+	// depths must be powers of two (the rings mask, not mod).
 	RingSlots   int
 	PacketBytes uint64
 	TXSlots     int
 
 	// Workload names the networked application in the workload registry
 	// (workload.NameKVS, workload.NameL3Fwd, ... or any registered
-	// driver); ItemBytes sizes KVS items (the paper pairs packet size
-	// with item size).
-	Workload  string
-	ItemBytes uint64
+	// driver).
+	Workload string
 
 	// Sweeper configures the paper's mechanism. Its TXSweep switch also
 	// sets the Work Queue SweepBuffer bit on every transmission, so the
@@ -98,7 +98,6 @@ func DefaultConfig() Config {
 		PacketBytes: 1024,
 		TXSlots:     128,
 		Workload:    workload.NameKVS,
-		ItemBytes:   1024,
 		Sweeper:     core.Config{RXSweep: false},
 		OfferedMrps: 10,
 		MLPWidth:    12,
@@ -108,10 +107,6 @@ func DefaultConfig() Config {
 
 // FreqHz is the core clock: Table I's 3.2 GHz.
 const FreqHz = 3.2e9
-
-// pollCycles is the fixed per-request dispatch overhead (ring poll, doorbell,
-// descriptor handling).
-const pollCycles = 50
 
 // spikeMinCycles and spikeMaxCycles bound the §VI-F service-time spikes:
 // 1 to 100 us at FreqHz.
@@ -205,7 +200,7 @@ func (c *Config) Validate() error {
 
 // params extracts the workload-facing parameterization of the config.
 func (c *Config) params() workload.Params {
-	return workload.Params{PacketBytes: c.PacketBytes, ItemBytes: c.ItemBytes}
+	return workload.Params{PacketBytes: c.PacketBytes}
 }
 
 // respSlotBytes returns the TX slot size: the largest response the workload

@@ -149,7 +149,6 @@ func (m *Machine) configure(cfg Config) error {
 	}
 	for i := range m.cores {
 		ccfg := cpu.CoreConfig{
-			PollCycles:  pollCycles,
 			TXSlots:     cfg.TXSlots,
 			TXSlotBytes: cfg.respSlotBytes(),
 			TXBase:      m.dp.space.TXBase(i),
@@ -172,7 +171,7 @@ func (m *Machine) configure(cfg Config) error {
 			m.xmem[i].Stream().Layout(m.dp.space, seed)
 			m.xmem[i].Reset()
 		} else {
-			stream := workload.NewXMem(workload.DefaultXMemConfig())
+			stream := workload.NewXMem()
 			stream.Layout(m.dp.space, seed)
 			m.xmem[i] = cpu.NewXMemCore(id, m.eng, m, stream)
 		}

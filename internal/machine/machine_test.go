@@ -40,7 +40,7 @@ func TestConfigValidation(t *testing.T) {
 		"ways high":                func(c *Config) { c.DDIOWays = 13 },
 		"no load":                  func(c *Config) { c.OfferedMrps = 0 },
 		"depth too deep":           func(c *Config) { c.ClosedLoopDepth = c.RingSlots + 1 },
-		"kvs needs items":          func(c *Config) { c.ItemBytes = 0 },
+		"kvs needs line items":     func(c *Config) { c.PacketBytes = 100 },
 		"bad spike prob":           func(c *Config) { c.SpikeProb = 1.5 },
 		"ring not pow2":            func(c *Config) { c.RingSlots = 1000 },
 		"tx not pow2":              func(c *Config) { c.TXSlots = 100 },
@@ -89,7 +89,8 @@ func TestTableIParameters(t *testing.T) {
 	if cfg.NetCores != 24 || FreqHz != 3.2e9 {
 		t.Fatal("cores/frequency")
 	}
-	hc := MustNew(cfg).Hierarchy().Config()
+	m := MustNew(cfg)
+	hc := m.Hierarchy().Config()
 	if hc.NCores != 24 {
 		t.Fatalf("hierarchy has %d cores", hc.NCores)
 	}
@@ -102,8 +103,10 @@ func TestTableIParameters(t *testing.T) {
 	if hc.L1Bytes != 48<<10 {
 		t.Fatal("L1d")
 	}
-	if cfg.Mem.Channels != 4 || cfg.Mem.RanksPerChannel != 4 || cfg.Mem.BanksPerRank != 8 {
-		t.Fatal("memory organization")
+	// Four DDR4-3200 channels: one 64B burst per 4 DRAM clocks at 1.6
+	// GHz is 25.6 GB/s each.
+	if cfg.Mem.Channels != 4 || m.DRAM().PeakGBps(FreqHz) != 102.4 {
+		t.Fatalf("memory organization: %d channels, %g GB/s", cfg.Mem.Channels, m.DRAM().PeakGBps(FreqHz))
 	}
 	if hc.NoCLat != 8 {
 		t.Fatal("NoC")
@@ -299,7 +302,6 @@ func TestSpikesInflateTailLatency(t *testing.T) {
 func TestClosedLoopKeepsQueuesAndSaturates(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Workload = workload.NameL3Fwd
-	cfg.ItemBytes = 0
 	cfg.RingSlots = 512
 	cfg.TXSlots = 512
 	cfg.ClosedLoopDepth = 50
@@ -319,7 +321,6 @@ func TestClosedLoopKeepsQueuesAndSaturates(t *testing.T) {
 func TestCollocationReportsXMemIPC(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Workload = workload.NameL3FwdL1
-	cfg.ItemBytes = 0
 	cfg.NetCores = 4
 	cfg.XMemCores = 4
 	cfg.RingSlots = 256
@@ -335,7 +336,6 @@ func TestCollocationReportsXMemIPC(t *testing.T) {
 func TestPartitionMasksRestrictOccupancy(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Workload = workload.NameL3FwdL1
-	cfg.ItemBytes = 0
 	cfg.NetCores = 4
 	cfg.XMemCores = 4
 	cfg.RingSlots = 512
@@ -369,7 +369,6 @@ func TestPartitionMasksRestrictOccupancy(t *testing.T) {
 func TestSweepTXEliminatesTXEvictions(t *testing.T) {
 	base := DefaultConfig()
 	base.Workload = workload.NameL3Fwd
-	base.ItemBytes = 0
 	base.RingSlots = 1024
 	base.TXSlots = 1024
 	base.ClosedLoopDepth = 64

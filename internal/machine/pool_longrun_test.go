@@ -15,7 +15,6 @@ import (
 func fig6Cfg(rate float64) Config {
 	cfg := DefaultConfig()
 	cfg.Workload = workload.NameKVS
-	cfg.ItemBytes = 1024
 	cfg.PacketBytes = 1024
 	cfg.RingSlots = 1024
 	cfg.TXSlots = 128

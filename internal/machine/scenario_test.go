@@ -59,7 +59,6 @@ func TestDeeperBuffersLeakMore(t *testing.T) {
 
 func TestSmallItemsSmallerFootprint(t *testing.T) {
 	cfg := quickCfg()
-	cfg.ItemBytes = 512
 	cfg.PacketBytes = 512
 	cfg.OfferedMrps = 10
 	r := quickRun(t, cfg)
@@ -149,7 +148,6 @@ func TestWarmFillFollowsDriver(t *testing.T) {
 	}
 	cfg := quickCfg()
 	cfg.Workload = workload.NameL3Fwd
-	cfg.ItemBytes = 0
 	if n := MustNew(cfg).Hierarchy().LLC().ValidLines(); n != 0 {
 		t.Fatalf("forwarder machine starts with %d warm lines", n)
 	}
@@ -161,7 +159,7 @@ func TestWarmFillUsesDedicatedRegion(t *testing.T) {
 	// miss the warm region. The warm region starts after the KVS
 	// allocations, so it suffices that warm occupancy lies beyond them.
 	kvs := m.Workload().(*workload.KVS)
-	kvsEnd := kvs.LogBase() + kvs.Config().LogBytes
+	kvsEnd := kvs.LogBase() + 256<<20 // the Appendix's 256MB log
 	aliased := m.Hierarchy().LLC().OccupancyByClass(func(a uint64) bool {
 		return a < kvsEnd
 	})

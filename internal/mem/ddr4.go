@@ -16,76 +16,58 @@
 package mem
 
 import (
-	"fmt"
-
 	"sweeper/internal/fastdiv"
 	"sweeper/internal/obs"
 )
 
-// Timing holds DDR4 timing parameters in DRAM clock cycles.
-type Timing struct {
-	// TRCD is the ACTIVATE-to-CAS delay (row miss adds this).
-	TRCD uint64
-	// TRP is the PRECHARGE delay (closing a conflicting row adds this).
-	TRP uint64
-	// TCL is the CAS (read) latency.
-	TCL uint64
-	// TCWL is the CAS write latency.
-	TCWL uint64
-	// TBL is the data-bus occupancy of one 64B burst (BL8 = 4 clocks).
-	TBL uint64
-	// TCCD is the CAS-to-CAS pipelining gap: row-buffer hits to the same
-	// bank stream one burst per TCCD.
-	TCCD uint64
-	// TRAS is the minimum ACTIVATE-to-PRECHARGE time.
-	TRAS uint64
-	// TREFI is the refresh interval and TRFC the refresh cycle time; all
-	// banks of a channel stall for TRFC every TREFI. Zero TREFI disables
-	// refresh.
-	TREFI uint64
-	TRFC  uint64
-}
-
-// DDR43200 returns DDR4-3200AA timing (22-22-22) as used by Ramulator.
-func DDR43200() Timing {
-	// 7.8us refresh interval, 350ns refresh cycle (8Gb devices), in
-	// 1.6GHz DRAM clocks.
-	return Timing{TRCD: 22, TRP: 22, TCL: 22, TCWL: 16, TBL: 4, TCCD: 4,
-		TRAS: 52, TREFI: 12480, TRFC: 560}
-}
-
-// Config describes one memory subsystem.
+// Config describes what the study varies in the memory subsystem: the
+// channel count and the write buffer. Everything else is Table I's
+// DDR4-3200, the constants below.
 type Config struct {
 	// WriteQueueDepth is the controller's per-channel write buffer; when
 	// full, further traffic stalls behind forced write drains.
 	WriteQueueDepth uint64
 	// Channels is the number of independent memory channels (paper: 3-8).
 	Channels int
-	// RanksPerChannel and BanksPerRank set the bank-level parallelism
-	// (paper: 4 ranks x 8 banks).
-	RanksPerChannel int
-	BanksPerRank    int
-	// RowBytes is the row-buffer size per bank (8 KiB typical).
-	RowBytes uint64
-	// CPUCyclesPerDRAMCycle converts DRAM clocks to CPU cycles
-	// (3.2 GHz CPU over 1.6 GHz DDR4-3200 clock = 2).
-	CPUCyclesPerDRAMCycle uint64
-	// Timing are the DDR4 core timings.
-	Timing Timing
 }
 
 // DefaultConfig returns the paper's four-channel Table I configuration.
 func DefaultConfig() Config {
-	return Config{
-		WriteQueueDepth:       64,
-		Channels:              4,
-		RanksPerChannel:       4,
-		BanksPerRank:          8,
-		RowBytes:              8 * 1024,
-		CPUCyclesPerDRAMCycle: 2,
-		Timing:                DDR43200(),
-	}
+	return Config{WriteQueueDepth: 64, Channels: 4}
 }
+
+// Table I's channel geometry: 4 ranks of 8 banks, 8 KiB rows.
+const (
+	ranksPerChannel = 4
+	banksPerRank    = 8
+	banksPerChannel = ranksPerChannel * banksPerRank
+	rowBytes        = 8 << 10
+	linesPerRow     = rowBytes / lineBytes
+)
+
+// DDR4-3200AA timing (22-22-22) as used by Ramulator, in CPU cycles: a
+// 1.6 GHz DRAM clock is 2 cycles of the 3.2 GHz core clock.
+const (
+	cpuCyclesPerDRAMCycle = 2
+	// tRCD is the ACTIVATE-to-CAS delay (a row miss adds it).
+	tRCD = 22 * cpuCyclesPerDRAMCycle
+	// tRP is the PRECHARGE delay (closing a conflicting row adds it).
+	tRP = 22 * cpuCyclesPerDRAMCycle
+	// tCL is the CAS (read) latency.
+	tCL = 22 * cpuCyclesPerDRAMCycle
+	// tBL is the data-bus occupancy of one 64B burst (BL8 = 4 clocks).
+	tBL = 4 * cpuCyclesPerDRAMCycle
+	// tCCD is the CAS-to-CAS pipelining gap: row-buffer hits to the same
+	// bank stream one burst per tCCD.
+	tCCD = 4 * cpuCyclesPerDRAMCycle
+	// tRAS is the minimum ACTIVATE-to-PRECHARGE time.
+	tRAS = 52 * cpuCyclesPerDRAMCycle
+	// tREFI is the refresh interval (7.8 us) and tRFC the refresh cycle
+	// time (350 ns, 8Gb devices): all banks of a channel stall for tRFC
+	// every tREFI.
+	tREFI = 12480 * cpuCyclesPerDRAMCycle
+	tRFC  = 560 * cpuCyclesPerDRAMCycle
+)
 
 const lineBytes = 64
 
@@ -101,7 +83,7 @@ type bank struct {
 }
 
 type channel struct {
-	banks     []bank
+	banks     [banksPerChannel]bank
 	busFreeAt uint64
 	// pendingWrites is the controller's write queue: writebacks wait here
 	// and drain through idle bus slots. Reads have priority (as in real
@@ -116,17 +98,11 @@ type channel struct {
 // DDR4 is the memory model. It is not safe for concurrent use; the
 // simulator is single-threaded by design.
 type DDR4 struct {
-	cfg Config
-	// Converted timings, in CPU cycles.
-	tRCD, tRP, tCL, tCWL, tBL, tCCD, tRAS uint64
-	tREFI, tRFC                           uint64
-	linesPerRow                           uint64
-	channels                              []channel
-	// Strength-reduced divisors for the per-transaction address mapping
-	// (channel count is 3 in some sweeps — not a power of two).
-	chDiv   fastdiv.Divisor // by len(channels)
-	rowDiv  fastdiv.Divisor // by linesPerRow
-	bankDiv fastdiv.Divisor // by banks per channel
+	cfg      Config
+	channels []channel
+	// chDiv strength-reduces the per-transaction channel split (the
+	// channel count is 3 in some sweeps — not a power of two).
+	chDiv fastdiv.Divisor
 
 	refreshes uint64
 
@@ -139,45 +115,12 @@ func New(cfg Config) *DDR4 {
 	if cfg.Channels <= 0 {
 		panic("mem: Channels must be positive")
 	}
-	if cfg.RanksPerChannel <= 0 || cfg.BanksPerRank <= 0 {
-		panic("mem: ranks and banks must be positive")
-	}
-	if cfg.RowBytes < lineBytes {
-		panic("mem: RowBytes must cover at least one line")
-	}
-	r := cfg.CPUCyclesPerDRAMCycle
-	if r == 0 {
-		r = 1
-	}
-	tccd := cfg.Timing.TCCD
-	if tccd == 0 {
-		tccd = cfg.Timing.TBL
-	}
 	m := &DDR4{
-		cfg:         cfg,
-		tRCD:        cfg.Timing.TRCD * r,
-		tRP:         cfg.Timing.TRP * r,
-		tCL:         cfg.Timing.TCL * r,
-		tCWL:        cfg.Timing.TCWL * r,
-		tBL:         cfg.Timing.TBL * r,
-		tCCD:        tccd * r,
-		tRAS:        cfg.Timing.TRAS * r,
-		tREFI:       cfg.Timing.TREFI * r,
-		tRFC:        cfg.Timing.TRFC * r,
-		linesPerRow: cfg.RowBytes / lineBytes,
-		channels:    make([]channel, cfg.Channels),
+		cfg:      cfg,
+		channels: make([]channel, cfg.Channels),
+		chDiv:    fastdiv.New(uint64(cfg.Channels)),
 	}
-	nBanks := cfg.RanksPerChannel * cfg.BanksPerRank
-	m.chDiv = fastdiv.New(uint64(cfg.Channels))
-	m.rowDiv = fastdiv.New(m.linesPerRow)
-	m.bankDiv = fastdiv.New(uint64(nBanks))
-	for i := range m.channels {
-		m.channels[i].banks = make([]bank, nBanks)
-		for b := range m.channels[i].banks {
-			m.channels[i].banks[b].openRow = -1
-		}
-		m.channels[i].nextRefreshAt = m.tREFI
-	}
+	m.Reset()
 	return m
 }
 
@@ -195,7 +138,7 @@ func (m *DDR4) Reset() {
 		}
 		c.busFreeAt = 0
 		c.pendingWrites = 0
-		c.nextRefreshAt = m.tREFI
+		c.nextRefreshAt = tREFI
 	}
 	m.refreshes, m.reads, m.writes = 0, 0, 0
 }
@@ -204,29 +147,21 @@ func (m *DDR4) Reset() {
 // consecutive lines across channels and keeping a row's columns together so
 // streaming accesses enjoy row-buffer hits.
 func (m *DDR4) mapAddr(a uint64) (ch int, bk int, row int64) {
-	li := a / lineBytes
-	q, r := m.chDiv.DivMod(li)
-	ch = int(r)
-	rest := m.rowDiv.Div(q) // drop column bits
-	bkq, bkr := m.bankDiv.DivMod(rest)
-	bk = int(bkr)
-	row = int64(bkq)
-	return ch, bk, row
+	q, r := m.chDiv.DivMod(a / lineBytes)
+	rest := q / linesPerRow // drop column bits
+	return int(r), int(rest % banksPerChannel), int64(rest / banksPerChannel)
 }
 
 // refresh stalls the channel for tRFC every tREFI (all-bank refresh),
 // charging any refreshes due by cycle now.
 func (m *DDR4) refresh(c *channel, now uint64) {
-	if m.tREFI == 0 {
-		return
-	}
 	for c.nextRefreshAt <= now {
 		base := c.busFreeAt
 		if c.nextRefreshAt > base {
 			base = c.nextRefreshAt
 		}
-		c.busFreeAt = base + m.tRFC
-		c.nextRefreshAt += m.tREFI
+		c.busFreeAt = base + tRFC
+		c.nextRefreshAt += tREFI
 		m.refreshes++
 	}
 }
@@ -238,7 +173,7 @@ func (m *DDR4) drainIdle(c *channel, now uint64) {
 		return
 	}
 	idle := now - c.busFreeAt
-	k := idle / m.tBL
+	k := idle / tBL
 	if k >= c.pendingWrites {
 		c.pendingWrites = 0
 		c.busFreeAt = now
@@ -279,32 +214,32 @@ func (m *DDR4) read(now uint64, a uint64) uint64 {
 			// Precharge the open row, no earlier than tRAS after
 			// its activation.
 			preAt := start
-			if min := b.lastAct + m.tRAS; min > preAt {
+			if min := b.lastAct + tRAS; min > preAt {
 				preAt = min
 			}
-			actAt = preAt + m.tRP
+			actAt = preAt + tRP
 		}
 		// ACT-to-ACT to the same bank is bounded by tRC = tRAS+tRP.
-		if min := b.lastAct + m.tRAS + m.tRP; min > actAt {
+		if min := b.lastAct + tRAS + tRP; min > actAt {
 			actAt = min
 		}
 		b.lastAct = actAt
-		casAt = actAt + m.tRCD
+		casAt = actAt + tRCD
 	}
 
-	dataReady := casAt + m.tCL
+	dataReady := casAt + tCL
 	busStart := dataReady
 	if c.busFreeAt > busStart {
 		busStart = c.busFreeAt
 	}
-	done := busStart + m.tBL
+	done := busStart + tBL
 	c.busFreeAt = done
 	b.openRow = row
 	// The bank accepts its next column command tCCD after this one. Bank
 	// state advances on bank timing alone — coupling it to the (possibly
 	// backlogged) bus slot would compound bus queueing with bank latency
 	// on every row miss and ratchet the backlog upward forever.
-	b.readyAt = casAt + m.tCCD
+	b.readyAt = casAt + tCCD
 	if obs.ProbesEnabled {
 		// The channel bus clock and per-bank command clock only ever
 		// advance; a regression here means timing state went backwards
@@ -357,7 +292,7 @@ func (m *DDR4) Write(now uint64, a uint64) (done uint64) {
 		if now > base {
 			base = now
 		}
-		c.busFreeAt = base + excess*m.tBL
+		c.busFreeAt = base + excess*tBL
 		c.pendingWrites = cap
 	}
 	if obs.ProbesEnabled && c.busFreeAt < probeBus {
@@ -367,7 +302,7 @@ func (m *DDR4) Write(now uint64, a uint64) (done uint64) {
 	if c.busFreeAt > now {
 		return c.busFreeAt
 	}
-	return now + m.tBL
+	return now + tBL
 }
 
 // RegisterMetrics exposes the model's transaction counters and controller
@@ -379,7 +314,7 @@ func (m *DDR4) RegisterMetrics(r *obs.Registry) {
 	r.Counter("mem.writes", func() uint64 { return m.writes })
 	r.Counter("mem.refreshes", func() uint64 { return m.refreshes })
 	r.Counter("mem.bus_busy_cycles", func() uint64 {
-		return (m.reads+m.writes)*m.tBL + m.refreshes*m.tRFC
+		return (m.reads+m.writes)*tBL + m.refreshes*tRFC
 	})
 	r.Gauge("mem.write_queue_depth", func(uint64) float64 {
 		var d uint64
@@ -414,12 +349,7 @@ func (m *DDR4) Transactions() uint64 { return m.reads + m.writes }
 // PeakGBps returns the theoretical peak bandwidth of the configuration at
 // the given CPU frequency, for utilization reporting.
 func (m *DDR4) PeakGBps(cpuHz float64) float64 {
-	cyclesPerBurst := float64(m.tBL)
+	cyclesPerBurst := float64(tBL)
 	burstsPerSec := cpuHz / cyclesPerBurst
 	return burstsPerSec * float64(lineBytes) * float64(len(m.channels)) / 1e9
-}
-
-func (m *DDR4) String() string {
-	return fmt.Sprintf("DDR4 %dch x %drk x %dbk", m.cfg.Channels,
-		m.cfg.RanksPerChannel, m.cfg.BanksPerRank)
 }

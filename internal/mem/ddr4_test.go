@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,16 +10,24 @@ import (
 func testConfig(channels int) Config {
 	cfg := DefaultConfig()
 	cfg.Channels = channels
-	// Deterministic-latency tests disable refresh; TestRefresh covers it.
-	cfg.Timing.TREFI = 0
 	return cfg
+}
+
+// newNoRefresh builds cfg's model with refresh pushed past the end of time:
+// deterministic-latency tests disable it, and
+// TestRefreshStallsChannelPeriodically covers it.
+func newNoRefresh(cfg Config) *DDR4 {
+	m := New(cfg)
+	for i := range m.channels {
+		m.channels[i].nextRefreshAt = math.MaxUint64
+	}
+	return m
 }
 
 func TestConfigValidation(t *testing.T) {
 	for name, cfg := range map[string]Config{
-		"no channels": {Channels: 0, RanksPerChannel: 1, BanksPerRank: 1, RowBytes: 8192},
-		"no ranks":    {Channels: 1, RanksPerChannel: 0, BanksPerRank: 1, RowBytes: 8192},
-		"tiny row":    {Channels: 1, RanksPerChannel: 1, BanksPerRank: 1, RowBytes: 32},
+		"no channels":       {Channels: 0, WriteQueueDepth: 64},
+		"negative channels": {Channels: -1, WriteQueueDepth: 64},
 	} {
 		func() {
 			defer func() {
@@ -32,7 +41,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestColdReadLatency(t *testing.T) {
-	m := New(testConfig(4))
+	m := newNoRefresh(testConfig(4))
 	// First read: closed bank -> tRCD + tCL + tBL, all x2 CPU cycles.
 	done := m.Read(1000, 0)
 	want := uint64(1000 + (22+22+4)*2)
@@ -42,7 +51,7 @@ func TestColdReadLatency(t *testing.T) {
 }
 
 func TestRowBufferHitFasterThanMiss(t *testing.T) {
-	m := New(testConfig(1))
+	m := newNoRefresh(testConfig(1))
 	base := uint64(1 << 20)
 	t0 := m.Read(0, base)
 	lat0 := t0 - 0
@@ -59,7 +68,7 @@ func TestRowBufferHitFasterThanMiss(t *testing.T) {
 }
 
 func TestConsecutiveLinesInterleaveChannels(t *testing.T) {
-	m := New(testConfig(4))
+	m := newNoRefresh(testConfig(4))
 	ch0, _, _ := m.mapAddr(0)
 	ch1, _, _ := m.mapAddr(64)
 	ch2, _, _ := m.mapAddr(128)
@@ -69,22 +78,22 @@ func TestConsecutiveLinesInterleaveChannels(t *testing.T) {
 }
 
 func TestSameCycleReadsSerializeOnBus(t *testing.T) {
-	m := New(testConfig(1))
+	m := newNoRefresh(testConfig(1))
 	// Two same-cycle reads to different banks of one channel must occupy
 	// distinct bus slots (tBL apart at least).
 	a0 := uint64(0)
 	a1 := uint64(8192) // different bank via row-group stride
 	d0 := m.Read(0, a0)
 	d1 := m.Read(0, a1)
-	if d1 < d0+m.tBL {
-		t.Fatalf("bus slots overlap: %d then %d (tBL=%d)", d0, d1, m.tBL)
+	if d1 < d0+tBL {
+		t.Fatalf("bus slots overlap: %d then %d (tBL=%d)", d0, d1, tBL)
 	}
 }
 
 func TestWritesDoNotDelayReadsUntilQueueFull(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.WriteQueueDepth = 64
-	m := New(cfg)
+	m := newNoRefresh(cfg)
 	// Warm the bank so the read is a pure row hit.
 	m.Read(0, 0)
 	base := m.Read(10_000, 0) - 10_000
@@ -103,7 +112,7 @@ func TestWritesDoNotDelayReadsUntilQueueFull(t *testing.T) {
 func TestWriteQueueOverflowStallsReads(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.WriteQueueDepth = 8
-	m := New(cfg)
+	m := newNoRefresh(cfg)
 	m.Read(0, 0)
 	base := m.Read(10_000, 0) - 10_000
 
@@ -120,7 +129,7 @@ func TestWriteQueueOverflowStallsReads(t *testing.T) {
 func TestIdleSlotsDrainWriteQueue(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.WriteQueueDepth = 8
-	m := New(cfg)
+	m := newNoRefresh(cfg)
 	for i := 0; i < 8; i++ {
 		m.Write(0, uint64(i)*64)
 	}
@@ -138,7 +147,7 @@ func TestIdleSlotsDrainWriteQueue(t *testing.T) {
 }
 
 func TestTransactionCounters(t *testing.T) {
-	m := New(testConfig(2))
+	m := newNoRefresh(testConfig(2))
 	m.Read(0, 0)
 	m.Read(0, 64)
 	m.Write(0, 128)
@@ -148,7 +157,7 @@ func TestTransactionCounters(t *testing.T) {
 }
 
 func TestPeakBandwidth(t *testing.T) {
-	m := New(testConfig(4))
+	m := newNoRefresh(testConfig(4))
 	// 4 channels x (64B per 8 CPU cycles) at 3.2GHz = 102.4 GB/s.
 	got := m.PeakGBps(3.2e9)
 	if got < 102 || got > 103 {
@@ -157,7 +166,7 @@ func TestPeakBandwidth(t *testing.T) {
 }
 
 func TestSaturatedReadsApproachPeakBandwidth(t *testing.T) {
-	m := New(testConfig(4))
+	m := newNoRefresh(testConfig(4))
 	rng := rand.New(rand.NewSource(1))
 	var now, done uint64
 	n := 100_000
@@ -179,7 +188,7 @@ func TestSaturatedReadsApproachPeakBandwidth(t *testing.T) {
 }
 
 func TestModerateLoadLatencyStaysBounded(t *testing.T) {
-	m := New(testConfig(4))
+	m := newNoRefresh(testConfig(4))
 	rng := rand.New(rand.NewSource(2))
 	var now, worst uint64
 	for i := 0; i < 50_000; i++ {
@@ -198,13 +207,13 @@ func TestModerateLoadLatencyStaysBounded(t *testing.T) {
 // Property: a read completes no earlier than its issue time plus the
 // minimum CAS+burst latency, and the model's clocks never go backward.
 func TestReadLatencyLowerBoundProperty(t *testing.T) {
-	m := New(testConfig(3))
+	m := newNoRefresh(testConfig(3))
 	var last uint64
 	f := func(gap uint16, addrRaw uint32) bool {
 		last += uint64(gap)
 		a := uint64(addrRaw) &^ 63
 		done := m.Read(last, a)
-		return done >= last+m.tCL+m.tBL
+		return done >= last+tCL+tBL
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -212,16 +221,13 @@ func TestReadLatencyLowerBoundProperty(t *testing.T) {
 }
 
 func TestRefreshStallsChannelPeriodically(t *testing.T) {
-	cfg := testConfig(1)
-	cfg.Timing.TREFI = 12480
-	cfg.Timing.TRFC = 560
-	m := New(cfg)
+	m := New(testConfig(1))
 	// Warm the row.
 	m.Read(0, 0)
 	base := m.Read(10_000, 0) - 10_000
 
 	// A read issued just after a refresh boundary eats (part of) tRFC.
-	refreshAt := uint64(12480 * 2) // CPU cycles
+	refreshAt := uint64(tREFI) // CPU cycles
 	lat := m.Read(refreshAt+1, 0) - (refreshAt + 1)
 	if lat <= base {
 		t.Fatalf("read at refresh boundary not delayed: %d vs %d", lat, base)
@@ -237,16 +243,16 @@ func TestRefreshStallsChannelPeriodically(t *testing.T) {
 }
 
 func TestRefreshDisabled(t *testing.T) {
-	m := New(testConfig(1))
+	m := newNoRefresh(testConfig(1))
 	m.Read(10_000_000, 0)
 	if m.Refreshes() != 0 {
-		t.Fatal("refreshes with TREFI=0")
+		t.Fatal("refreshes with refresh disabled")
 	}
 }
 
 func TestChannelScalingIncreasesBandwidth(t *testing.T) {
 	sustained := func(channels int) float64 {
-		m := New(testConfig(channels))
+		m := newNoRefresh(testConfig(channels))
 		rng := rand.New(rand.NewSource(9))
 		var now, done uint64
 		n := 50_000

@@ -82,7 +82,6 @@ type NIC struct {
 	// the machine can wake an idle core.
 	onEnqueue func(now uint64, core int)
 
-	seq       uint64
 	lineBuf   []uint64
 	txPackets uint64
 	txLines   uint64
@@ -128,7 +127,6 @@ func New(cfg Config, space *addr.Space, inj Injector) *NIC {
 func (n *NIC) Reset(mode Mode) {
 	n.mode = mode
 	n.sweeper, n.overw, n.onEnqueue = nil, nil, nil
-	n.seq = 0
 	n.txPackets, n.txLines = 0, 0
 	for _, r := range n.rings {
 		r.Reset()
@@ -186,15 +184,7 @@ func (n *NIC) Inject(now uint64, core int, size uint64, tag uint64) bool {
 	case ModeIdeal:
 		// Side cache: no architectural effect.
 	}
-	n.seq++
-	r.Enqueue(Packet{
-		Seq:     n.seq,
-		Arrival: now,
-		Size:    size,
-		Slot:    slot,
-		Addr:    base,
-		Tag:     tag,
-	})
+	r.Enqueue(Packet{Arrival: now, Size: size, Addr: base, Tag: tag})
 	if n.onEnqueue != nil {
 		n.onEnqueue(now, core)
 	}

@@ -14,15 +14,11 @@ import (
 
 // Packet is one received request occupying a ring slot.
 type Packet struct {
-	// Seq is a globally unique arrival sequence number.
-	Seq uint64
 	// Arrival is the injection cycle (end-to-end latency is measured
 	// from here).
 	Arrival uint64
 	// Size is the packet payload size in bytes.
 	Size uint64
-	// Slot is the ring slot index holding the packet.
-	Slot int
 	// Addr is the buffer address of the slot.
 	Addr uint64
 	// Tag seeds the workload's deterministic request derivation

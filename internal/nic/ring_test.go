@@ -62,15 +62,15 @@ func TestRingReserveWrapsAndFills(t *testing.T) {
 func TestRingFIFOOrder(t *testing.T) {
 	r := NewRing(0, 0, 64, 4)
 	for i := uint64(1); i <= 3; i++ {
-		slot, _ := r.Reserve()
-		r.Enqueue(Packet{Seq: i, Slot: slot})
+		r.Reserve()
+		r.Enqueue(Packet{Tag: i})
 	}
 	if r.Queued() != 3 {
 		t.Fatalf("queued = %d", r.Queued())
 	}
 	for i := uint64(1); i <= 3; i++ {
 		p, ok := r.Pop()
-		if !ok || p.Seq != i {
+		if !ok || p.Tag != i {
 			t.Fatalf("pop %d: %+v ok=%v", i, p, ok)
 		}
 	}
@@ -81,8 +81,8 @@ func TestRingFIFOOrder(t *testing.T) {
 
 func TestRingInUseVersusQueued(t *testing.T) {
 	r := NewRing(0, 0, 64, 4)
-	slot, _ := r.Reserve()
-	r.Enqueue(Packet{Slot: slot})
+	r.Reserve()
+	r.Enqueue(Packet{})
 	if r.InUse() != 1 || r.Queued() != 1 {
 		t.Fatal("after enqueue")
 	}
@@ -98,8 +98,8 @@ func TestRingInUseVersusQueued(t *testing.T) {
 
 func TestRingCounters(t *testing.T) {
 	r := NewRing(0, 0, 64, 1)
-	s, _ := r.Reserve()
-	r.Enqueue(Packet{Slot: s})
+	r.Reserve()
+	r.Enqueue(Packet{})
 	r.Reserve() // drop
 	if r.Enqueued() != 1 || r.Dropped() != 1 {
 		t.Fatal("counters")
@@ -116,8 +116,8 @@ func TestRingInvariantProperty(t *testing.T) {
 		for op := 0; op < 1000; op++ {
 			switch rng.Intn(3) {
 			case 0:
-				if s, ok := r.Reserve(); ok {
-					r.Enqueue(Packet{Slot: s, Seq: uint64(op)})
+				if _, ok := r.Reserve(); ok {
+					r.Enqueue(Packet{Tag: uint64(op)})
 				}
 			case 1:
 				if _, ok := r.Pop(); ok {

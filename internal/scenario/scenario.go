@@ -34,7 +34,7 @@ type Spec struct {
 
 // Knobs overlays a base machine configuration. String-valued knobs are
 // explicit fields; numeric knobs live in Set, keyed by the names accepted by
-// applyKnob (ring_slots, item_bytes, mem_channels, ...).
+// applyKnob (ring_slots, packet_bytes, mem_channels, ...).
 type Knobs struct {
 	// Workload names the networked application in the workload registry;
 	// empty keeps the default (the KVS).
@@ -235,8 +235,6 @@ func knobField(m *machine.Config, knob string) any {
 		return &m.TXSlots
 	case "packet_bytes":
 		return &m.PacketBytes
-	case "item_bytes":
-		return &m.ItemBytes
 	case "ddio_ways":
 		return &m.DDIOWays
 	case "offered_mrps":

@@ -90,6 +90,7 @@ func TestLoadRejectsBadSpecs(t *testing.T) {
 		"removed fabric knob": `{"name": "x", "machine": {"set": {"fabric_link_lat_cycles": 5}}}`,
 		"removed topology":    `{"name": "x", "machine": {"topology": "star"}}`,
 		"removed lb_policy":   `{"name": "x", "machine": {"lb_policy": "flow-hash"}}`,
+		"unaligned kvs item":  `{"name": "x", "machine": {"workload": "kvs", "set": {"packet_bytes": 100}}}`,
 
 		// Names retired with trace replay and the arrival envelopes; each
 		// document was valid while they lived.
@@ -187,7 +188,6 @@ func TestExpandConfigsMatchHandBuilt(t *testing.T) {
 	want := machine.DefaultConfig()
 	want.Workload = "l3fwd"
 	want.PacketBytes = 1024
-	want.ItemBytes = 0
 	want.RingSlots = 2048
 	want.TXSlots = 2048
 	want.ClosedLoopDepth = 50
@@ -210,14 +210,13 @@ func TestExpandConfigsMatchHandBuilt(t *testing.T) {
 
 func TestConfigOverrides(t *testing.T) {
 	cfg, err := MustSpec("kvs").Config(map[string]float64{
-		"item_bytes":   512,
 		"packet_bytes": 512,
 		"ring_slots":   512,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.ItemBytes != 512 || cfg.PacketBytes != 512 || cfg.RingSlots != 512 {
+	if cfg.PacketBytes != 512 || cfg.RingSlots != 512 {
 		t.Errorf("overrides not applied: %+v", cfg)
 	}
 	if cfg.TXSlots != 128 {

@@ -13,27 +13,28 @@ const (
 )
 
 func init() {
+	// A KVS item is one packet (the paper pairs item size with packet
+	// size), so the TX slots that carry GET responses back are packet-sized
+	// like every workload's.
 	Register(Registration{
 		Name: NameKVS,
 		New: func(p Params) (Driver, error) {
-			return NewKVS(DefaultKVSConfig(p.ItemBytes)), nil
+			return NewKVS(p.PacketBytes), nil
 		},
-		// GET responses carry a whole item back.
-		RespSlotBytes: func(p Params) uint64 { return p.ItemBytes },
 		Validate: func(p Params) error {
-			return DefaultKVSConfig(p.ItemBytes).Validate()
+			return validateItemSize(p.PacketBytes)
 		},
 	})
 	Register(Registration{
 		Name: NameL3Fwd,
 		New: func(p Params) (Driver, error) {
-			return NewL3Fwd(DefaultL3FwdConfig()), nil
+			return NewL3Fwd(l3fwdRules), nil
 		},
 	})
 	Register(Registration{
 		Name: NameL3FwdL1,
 		New: func(p Params) (Driver, error) {
-			return NewL3Fwd(L1ResidentL3FwdConfig()), nil
+			return NewL3Fwd(l3fwdL1Rules), nil
 		},
 	})
 }

@@ -6,47 +6,31 @@ import (
 	"sweeper/internal/addr"
 )
 
-// KVSConfig sizes the key-value store. Defaults follow the paper's
-// Appendix: 2.4M keys, 1M buckets, a 256MB circular log, zipf(0.99)
-// popularity and a 5/95 GET/SET mix.
-type KVSConfig struct {
-	Keys      uint64
-	Buckets   uint64
-	LogBytes  uint64
-	ItemBytes uint64
-	// GetPercent is the GET share of the mix (0-100); the paper's
-	// write-heavy workload uses 5.
-	GetPercent uint64
-	ZipfTheta  float64
-	// ComputeCycles is the fixed per-request service compute (hashing,
+// The Appendix's store: 2.4M keys, 1M buckets, a 256MB circular log,
+// zipf(0.99) popularity and the write-heavy 5/95 GET/SET mix. Only the item
+// size varies (512B or 1KB in the paper); it is the packet size.
+const (
+	kvsKeys     = 2_400_000
+	kvsBuckets  = 1 << 20
+	kvsLogBytes = 256 << 20
+	// kvsGetPercent is the GET share of the mix (0-100).
+	kvsGetPercent = 5
+	kvsZipfTheta  = 0.99
+	// kvsComputeCycles is the fixed per-request service compute (hashing,
 	// key comparison, response assembly) outside memory access time.
-	ComputeCycles uint64
-}
+	kvsComputeCycles = 300
+)
 
-// DefaultKVSConfig returns the Appendix configuration for the given item
-// size (512B or 1KB in the paper).
-func DefaultKVSConfig(itemBytes uint64) KVSConfig {
-	return KVSConfig{
-		Keys:          2_400_000,
-		Buckets:       1 << 20,
-		LogBytes:      256 << 20,
-		ItemBytes:     itemBytes,
-		GetPercent:    5,
-		ZipfTheta:     0.99,
-		ComputeCycles: 300,
-	}
-}
+// A key's uint32 log slot names every slot of the log, even of one-line
+// items: the conversion fails to compile when the log outgrows it.
+const _ = uint32(kvsLogBytes/addr.LineBytes - 1)
 
-// Validate reports configuration errors before the store is built.
-func (c KVSConfig) Validate() error {
-	if c.ItemBytes == 0 || c.ItemBytes%addr.LineBytes != 0 {
-		return fmt.Errorf("workload: KVS item size %dB must be a positive multiple of %d", c.ItemBytes, addr.LineBytes)
-	}
-	if c.LogBytes < c.ItemBytes {
-		return fmt.Errorf("workload: KVS log (%dB) too small to hold one %dB item", c.LogBytes, c.ItemBytes)
-	}
-	if slots := c.LogBytes / c.ItemBytes; slots > 1<<32 {
-		return fmt.Errorf("workload: KVS log holds %d items, above the 2^32 a key's uint32 slot index can name", slots)
+// validateItemSize reports whether the store can hold items of the given
+// size: whole cache lines. The machine caps the packet size, and with it
+// the item size, at 64KB, so the constant log always holds an item.
+func validateItemSize(itemBytes uint64) error {
+	if itemBytes == 0 || itemBytes%addr.LineBytes != 0 {
+		return fmt.Errorf("workload: KVS item size %dB must be a positive multiple of %d", itemBytes, addr.LineBytes)
 	}
 	return nil
 }
@@ -56,7 +40,7 @@ func (c KVSConfig) Validate() error {
 // state is where each key's latest value lives, so a GET reads the log slot
 // of the key's latest SET without gigabytes of values being materialized.
 type KVS struct {
-	cfg KVSConfig
+	itemBytes uint64
 
 	bucketsBase uint64
 	logBase     uint64
@@ -66,18 +50,16 @@ type KVS struct {
 	// 4 bytes per key, 9.6 MB for the default 2.4M keys.
 	keySlot []uint32
 
-	logHead   uint32 // slot the next SET appends to; wraps by itself at 2^32
+	logHead   uint32 // slot the next SET appends to
 	logSlots  uint64 // items the circular log holds
 	itemLines uint64
-
-	gets, sets uint64
 }
 
 // NewKVS allocates the store's in-memory structures (per-key slots, Zipf
 // sampler). Call Layout before use to place and pre-populate the store in an
 // address space.
-func NewKVS(cfg KVSConfig) *KVS {
-	if err := cfg.Validate(); err != nil {
+func NewKVS(itemBytes uint64) *KVS {
+	if err := validateItemSize(itemBytes); err != nil {
 		panic(err)
 	}
 	// Note: 2.4M x 1KB items exceed the 256MB circular log, exactly as in
@@ -85,11 +67,11 @@ func NewKVS(cfg KVSConfig) *KVS {
 	// cold keys' locations alias recycled log space. The architectural
 	// access pattern (bucket probe + log read/append) is unaffected.
 	return &KVS{
-		cfg:       cfg,
-		zipf:      NewZipf(cfg.Keys, cfg.ZipfTheta, true),
-		keySlot:   make([]uint32, cfg.Keys),
-		logSlots:  cfg.LogBytes / cfg.ItemBytes,
-		itemLines: cfg.ItemBytes / addr.LineBytes,
+		itemBytes: itemBytes,
+		zipf:      NewZipf(kvsKeys, kvsZipfTheta, true),
+		keySlot:   make([]uint32, kvsKeys),
+		logSlots:  kvsLogBytes / itemBytes,
+		itemLines: itemBytes / addr.LineBytes,
 	}
 }
 
@@ -100,10 +82,9 @@ func NewKVS(cfg KVSConfig) *KVS {
 // (9.6 MB for the default 2.4M keys) and reproduces the identical initial
 // state a fresh store would have.
 func (k *KVS) Layout(space *addr.Space) {
-	k.bucketsBase = space.AllocApp(k.cfg.Buckets * addr.LineBytes)
-	k.logBase = space.AllocApp(k.cfg.LogBytes)
+	k.bucketsBase = space.AllocApp(kvsBuckets * addr.LineBytes)
+	k.logBase = space.AllocApp(kvsLogBytes)
 	k.logHead = 0
-	k.gets, k.sets = 0, 0
 	// Pre-populate: each key gets an initial log slot, in key order.
 	for i := range k.keySlot {
 		k.keySlot[i] = k.logHead
@@ -119,10 +100,7 @@ func (k *KVS) advanceLog() {
 }
 
 // Name labels the driver in reports.
-func (k *KVS) Name() string { return fmt.Sprintf("kvs-%dB", k.cfg.ItemBytes) }
-
-// Config returns the store's configuration.
-func (k *KVS) Config() KVSConfig { return k.cfg }
+func (k *KVS) Name() string { return fmt.Sprintf("kvs-%dB", k.itemBytes) }
 
 // LogBase returns the base address of the circular log region.
 func (k *KVS) LogBase() uint64 { return k.logBase }
@@ -133,7 +111,7 @@ func (k *KVS) BucketsBase() uint64 { return k.bucketsBase }
 // bucketAddr returns the line address of a key's bucket.
 func (k *KVS) bucketAddr(key uint64) uint64 {
 	h := splitmix64(key*0x9e3779b97f4a7c15 + 1)
-	return k.bucketsBase + (h%k.cfg.Buckets)*addr.LineBytes
+	return k.bucketsBase + (h%kvsBuckets)*addr.LineBytes
 }
 
 // DecodeOp derives the deterministic (isGet, key) pair for a packet tag.
@@ -143,7 +121,7 @@ func (k *KVS) DecodeOp(tag uint64) (isGet bool, key uint64) {
 
 // isGet is DecodeOp's operation half, without the key's zipf draw.
 func (k *KVS) isGet(tag uint64) bool {
-	return splitmix64(tag^0xdeadbeefcafef00d)%100 < k.cfg.GetPercent
+	return splitmix64(tag^0xdeadbeefcafef00d)%100 < kvsGetPercent
 }
 
 // RequestBytes returns the wire size of the request a tag denotes: GETs
@@ -153,7 +131,7 @@ func (k *KVS) RequestBytes(tag uint64) uint64 {
 	if k.isGet(tag) {
 		return addr.LineBytes
 	}
-	return k.cfg.ItemBytes
+	return k.itemBytes
 }
 
 // PlanRequest implements Driver: a GET probes the bucket and reads the
@@ -162,11 +140,10 @@ func (k *KVS) RequestBytes(tag uint64) uint64 {
 // (read by the core from the RX buffer); GET responses carry the item back.
 func (k *KVS) PlanRequest(tag uint64, pktBytes uint64, plan *Plan) {
 	plan.reset()
-	plan.ComputeCycles = k.cfg.ComputeCycles
+	plan.ComputeCycles = kvsComputeCycles
 	isGet, key := k.DecodeOp(tag)
 	plan.read(k.bucketAddr(key))
 	if isGet {
-		k.gets++
 		// GETs carry only the key: the core reads just the header
 		// line of the request packet.
 		plan.ReadFullPacket = false
@@ -174,13 +151,12 @@ func (k *KVS) PlanRequest(tag uint64, pktBytes uint64, plan *Plan) {
 		for i := uint64(0); i < k.itemLines; i++ {
 			plan.read(loc + i*addr.LineBytes)
 		}
-		plan.RespBytes = k.cfg.ItemBytes
+		plan.RespBytes = k.itemBytes
 		return
 	}
-	k.sets++
 	plan.ReadFullPacket = true
 	plan.write(k.bucketAddr(key)) // install the new location
-	loc := k.logBase + uint64(k.logHead)*k.cfg.ItemBytes
+	loc := k.logBase + uint64(k.logHead)*k.itemBytes
 	for i := uint64(0); i < k.itemLines; i++ {
 		// Log appends are streaming full-line stores: no
 		// read-for-ownership fetch of soon-overwritten data.
@@ -198,7 +174,4 @@ func (k *KVS) PlanRequest(tag uint64, pktBytes uint64, plan *Plan) {
 func (k *KVS) WarmLLC() bool { return true }
 
 // Location returns the byte offset into the log of the key's latest value.
-func (k *KVS) Location(key uint64) uint64 { return uint64(k.keySlot[key]) * k.cfg.ItemBytes }
-
-// OpCounts returns the number of GETs and SETs served.
-func (k *KVS) OpCounts() (gets, sets uint64) { return k.gets, k.sets }
+func (k *KVS) Location(key uint64) uint64 { return uint64(k.keySlot[key]) * k.itemBytes }

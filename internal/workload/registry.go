@@ -10,11 +10,9 @@ import (
 // comparable: the machine reuses a live driver across pooled Resets exactly
 // when the registry name and Params are unchanged.
 type Params struct {
-	// PacketBytes is the machine's RX slot / MTU size.
+	// PacketBytes is the machine's RX slot / MTU size, and the KVS item
+	// size.
 	PacketBytes uint64
-	// ItemBytes sizes per-request application objects (KVS items); zero
-	// for workloads without one.
-	ItemBytes uint64
 }
 
 // Registration describes one named workload: how to build its driver and the

@@ -1,7 +1,7 @@
 // Package workload implements the paper's three applications at the level
 // of detail the simulation needs — their memory access signatures — plus
-// functional semantics where they are cheap enough to test (the KVS really
-// stores and returns value fingerprints).
+// functional semantics where they are cheap enough to test (a KVS GET reads
+// the log slot its key's latest SET wrote).
 //
 //   - MICA-like key-value store: 1M-bucket hash index + 256MB circular log,
 //     2.4M keys, zipf(0.99) popularity, 5/95 GET/SET (write-heavy), as in

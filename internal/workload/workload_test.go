@@ -106,58 +106,57 @@ func TestZipfRangeProperty(t *testing.T) {
 
 func testSpace() *addr.Space { return addr.NewSpace(2, 64*1024, 64*1024) }
 
-func smallKVS(t *testing.T) *KVS {
+// tableIKVS returns the Appendix store of 1KB items, laid out.
+func tableIKVS(t *testing.T) *KVS {
 	t.Helper()
-	cfg := KVSConfig{
-		Keys:          10_000,
-		Buckets:       1 << 12,
-		LogBytes:      16 << 20,
-		ItemBytes:     1024,
-		GetPercent:    5,
-		ZipfTheta:     0.99,
-		ComputeCycles: 300,
-	}
-	k := NewKVS(cfg)
+	k := NewKVS(1024)
 	k.Layout(testSpace())
 	return k
 }
 
+// TestKVSDefaults pins the Appendix store a 1KB-item KVS builds: 2.4M keys,
+// 1M one-line buckets and a 256MB circular log of 1KB items.
 func TestKVSDefaults(t *testing.T) {
-	cfg := DefaultKVSConfig(1024)
-	if cfg.Keys != 2_400_000 || cfg.Buckets != 1<<20 || cfg.LogBytes != 256<<20 {
-		t.Fatalf("defaults = %+v", cfg)
+	k := tableIKVS(t)
+	if len(k.keySlot) != 2_400_000 || k.zipf.N() != 2_400_000 {
+		t.Fatalf("%d keys, zipf over %d, want 2.4M", len(k.keySlot), k.zipf.N())
 	}
-	if cfg.GetPercent != 5 || cfg.ZipfTheta != 0.99 {
-		t.Fatal("mix defaults")
+	if got := k.LogBase() - k.BucketsBase(); got != 1<<20*64 {
+		t.Fatalf("bucket array %dB, want 1M lines", got)
+	}
+	if k.logSlots != 256<<20/1024 || k.itemLines != 16 {
+		t.Fatalf("log of %d slots of %d lines, want 256MB of 1KB items", k.logSlots, k.itemLines)
 	}
 }
 
+// TestKVSValidation checks that only whole-line items are accepted, by the
+// store and by the kvs registration, which takes the item size from the
+// packet size.
 func TestKVSValidation(t *testing.T) {
-	for name, cfg := range map[string]KVSConfig{
-		"unaligned item": {Keys: 10, Buckets: 4, LogBytes: 1 << 20, ItemBytes: 100, ZipfTheta: 0.9},
-		"zero item":      {Keys: 10, Buckets: 4, LogBytes: 1 << 20, ItemBytes: 0, ZipfTheta: 0.9},
-		"log too small":  {Keys: 10, Buckets: 4, LogBytes: 64, ItemBytes: 128, ZipfTheta: 0.9},
-		"log over 2^32":  {Keys: 10, Buckets: 4, LogBytes: (1<<32 + 1) * 64, ItemBytes: 64, ZipfTheta: 0.9},
-	} {
+	for _, item := range []uint64{0, 100, 1000} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
+					t.Errorf("%dB items: expected panic", item)
 				}
 			}()
-			NewKVS(cfg)
+			NewKVS(item)
 		}()
+		if ValidateParams(NameKVS, Params{PacketBytes: item}) == nil {
+			t.Errorf("%dB packets: kvs validation accepted them", item)
+		}
 	}
-	largest := KVSConfig{Keys: 10, Buckets: 4, LogBytes: (1 << 32) * 64, ItemBytes: 64, ZipfTheta: 0.9}
-	if err := largest.Validate(); err != nil {
-		t.Fatalf("a log of exactly 2^32 items: %v", err)
+	for _, item := range []uint64{64, 512, 64 << 10} {
+		if err := ValidateParams(NameKVS, Params{PacketBytes: item}); err != nil {
+			t.Errorf("%dB packets: %v", item, err)
+		}
 	}
 }
 
 // TestKVSStateFootprint pins the store's per-key state at one 4-byte log
 // slot index: every pooled Reset re-lays it out, so its size is set-up time.
 func TestKVSStateFootprint(t *testing.T) {
-	k := NewKVS(DefaultKVSConfig(1024))
+	k := NewKVS(1024)
 	v := reflect.ValueOf(k).Elem()
 	bytes := 0
 	for i := 0; i < v.NumField(); i++ {
@@ -165,7 +164,7 @@ func TestKVSStateFootprint(t *testing.T) {
 			bytes += f.Len() * int(f.Type().Elem().Size())
 		}
 	}
-	keys := int(k.Config().Keys)
+	keys := kvsKeys
 	if limit := 4 * keys; bytes > limit {
 		t.Fatalf("KVS per-key state %d bytes, above %d (4 per key)", bytes, limit)
 	}
@@ -173,7 +172,7 @@ func TestKVSStateFootprint(t *testing.T) {
 }
 
 func TestKVSGetPlanShape(t *testing.T) {
-	k := smallKVS(t)
+	k := tableIKVS(t)
 	// Find a GET tag.
 	var tag uint64
 	for ; ; tag++ {
@@ -204,7 +203,7 @@ func TestKVSGetPlanShape(t *testing.T) {
 }
 
 func TestKVSSetPlanShape(t *testing.T) {
-	k := smallKVS(t)
+	k := tableIKVS(t)
 	var tag uint64
 	for ; ; tag++ {
 		if isGet, _ := k.DecodeOp(tag); !isGet {
@@ -237,13 +236,15 @@ func TestKVSSetPlanShape(t *testing.T) {
 }
 
 func TestKVSMixApproximatesGetPercent(t *testing.T) {
-	k := smallKVS(t)
-	var plan Plan
-	for tag := uint64(0); tag < 20_000; tag++ {
-		k.PlanRequest(splitmix64(tag), 1024, &plan)
+	k := tableIKVS(t)
+	const n = 20_000
+	gets := 0
+	for tag := uint64(0); tag < n; tag++ {
+		if isGet, _ := k.DecodeOp(splitmix64(tag)); isGet {
+			gets++
+		}
 	}
-	gets, sets := k.OpCounts()
-	frac := float64(gets) / float64(gets+sets)
+	frac := float64(gets) / n
 	if frac < 0.03 || frac > 0.08 {
 		t.Fatalf("GET fraction %.3f, want ~0.05", frac)
 	}
@@ -253,7 +254,7 @@ func TestKVSMixApproximatesGetPercent(t *testing.T) {
 // the latest SET of its key wrote: its item reads are exactly the SET's
 // full-line log appends, and were not before the SET.
 func TestKVSGetAfterSetSemantics(t *testing.T) {
-	k := smallKVS(t)
+	k := tableIKVS(t)
 	getTags, setTags := map[uint64]uint64{}, map[uint64]uint64{}
 	var getTag, setTag uint64
 	for tag := uint64(0); ; tag++ {
@@ -300,7 +301,7 @@ func TestKVSGetAfterSetSemantics(t *testing.T) {
 }
 
 func TestKVSSetRelocatesToLogHead(t *testing.T) {
-	k := smallKVS(t)
+	k := tableIKVS(t)
 	var setTag uint64
 	for ; ; setTag++ {
 		if isGet, _ := k.DecodeOp(setTag); !isGet {
@@ -328,13 +329,13 @@ func TestKVSSetRelocatesToLogHead(t *testing.T) {
 }
 
 func TestKVSPlanAddressesWithinRegions(t *testing.T) {
-	k := smallKVS(t)
+	k := tableIKVS(t)
 	var plan Plan
 	for tag := uint64(0); tag < 2000; tag++ {
 		k.PlanRequest(splitmix64(tag^0xabc), 1024, &plan)
 		for _, op := range plan.Ops {
 			inBuckets := op.Addr >= k.BucketsBase() && op.Addr < k.LogBase()
-			inLog := op.Addr >= k.LogBase() && op.Addr < k.LogBase()+k.Config().LogBytes
+			inLog := op.Addr >= k.LogBase() && op.Addr < k.LogBase()+kvsLogBytes
 			if !inBuckets && !inLog {
 				t.Fatalf("tag %d: op at %#x outside KVS regions", tag, op.Addr)
 			}
@@ -343,7 +344,7 @@ func TestKVSPlanAddressesWithinRegions(t *testing.T) {
 }
 
 func TestKVSRequestBytes(t *testing.T) {
-	k := smallKVS(t)
+	k := tableIKVS(t)
 	var getTag, setTag uint64
 	for tag := uint64(0); ; tag++ {
 		isGet, _ := k.DecodeOp(tag)
@@ -365,26 +366,33 @@ func TestKVSRequestBytes(t *testing.T) {
 	}
 }
 
+// TestKVSLogWraps runs SETs until the log head wraps (the 256MB log holds
+// 262,144 1KB items) and checks that no append lands beyond the log.
 func TestKVSLogWraps(t *testing.T) {
-	cfg := KVSConfig{
-		Keys: 100, Buckets: 16, LogBytes: 64 * 1024, // holds 64 1KB items
-		ItemBytes: 1024, GetPercent: 0, ZipfTheta: 0.5, ComputeCycles: 1,
-	}
-	k := NewKVS(cfg)
-	k.Layout(testSpace())
+	k := tableIKVS(t)
+	end := k.LogBase() + kvsLogBytes
 	var plan Plan
-	for tag := uint64(0); tag < 500; tag++ {
+	wrapped := false
+	for tag := uint64(0); tag < 2*kvsLogBytes/1024 && !wrapped; tag++ {
+		head := k.logHead
 		k.PlanRequest(tag, 1024, &plan)
 		for _, op := range plan.Ops {
-			if op.Addr >= k.LogBase()+cfg.LogBytes {
-				t.Fatal("log write beyond the circular log")
+			if op.Addr >= end {
+				t.Fatalf("tag %d: log write at %#x beyond the circular log", tag, op.Addr)
 			}
 		}
+		wrapped = k.logHead < head
+	}
+	if !wrapped {
+		t.Fatal("the log head never wrapped")
+	}
+	if k.logHead != 0 {
+		t.Fatalf("log head wrapped to slot %d, want 0", k.logHead)
 	}
 }
 
 func TestL3FwdPlanShape(t *testing.T) {
-	f := NewL3Fwd(DefaultL3FwdConfig())
+	f := NewL3Fwd(l3fwdRules)
 	f.Layout(testSpace())
 	var plan Plan
 	f.PlanRequest(12345, 1024, &plan)
@@ -395,20 +403,17 @@ func TestL3FwdPlanShape(t *testing.T) {
 		t.Fatal("forwarder transmits the whole packet")
 	}
 	if len(plan.Ops) != 2 {
-		t.Fatalf("lookup ops = %d, want LookupDepth", len(plan.Ops))
+		t.Fatalf("lookup ops = %d, want the lookup depth", len(plan.Ops))
 	}
 	for _, op := range plan.Ops {
 		if op.Write {
 			t.Fatal("route lookups are reads")
 		}
 	}
-	if f.Forwarded() != 1 {
-		t.Fatal("forwarded counter")
-	}
 }
 
 func TestL3FwdDeterministicRoutingWithJitter(t *testing.T) {
-	f := NewL3Fwd(DefaultL3FwdConfig())
+	f := NewL3Fwd(l3fwdRules)
 	f.Layout(testSpace())
 	if f.NextHop(7) != f.NextHop(7) {
 		t.Fatal("routing not deterministic")
@@ -420,24 +425,28 @@ func TestL3FwdDeterministicRoutingWithJitter(t *testing.T) {
 		t.Fatal("jitter must be deterministic per tag")
 	}
 	f.PlanRequest(8, 1024, &p2)
-	base := f.Config().ComputeCycles
-	if p2.ComputeCycles < base || p2.ComputeCycles >= base+64 {
+	if p2.ComputeCycles < l3fwdComputeCycles || p2.ComputeCycles >= l3fwdComputeCycles+64 {
 		t.Fatalf("jitter out of range: %d", p2.ComputeCycles)
 	}
 }
 
+// TestL3FwdTableVariants checks the table each forwarder registration
+// builds: 16k rules for §IV-B, 256 for the L1-resident §VI-E table.
 func TestL3FwdTableVariants(t *testing.T) {
-	if DefaultL3FwdConfig().Rules != 16_384 {
-		t.Fatal("default rules")
-	}
-	if L1ResidentL3FwdConfig().Rules != 256 {
-		t.Fatal("L1-resident rules")
+	for name, want := range map[string]string{NameL3Fwd: "l3fwd-16384r", NameL3FwdL1: "l3fwd-256r"} {
+		d, err := NewDriver(name, Params{PacketBytes: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := d.(*L3Fwd).Name(); got != want {
+			t.Errorf("%s builds %s, want %s", name, got, want)
+		}
 	}
 }
 
 func TestL3FwdLookupsWithinTable(t *testing.T) {
 	space := testSpace()
-	f := NewL3Fwd(DefaultL3FwdConfig())
+	f := NewL3Fwd(l3fwdRules)
 	f.Layout(space)
 	var plan Plan
 	for tag := uint64(0); tag < 2000; tag++ {
@@ -459,18 +468,18 @@ func TestL3FwdValidation(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewL3Fwd(L3FwdConfig{Rules: 0, LookupDepth: 1})
+	NewL3Fwd(0)
 }
 
 func TestXMemStream(t *testing.T) {
 	space := testSpace()
-	x := NewXMem(DefaultXMemConfig())
+	x := NewXMem()
 	x.Layout(space, 1)
-	base := space.End() - x.Config().ArrayBytes
+	base := space.End() - xmemArrayBytes
 	seen := map[uint64]bool{}
 	for i := 0; i < 10_000; i++ {
 		a := x.Next()
-		if a < base || a >= base+x.Config().ArrayBytes {
+		if a < base || a >= base+xmemArrayBytes {
 			t.Fatalf("access %#x outside private array", a)
 		}
 		if a%64 != 0 {
@@ -486,7 +495,7 @@ func TestXMemStream(t *testing.T) {
 
 func TestXMemDeterministicPerSeed(t *testing.T) {
 	s1, s2 := testSpace(), testSpace()
-	a, b := NewXMem(DefaultXMemConfig()), NewXMem(DefaultXMemConfig())
+	a, b := NewXMem(), NewXMem()
 	a.Layout(s1, 42)
 	b.Layout(s2, 42)
 	for i := 0; i < 100; i++ {
@@ -494,7 +503,7 @@ func TestXMemDeterministicPerSeed(t *testing.T) {
 			t.Fatal("streams with equal seeds diverge")
 		}
 	}
-	c := NewXMem(DefaultXMemConfig())
+	c := NewXMem()
 	c.Layout(testSpace(), 43)
 	diff := false
 	for i := 0; i < 100; i++ {
@@ -507,23 +516,14 @@ func TestXMemDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestXMemValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewXMem(XMemConfig{ArrayBytes: 32})
-}
-
 func TestWorkloadNames(t *testing.T) {
-	if smallKVS(t).Name() != "kvs-1024B" {
+	if NewKVS(1024).Name() != "kvs-1024B" {
 		t.Fatal("kvs name")
 	}
-	if NewL3Fwd(DefaultL3FwdConfig()).Name() != "l3fwd-16384r" {
+	if NewL3Fwd(l3fwdRules).Name() != "l3fwd-16384r" {
 		t.Fatal("l3fwd name")
 	}
-	if NewXMem(DefaultXMemConfig()).Name() != "xmem-2MB" {
+	if NewXMem().Name() != "xmem-2MB" {
 		t.Fatal("xmem name")
 	}
 }
