@@ -94,6 +94,8 @@ test-debug:
 	$(GO) build -tags sweeperdebug ./...
 	$(GO) test -tags sweeperdebug ./internal/machine/ ./internal/obs/ ./internal/scenario/ -run 'TestProbe|TestObs|FuzzScenario'
 
-# Regenerate the committed experiment artifacts (takes a while).
+# Regenerate the committed experiment artifacts (takes a while), the text
+# log included; the log is replaced only when the harness succeeds.
 results:
-	$(GO) run ./cmd/experiments -fig all -quick -out results/
+	$(GO) run ./cmd/experiments -fig all -quick -out results/ > results/experiments_log.txt.tmp
+	mv results/experiments_log.txt.tmp results/experiments_log.txt

@@ -356,7 +356,6 @@ type XMemCore struct {
 	stream *workload.XMem
 
 	accesses uint64
-	stopped  bool
 }
 
 // XMemMLP is the tenant's access overlap; X-Mem issues streams of
@@ -370,10 +369,7 @@ func NewXMemCore(id int, eng *sim.Engine, env Env, stream *workload.XMem) *XMemC
 
 // Reset returns the tenant core to its just-constructed state. The caller
 // resets the underlying stream separately (it owns the seed).
-func (x *XMemCore) Reset() {
-	x.accesses = 0
-	x.stopped = false
-}
+func (x *XMemCore) Reset() { x.accesses = 0 }
 
 // ID returns the core's index.
 func (x *XMemCore) ID() int { return x.id }
@@ -398,13 +394,7 @@ func (x *XMemCore) Start() {
 	x.eng.ScheduleAfter(0, x, 0)
 }
 
-// Stop halts the loop after the current batch.
-func (x *XMemCore) Stop() { x.stopped = true }
-
 func (x *XMemCore) step(now uint64) {
-	if x.stopped {
-		return
-	}
 	// One batch per event keeps the DRAM model observing accesses in
 	// global time order (see Core).
 	done := now

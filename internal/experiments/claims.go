@@ -22,35 +22,31 @@ type Claim struct {
 	Pass     bool
 }
 
+// claimCells are the spec cells the claims measure, in the order CheckClaims
+// reads them: the four central baselines at 1KB items and 1024 buffers per
+// core (DMA, 2-way DDIO without and with Sweeper, Ideal-DDIO), Sweeper at 512
+// and 2048 buffers, the 2-way baseline at 2048 buffers, and the deep-queue
+// forwarder under Sweeper (Fig. 7b's premature-eviction bookkeeping).
+var claimCells = []specCell{
+	{"fig1", "1024 buf", "DMA"},
+	{"fig5", "1024B/1024 buf", "DDIO 2 Ways"},
+	{"fig5", "1024B/1024 buf", "DDIO 2 Ways + Sweeper"},
+	{"fig5", "1024B/1024 buf", "Ideal DDIO"},
+	{"fig5", "1024B/512 buf", "DDIO 2 Ways + Sweeper"},
+	{"fig5", "1024B/2048 buf", "DDIO 2 Ways + Sweeper"},
+	{"fig5", "1024B/2048 buf", "DDIO 2 Ways"},
+	{"fig7", "D=250", "DDIO 2 Ways + Sweeper"},
+}
+
 // CheckClaims runs a compact set of simulations and evaluates the paper's
 // central claims. It is the repository's end-to-end acceptance gate: every
 // qualitative result the abstract promises is asserted here.
 func CheckClaims(sc Scale) []Claim {
-	base := KVSConfig(1024, 1024)
-
-	// Peak searches for the four central baselines, in parallel.
-	variants := []Variant{
-		DMAVariant(),
-		DDIOVariant(2, false),
-		DDIOVariant(2, true),
-		IdealVariant(),
-	}
-	peaks := make([]PeakResult, len(variants))
-	parallelFor(len(variants), sc, func(i int) {
-		peaks[i] = PeakThroughput(variants[i].Apply(base), sc)
-	})
-	dma, ddio, sw, ideal := peaks[0], peaks[1], peaks[2], peaks[3]
-
-	// Sweeper's buffer-provisioning insensitivity: peaks at 512 vs 2048.
-	swRings := make([]PeakResult, 2)
-	parallelFor(2, sc, func(i int) {
-		rings := []int{512, 2048}[i]
-		swRings[i] = PeakThroughput(DDIOVariant(2, true).Apply(KVSConfig(1024, rings)), sc)
-	})
-	baseDeep := PeakThroughput(DDIOVariant(2, false).Apply(KVSConfig(1024, 2048)), sc)
-
-	// Premature-eviction bookkeeping under Sweeper (Fig. 7b's check).
-	l3 := RunClosedLoop(DDIOVariant(2, true).Apply(L3FwdConfig(2048)), 250, sc)
+	jobs := specJobs(claimCells)
+	runJobs(jobs, sc)
+	dma, ddio, sw, ideal := jobs[0].pk, jobs[1].pk, jobs[2].pk, jobs[3].pk
+	sw512, sw2048, baseDeep := jobs[4].pk, jobs[5].pk, jobs[6].pk
+	l3 := jobs[7].pk.At
 
 	var claims []Claim
 	add := func(id, source, statement, measured, expected string, pass bool) {
@@ -117,17 +113,17 @@ func CheckClaims(sc Scale) []Claim {
 
 	add("sweeper-buffer-insensitive", "§VI-A",
 		"With Sweeper, peak throughput barely depends on RX provisioning",
-		fmt.Sprintf("512 buf: %.1f, 2048 buf: %.1f Mrps", swRings[0].PeakMrps,
-			swRings[1].PeakMrps),
+		fmt.Sprintf("512 buf: %.1f, 2048 buf: %.1f Mrps", sw512.PeakMrps,
+			sw2048.PeakMrps),
 		"insensitive",
-		swRings[1].PeakMrps > 0.75*swRings[0].PeakMrps)
+		sw2048.PeakMrps > 0.75*sw512.PeakMrps)
 
 	add("sweeper-beats-deep-baseline", "§VI-A",
 		"Deep buffers stop hurting once Sweeper removes the leak",
 		fmt.Sprintf("2048 buf: %.1f (Sweeper) vs %.1f (baseline) Mrps (%s)",
-			swRings[1].PeakMrps, baseDeep.PeakMrps,
-			ratio(swRings[1].PeakMrps, baseDeep.PeakMrps)),
-		"up to 2.6x", swRings[1].PeakMrps > baseDeep.PeakMrps)
+			sw2048.PeakMrps, baseDeep.PeakMrps,
+			ratio(sw2048.PeakMrps, baseDeep.PeakMrps)),
+		"up to 2.6x", sw2048.PeakMrps > baseDeep.PeakMrps)
 
 	add("premature-accounting", "§VI-C",
 		"Under Sweeper, surviving RX evictions are premature ones: they track CPU RX read misses",

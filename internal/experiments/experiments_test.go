@@ -5,12 +5,14 @@ import (
 	"encoding/csv"
 	"io"
 	"maps"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"sweeper/internal/machine"
 	"sweeper/internal/nic"
+	"sweeper/internal/scenario"
 	"sweeper/internal/stats"
 	"sweeper/internal/workload"
 )
@@ -50,13 +52,9 @@ func TestWorkersEnvOverride(t *testing.T) {
 func TestVariants(t *testing.T) {
 	cfg := machine.DefaultConfig()
 
-	v := DMAVariant()
-	if got := v.Apply(cfg); got.NICMode != nic.ModeDMA || got.Sweeper.RXSweep || v.Name != "DMA" {
+	v := Variant{Name: "DMA", Mode: nic.ModeDMA}
+	if got := v.Apply(cfg); got.NICMode != nic.ModeDMA || got.DDIOWays != cfg.DDIOWays || got.Sweeper.RXSweep {
 		t.Fatal("DMA variant")
-	}
-	v = IdealVariant()
-	if got := v.Apply(cfg); got.NICMode != nic.ModeIdeal || v.Name != "Ideal DDIO" {
-		t.Fatal("ideal variant")
 	}
 	v = DDIOVariant(6, true)
 	got := v.Apply(cfg)
@@ -66,26 +64,79 @@ func TestVariants(t *testing.T) {
 	if v.Name != "DDIO 6 Ways + Sweeper" {
 		t.Fatalf("name %q", v.Name)
 	}
-	if len(ddioPairs(2, 12)) != 4 {
-		t.Fatal("ddioPairs")
+}
+
+// kvsConfig is the Table I KVS with 1KB items and ring RX buffers per core.
+func kvsConfig(ring int) machine.Config {
+	return scenario.MustConfig("kvs", map[string]float64{"ring_slots": float64(ring)})
+}
+
+// TestSpecCellsResolve checks, without simulating, that every cell
+// CheckClaims and Fig6 measure names exactly one run of its builtin spec
+// (specJobs panics otherwise), and that each position holds the
+// configuration the code reading it by index expects: CheckClaims' seven
+// SLO-searched 1KB KVS cells and its closed-loop forwarder, and Fig6's four
+// searched 1024-buffer KVS cells led by the plain 2-way baseline whose peak
+// sets the iso rate. A relabelled axis point or a reordered list fails here
+// rather than deep inside a figure, or silently in a claim.
+func TestSpecCellsResolve(t *testing.T) {
+	type shape struct {
+		workload string
+		mode     nic.Mode
+		ways     int // 0 where the mode ignores it
+		sweeper  bool
+		ring     int
+		measure  string
+	}
+	const slo, closed = "SLO search", "closed loop"
+	kvs, fwd, dma, ddio, ideal := workload.NameKVS, workload.NameL3Fwd, nic.ModeDMA, nic.ModeDDIO, nic.ModeIdeal
+	for _, tc := range []struct {
+		name  string
+		cells []specCell
+		want  []shape
+	}{
+		{"claims", claimCells, []shape{
+			{kvs, dma, 0, false, 1024, slo},    // dma
+			{kvs, ddio, 2, false, 1024, slo},   // ddio
+			{kvs, ddio, 2, true, 1024, slo},    // sw
+			{kvs, ideal, 0, false, 1024, slo},  // ideal
+			{kvs, ddio, 2, true, 512, slo},     // sw512
+			{kvs, ddio, 2, true, 2048, slo},    // sw2048
+			{kvs, ddio, 2, false, 2048, slo},   // baseDeep
+			{fwd, ddio, 2, true, 2048, closed}, // l3
+		}},
+		{"fig6", fig6Cells, []shape{
+			{kvs, ddio, 2, false, 1024, slo}, // the iso-rate baseline
+			{kvs, ddio, 2, true, 1024, slo},
+			{kvs, ddio, 12, false, 1024, slo},
+			{kvs, ddio, 12, true, 1024, slo},
+		}},
+	} {
+		jobs := specJobs(tc.cells)
+		if len(jobs) != len(tc.want) {
+			t.Fatalf("%s: %d cells, want %d", tc.name, len(jobs), len(tc.want))
+		}
+		for i, j := range jobs {
+			c := j.cfg
+			got := shape{c.Workload, c.NICMode, c.DDIOWays, c.Sweeper.RXSweep, c.RingSlots, "other"}
+			if c.NICMode != ddio {
+				got.ways = 0
+			}
+			switch {
+			case c.ClosedLoopDepth == 0 && j.search == &sloRule:
+				got.measure = slo
+			case c.ClosedLoopDepth > 0 && j.search == nil:
+				got.measure = closed
+			}
+			if got != tc.want[i] || c.PacketBytes != 1024 {
+				t.Errorf("%s[%d] (%s, %s) = %+v with %d B packets, want %+v with 1024 B",
+					tc.name, i, j.param, j.variant, got, c.PacketBytes, tc.want[i])
+			}
+		}
 	}
 }
 
 func TestConfigConstructors(t *testing.T) {
-	kvs := KVSConfig(512, 2048)
-	if kvs.PacketBytes != 512 || kvs.RingSlots != 2048 {
-		t.Fatal("KVS config")
-	}
-	if err := kvs.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	l3 := L3FwdConfig(1024)
-	if l3.Workload != workload.NameL3Fwd || l3.TXSlots != 1024 {
-		t.Fatal("L3fwd config: TX ring must mirror RX")
-	}
-	if err := l3.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	col := CollocationConfig()
 	if col.NetCores != 12 || col.XMemCores != 12 {
 		t.Fatal("collocation config")
@@ -96,7 +147,7 @@ func TestConfigConstructors(t *testing.T) {
 }
 
 func TestCalibrateProducesSLO(t *testing.T) {
-	service, slo := Calibrate(KVSConfig(1024, 1024), tinyScale())
+	service, slo := Calibrate(kvsConfig(1024), tinyScale())
 	if service <= 0 {
 		t.Fatal("no service time measured")
 	}
@@ -111,8 +162,7 @@ func TestCalibrateProducesSLO(t *testing.T) {
 }
 
 func TestPeakThroughputFindsFeasiblePoint(t *testing.T) {
-	cfg := KVSConfig(1024, 512)
-	cfg = DDIOVariant(2, true).Apply(cfg)
+	cfg := DDIOVariant(2, true).Apply(kvsConfig(512))
 	pk := PeakThroughput(cfg, tinyScale())
 	if pk.PeakMrps <= 0 {
 		t.Fatal("no feasible load found")
@@ -120,7 +170,7 @@ func TestPeakThroughputFindsFeasiblePoint(t *testing.T) {
 	if pk.At.ReqLatP99 > pk.SLOCycles {
 		t.Fatalf("reported peak violates SLO: p99 %d > %d", pk.At.ReqLatP99, pk.SLOCycles)
 	}
-	if pk.At.DropRate > maxDropRate {
+	if pk.At.DropRate > sloRule.maxDropRate {
 		t.Fatal("reported peak drops packets")
 	}
 	if pk.At.ThroughputMrps < 0.9*pk.PeakMrps {
@@ -134,19 +184,13 @@ func TestPeakThroughputFindsFeasiblePoint(t *testing.T) {
 }
 
 func TestPeakOrderingAcrossBaselines(t *testing.T) {
-	sc := tinyScale()
-	base := KVSConfig(1024, 1024)
-
-	type result struct {
-		name string
-		pk   PeakResult
-	}
-	variants := []Variant{DMAVariant(), DDIOVariant(2, false), IdealVariant()}
-	results := make([]result, len(variants))
-	parallelFor(len(variants), sc, func(i int) {
-		results[i] = result{variants[i].Name, PeakThroughput(variants[i].Apply(base), sc)}
+	jobs := specJobs([]specCell{
+		{"fig1", "1024 buf", "DMA"},
+		{"fig1", "1024 buf", "DDIO 2 Ways"},
+		{"fig1", "1024 buf", "Ideal DDIO"},
 	})
-	dma, ddio, ideal := results[0].pk, results[1].pk, results[2].pk
+	runJobs(jobs, tinyScale())
+	dma, ddio, ideal := jobs[0].pk, jobs[1].pk, jobs[2].pk
 	// The paper's ordering: ideal >= DDIO >= DMA (with real margins, but
 	// at tiny scale we only assert the direction).
 	if !(ideal.PeakMrps >= ddio.PeakMrps && ddio.PeakMrps >= dma.PeakMrps) {
@@ -156,9 +200,11 @@ func TestPeakOrderingAcrossBaselines(t *testing.T) {
 }
 
 func TestDropFreePeakRespectsDrops(t *testing.T) {
-	cfg := KVSConfig(1024, 128)
+	cfg := kvsConfig(128)
 	cfg.SpikeProb = 0.01
-	pk := DropFreePeak(cfg, tinyScale())
+	jobs := []job{{cfg: cfg, search: &dropFreeRule}}
+	runJobs(jobs, tinyScale())
+	pk := jobs[0].pk
 	if pk.PeakMrps <= 0 {
 		t.Fatal("no drop-free load found")
 	}
@@ -167,15 +213,30 @@ func TestDropFreePeakRespectsDrops(t *testing.T) {
 	}
 }
 
+// TestRunClosedLoopAndAtRate runs the two single-run jobs: a closed loop and
+// an open loop at a fixed rate. A closed loop ignores the open loop's rate,
+// so a job runs its configuration as it stands.
 func TestRunClosedLoopAndAtRate(t *testing.T) {
-	cfg := L3FwdConfig(512)
-	r := RunClosedLoop(cfg, 32, tinyScale())
-	if r.Served == 0 {
+	closed := scenario.MustConfig("l3fwd", map[string]float64{"ring_slots": 512, "tx_slots": 512, "closed_loop_depth": 32})
+	otherRate := closed
+	otherRate.OfferedMrps++
+	atRate := kvsConfig(512)
+	atRate.OfferedMrps = 4
+	jobs := []job{{cfg: closed}, {cfg: atRate}, {cfg: otherRate}}
+	runJobs(jobs, tinyScale())
+	if jobs[0].pk.At.Served == 0 {
 		t.Fatal("closed loop idle")
 	}
-	r2 := RunAtRate(KVSConfig(1024, 512), 4, tinyScale())
-	if r2.ThroughputMrps < 3 || r2.ThroughputMrps > 5 {
-		t.Fatalf("RunAtRate throughput %.2f for 4 offered", r2.ThroughputMrps)
+	if !reflect.DeepEqual(jobs[2].pk.At, jobs[0].pk.At) {
+		t.Fatal("a closed loop's Results depend on OfferedMrps")
+	}
+	if got := jobs[1].pk.At.ThroughputMrps; got < 3 || got > 5 {
+		t.Fatalf("throughput %.2f for 4 offered", got)
+	}
+	for _, j := range jobs {
+		if j.pk.PeakMrps != 0 || j.pk.SLOCycles != 0 {
+			t.Fatalf("a single run reported a search: %+v", j.pk)
+		}
 	}
 }
 
@@ -221,17 +282,21 @@ func TestMemoMatchesFreshRuns(t *testing.T) {
 // included.
 func TestConcurrentRunsSimulateOnce(t *testing.T) {
 	unseen++
-	cfg := KVSConfig(1024, 256)
+	cfg := kvsConfig(256)
 	cfg.Seed += int64(unseen)
+	cfg.OfferedMrps = 3
 	sc := Scale{Warmup: 100_000, Measure: 100_000, Parallelism: 6}
 	n := len(memoCopy())
-	res := make([]machine.Results, sc.Parallelism)
-	parallelFor(len(res), sc, func(i int) { res[i] = RunAtRate(cfg, 3, sc) })
-	if added := len(memoCopy()) - n; added != 1 {
-		t.Fatalf("%d identical runs made %d memo entries", len(res), added)
+	jobs := make([]job, sc.Parallelism)
+	for i := range jobs {
+		jobs[i].cfg = cfg
 	}
-	for i := range res {
-		if len(res[i].DRAMLatCDF) == 0 || &res[i].DRAMLatCDF[0] != &res[0].DRAMLatCDF[0] {
+	runJobs(jobs, sc)
+	if added := len(memoCopy()) - n; added != 1 {
+		t.Fatalf("%d identical runs made %d memo entries", len(jobs), added)
+	}
+	for i, j := range jobs {
+		if len(j.pk.At.DRAMLatCDF) == 0 || &j.pk.At.DRAMLatCDF[0] != &jobs[0].pk.At.DRAMLatCDF[0] {
 			t.Fatalf("run %d did not share the first run's Results", i)
 		}
 	}
@@ -413,14 +478,12 @@ func TestRatioHelper(t *testing.T) {
 	}
 }
 
-// TestPeakSearchReportsZeroWhenInfeasible rejects every probe, so the search
-// halves its rate until it falls below its floor, and must report a zero
-// peak there rather than spin.
+// TestPeakSearchReportsZeroWhenInfeasible rejects every probe (no probe serves
+// an infinite share of its load), so the search halves its rate until it
+// falls below its floor, and must report a zero peak there rather than spin.
 func TestPeakSearchReportsZeroWhenInfeasible(t *testing.T) {
-	cfg := KVSConfig(1024, 512)
 	sc := Scale{Warmup: 20_000, Measure: 20_000, SearchIters: 1, Parallelism: 1}
-	never := func(uint64) feasibility { return func(machine.Results, float64) bool { return false } }
-	pk := searchPeak(cfg, sc, 1, never)
+	pk := searchPeak(kvsConfig(512), sc, rule{minServed: math.Inf(1)})
 	if pk.PeakMrps != 0 {
 		t.Fatalf("peak = %.2f Mrps with every probe rejected", pk.PeakMrps)
 	}
@@ -429,15 +492,13 @@ func TestPeakSearchReportsZeroWhenInfeasible(t *testing.T) {
 	}
 }
 
-// TestPeakSearchStopsAtRateCap accepts every probe, so the search doubles
-// until it reaches one arrival per cycle, the highest open-loop rate
-// machine.Config.Validate accepts, and must stop there rather than probe
-// past it.
+// TestPeakSearchStopsAtRateCap accepts every probe (no probe drops more than
+// all of its arrivals), so the search doubles until it reaches one arrival
+// per cycle, the highest open-loop rate machine.Config.Validate accepts, and
+// must stop there rather than probe past it.
 func TestPeakSearchStopsAtRateCap(t *testing.T) {
-	cfg := KVSConfig(1024, 512)
 	sc := Scale{Warmup: 20_000, Measure: 20_000, SearchIters: 2, Parallelism: 1}
-	always := func(uint64) feasibility { return func(machine.Results, float64) bool { return true } }
-	pk := searchPeak(cfg, sc, 1000, always)
+	pk := searchPeak(kvsConfig(512), sc, rule{maxDropRate: 1})
 	if want := machine.FreqHz / 1e6; pk.PeakMrps != want {
 		t.Fatalf("peak = %g Mrps, want the %g Mrps cap", pk.PeakMrps, want)
 	}
@@ -445,32 +506,33 @@ func TestPeakSearchStopsAtRateCap(t *testing.T) {
 
 func TestDropFreeIgnoresSLO(t *testing.T) {
 	// The §VI-F criterion gates on drops and stability only.
-	ok := dropFree()
+	const slo = 1000
 	var r machine.Results
 	r.ReqLatP99 = 1 << 40 // terrible latency
 	r.ThroughputMrps = 10
-	if !ok(r, 10) {
+	r.Offered = 1_000_000
+	if !dropFreeRule.accepts(r, 10, slo) {
 		t.Fatal("latency must not gate the drop-free criterion")
 	}
 	r.Dropped = 1
-	if ok(r, 10) {
+	r.DropRate = float64(r.Dropped) / float64(r.Offered)
+	if dropFreeRule.accepts(r, 10, slo) {
 		t.Fatal("drops must gate")
 	}
-	r.Dropped = 0
+	r.Dropped, r.DropRate = 0, 0
 	r.ThroughputMrps = 5
-	if ok(r, 10) {
+	if dropFreeRule.accepts(r, 10, slo) {
 		t.Fatal("instability must gate")
 	}
 }
 
 func TestSLOFeasibleCriterion(t *testing.T) {
-	ok := sloFeasible(1000)
 	mk := func(p99 uint64, drop float64, served, offered float64) bool {
 		var r machine.Results
 		r.ReqLatP99 = p99
 		r.DropRate = drop
 		r.ThroughputMrps = served
-		return ok(r, offered)
+		return sloRule.accepts(r, offered, 1000)
 	}
 	if !mk(900, 0, 10, 10) {
 		t.Fatal("healthy point rejected")

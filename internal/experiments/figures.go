@@ -11,46 +11,57 @@ import (
 	"sweeper/internal/stats"
 )
 
-// job is one (param, variant) simulation of a figure sweep. cfg is final:
-// the variant is already applied, and variant is only its display name.
+// job is one (param, variant) cell of a figure: a final configuration (the
+// variant is already applied, and variant is only its display name) and how
+// the cell is measured.
 type job struct {
 	param   string
 	variant string
 	cfg     machine.Config
-	// closedLoopDepth > 0 runs the keep-D-queued loop instead of a peak
-	// search.
-	closedLoopDepth int
-	cell            Cell
+	// search, when set, finds cfg's peak open-loop rate under that rule. A
+	// job without one runs cfg once: its closed loop when
+	// cfg.ClosedLoopDepth > 0, else open loop at cfg.OfferedMrps.
+	search *rule
+	// pk is what runJobs measured: a search's peak, or a single run's
+	// Results in At.
+	pk PeakResult
 }
 
+// runJobs measures every job on the scale's worker budget. It is the only
+// place where the harness runs a cell.
 func runJobs(jobs []job, sc Scale) {
 	parallelFor(len(jobs), sc, func(i int) {
 		j := &jobs[i]
-		if j.closedLoopDepth > 0 {
-			r := RunClosedLoop(j.cfg, j.closedLoopDepth, sc)
-			j.cell = CellFromResults(j.param, j.variant, r).
-				WithExtra("p99_dram", float64(r.DRAMLatP99)).
-				WithExtra("xmem_ipc", r.XMemIPC)
-			return
+		if j.search != nil {
+			j.pk = searchPeak(j.cfg, sc, *j.search)
+		} else {
+			j.pk = PeakResult{At: runOnce(j.cfg, sc.Warmup, sc.Measure)}
 		}
-		pk := PeakThroughput(j.cfg, sc)
-		j.cell = CellFromResults(j.param, j.variant, pk.At).
-			WithExtra("peak_offered_mrps", pk.PeakMrps).
-			WithExtra("slo_cycles", float64(pk.SLOCycles)).
-			WithExtra("p99_req", float64(pk.At.ReqLatP99))
 	})
 }
 
+// cells renders measured jobs as table cells: a search's cell adds its
+// offered peak, SLO and p99, a closed loop's its DRAM p99 and X-Mem IPC.
 func cells(jobs []job) []Cell {
 	out := make([]Cell, len(jobs))
 	for i, j := range jobs {
-		out[i] = j.cell
+		c := CellFromResults(j.param, j.variant, j.pk.At)
+		if j.search != nil {
+			c = c.WithExtra("peak_offered_mrps", j.pk.PeakMrps).
+				WithExtra("slo_cycles", float64(j.pk.SLOCycles)).
+				WithExtra("p99_req", float64(j.pk.At.ReqLatP99))
+		} else {
+			c = c.WithExtra("p99_dram", float64(j.pk.At.DRAMLatP99)).
+				WithExtra("xmem_ipc", j.pk.At.XMemIPC)
+		}
+		out[i] = c
 	}
 	return out
 }
 
 // jobsFromSpec expands a shipped scenario into the harness's job list: axes
-// outermost, variants innermost, parameter labels joined with "/".
+// outermost, variants innermost, parameter labels joined with "/". An
+// open-loop run becomes an SLO peak search.
 func jobsFromSpec(name string) []job {
 	runs, err := scenario.MustSpec(name).Expand()
 	if err != nil {
@@ -58,11 +69,32 @@ func jobsFromSpec(name string) []job {
 	}
 	jobs := make([]job, len(runs))
 	for i, r := range runs {
-		jobs[i] = job{
-			param:           r.Param,
-			variant:         r.Variant.DisplayName(),
-			cfg:             r.Config,
-			closedLoopDepth: r.ClosedLoopDepth,
+		jobs[i] = job{param: r.Param, variant: r.Variant.DisplayName(), cfg: r.Config}
+		if r.Config.ClosedLoopDepth == 0 {
+			jobs[i].search = &sloRule
+		}
+	}
+	return jobs
+}
+
+// specCell names one run of a builtin spec by its table labels.
+type specCell struct{ spec, param, variant string }
+
+// specJobs returns the jobs of the spec runs the cells name, in order, so
+// that a figure or claim measures exactly what the figure that owns each
+// cell does. It panics unless every cell names exactly one run.
+func specJobs(cs []specCell) []job {
+	var jobs []job
+	for _, c := range cs {
+		n := len(jobs)
+		for _, j := range jobsFromSpec(c.spec) {
+			if j.param == c.param && j.variant == c.variant {
+				jobs = append(jobs, j)
+			}
+		}
+		if len(jobs) != n+1 {
+			panic(fmt.Sprintf("experiments: spec %s has %d runs at (%q, %q), want 1",
+				c.spec, len(jobs)-n, c.param, c.variant))
 		}
 	}
 	return jobs
@@ -118,50 +150,50 @@ type Fig6Result struct {
 	Summary Table
 }
 
+// fig6Cells are Figure 6's configurations, Figure 5's 1KB items with 1024
+// buffers per core: 2- and 12-way DDIO, each without and with Sweeper. The
+// first is the baseline whose peak sets the iso-throughput rate.
+var fig6Cells = []specCell{
+	{"fig5", "1024B/1024 buf", "DDIO 2 Ways"},
+	{"fig5", "1024B/1024 buf", "DDIO 2 Ways + Sweeper"},
+	{"fig5", "1024B/1024 buf", "DDIO 12 Ways"},
+	{"fig5", "1024B/1024 buf", "DDIO 12 Ways + Sweeper"},
+}
+
 // Fig6 reproduces Figure 6: DRAM access latency CDFs for 2- and 12-way
 // DDIO with and without Sweeper — left at each configuration's own peak,
 // right at iso-throughput (the 2-way baseline's peak).
 func Fig6(sc Scale) Fig6Result {
-	variants := ddioPairs(2, 12)
-	base := KVSConfig(1024, 1024)
+	peak := specJobs(fig6Cells)
+	runJobs(peak, sc)
 
-	peaks := make([]PeakResult, len(variants))
-	parallelFor(len(variants), sc, func(i int) {
-		peaks[i] = PeakThroughput(variants[i].Apply(base), sc)
-	})
-
-	isoRate := peaks[0].PeakMrps // plain 2-way DDIO's achieved peak
-	isoRes := make([]machine.Results, len(variants))
-	parallelFor(len(variants), sc, func(i int) {
-		isoRes[i] = RunAtRate(variants[i].Apply(base), isoRate, sc)
-	})
+	isoRate := peak[0].pk.PeakMrps // plain 2-way DDIO's achieved peak
+	iso := make([]job, len(peak))
+	for i, j := range peak {
+		peak[i].param = "peak"
+		iso[i] = job{param: fmt.Sprintf("iso %.0fMrps", isoRate), variant: j.variant, cfg: j.cfg}
+		iso[i].cfg.OfferedMrps = isoRate
+	}
+	runJobs(iso, sc)
 
 	out := Fig6Result{Summary: Table{
 		ID:     "fig6",
 		Title:  "DRAM access latency (KVS, 1KB items, 1024 buf/core)",
 		Metric: "dram_mean",
 	}}
-	for i, v := range variants {
-		r := peaks[i].At
+	for i, j := range append(peak, iso...) {
+		context := "peak"
+		if i >= len(peak) {
+			context = "iso"
+		}
+		r := j.pk.At
 		out.Curves = append(out.Curves, LatencyCurve{
-			Config: v.Name, Context: "peak", AtMrps: r.ThroughputMrps,
+			Config: j.variant, Context: context, AtMrps: r.ThroughputMrps,
 			Mean: r.DRAMLatMean, P50: r.DRAMLatP50, P99: r.DRAMLatP99,
 			CDF: r.DRAMLatCDF,
 		})
 		out.Summary.Cells = append(out.Summary.Cells,
-			CellFromResults("peak", v.Name, r).
-				WithExtra("dram_mean", r.DRAMLatMean).
-				WithExtra("dram_p99", float64(r.DRAMLatP99)))
-	}
-	for i, v := range variants {
-		r := isoRes[i]
-		out.Curves = append(out.Curves, LatencyCurve{
-			Config: v.Name, Context: "iso", AtMrps: r.ThroughputMrps,
-			Mean: r.DRAMLatMean, P50: r.DRAMLatP50, P99: r.DRAMLatP99,
-			CDF: r.DRAMLatCDF,
-		})
-		out.Summary.Cells = append(out.Summary.Cells,
-			CellFromResults(fmt.Sprintf("iso %.0fMrps", isoRate), v.Name, r).
+			CellFromResults(j.param, j.variant, r).
 				WithExtra("dram_mean", r.DRAMLatMean).
 				WithExtra("dram_p99", float64(r.DRAMLatP99)))
 	}
@@ -225,7 +257,9 @@ func Fig9(sc Scale) []Table {
 	add := func(param string, ways int, cfg machine.Config) {
 		for _, sw := range []bool{false, true} {
 			v := DDIOVariant(ways, sw)
-			jobs = append(jobs, job{param: param, variant: v.Name, cfg: v.Apply(cfg), closedLoopDepth: fig9Depth})
+			j := job{param: param, variant: v.Name, cfg: v.Apply(cfg)}
+			j.cfg.ClosedLoopDepth = fig9Depth
+			jobs = append(jobs, j)
 		}
 	}
 	// (a) disjoint partitions, via the scenario partition_split knob.
@@ -271,39 +305,24 @@ func normalize(t *Table, mrpsParam, mrpsConfig, ipcParam, ipcConfig string) {
 // spikes — (a) drop-free peak throughput across ring depths, (b) drop rate
 // as a function of arrival rate.
 func Fig10(sc Scale) []Table {
+	// spiky is the Table I KVS (1KB items) under 2-way DDIO, with §VI-F's
+	// service-time spikes on 1% of requests.
 	spiky := func(ring int, sweeper bool) machine.Config {
-		cfg := KVSConfig(1024, ring)
-		cfg.DDIOWays = 2
-		cfg.SpikeProb = 0.01
-		cfg = DDIOVariant(2, sweeper).Apply(cfg)
-		return cfg
+		return DDIOVariant(2, sweeper).Apply(scenario.MustConfig("kvs", map[string]float64{
+			"ring_slots": float64(ring),
+			"spike_prob": 0.01,
+		}))
 	}
 
 	// (a) drop-free peak across buffer depths.
-	rings := []int{128, 256, 512, 1024, 2048}
-	type aJob struct {
-		ring    int
-		sweeper bool
-		pk      PeakResult
+	var jobs []job
+	for _, ring := range []int{128, 256, 512, 1024, 2048} {
+		param := fmt.Sprintf("%d buf", ring)
+		jobs = append(jobs,
+			job{param: param, variant: "Baseline", cfg: spiky(ring, false), search: &dropFreeRule},
+			job{param: param, variant: "Sweeper", cfg: spiky(ring, true), search: &dropFreeRule})
 	}
-	var aJobs []aJob
-	for _, r := range rings {
-		aJobs = append(aJobs, aJob{ring: r}, aJob{ring: r, sweeper: true})
-	}
-	parallelFor(len(aJobs), sc, func(i int) {
-		j := &aJobs[i]
-		j.pk = DropFreePeak(spiky(j.ring, j.sweeper), sc)
-	})
-	fig10a := Table{ID: "fig10a", Title: "Drop-free peak vs buffer depth (spiky service)", Metric: "dropfree_peak_mrps"}
-	for _, j := range aJobs {
-		name := "Baseline"
-		if j.sweeper {
-			name = "Sweeper"
-		}
-		fig10a.Cells = append(fig10a.Cells,
-			CellFromResults(fmt.Sprintf("%d buf", j.ring), name, j.pk.At).
-				WithExtra("dropfree_peak_mrps", j.pk.PeakMrps))
-	}
+	nA := len(jobs)
 
 	// (b) drop rate vs arrival rate for shallow and deep rings.
 	curves := []struct {
@@ -315,28 +334,24 @@ func Fig10(sc Scale) []Table {
 		{"2048 buffers", 2048, false},
 		{"2048 + Sweeper", 2048, true},
 	}
-	rates := []float64{2, 4, 6, 8, 10, 12, 16, 20, 26, 32, 40, 52, 64}
-	type bJob struct {
-		curve int
-		rate  float64
-		res   machine.Results
-	}
-	var bJobs []bJob
-	for ci := range curves {
-		for _, rt := range rates {
-			bJobs = append(bJobs, bJob{curve: ci, rate: rt})
+	for _, c := range curves {
+		for _, rate := range []float64{2, 4, 6, 8, 10, 12, 16, 20, 26, 32, 40, 52, 64} {
+			j := job{param: fmt.Sprintf("%.0f Mrps", rate), variant: c.name, cfg: spiky(c.ring, c.sweeper)}
+			j.cfg.OfferedMrps = rate
+			jobs = append(jobs, j)
 		}
 	}
-	parallelFor(len(bJobs), sc, func(i int) {
-		j := &bJobs[i]
-		c := curves[j.curve]
-		j.res = RunAtRate(spiky(c.ring, c.sweeper), j.rate, sc)
-	})
+	runJobs(jobs, sc)
+
+	fig10a := Table{ID: "fig10a", Title: "Drop-free peak vs buffer depth (spiky service)", Metric: "dropfree_peak_mrps"}
+	for _, j := range jobs[:nA] {
+		fig10a.Cells = append(fig10a.Cells,
+			CellFromResults(j.param, j.variant, j.pk.At).WithExtra("dropfree_peak_mrps", j.pk.PeakMrps))
+	}
 	fig10b := Table{ID: "fig10b", Title: "Packet drop rate vs arrival rate (spiky service)", Metric: "drop_rate"}
-	for _, j := range bJobs {
+	for _, j := range jobs[nA:] {
 		fig10b.Cells = append(fig10b.Cells,
-			CellFromResults(fmt.Sprintf("%.0f Mrps", j.rate), curves[j.curve].name, j.res).
-				WithExtra("drop_rate", j.res.DropRate))
+			CellFromResults(j.param, j.variant, j.pk.At).WithExtra("drop_rate", j.pk.At.DropRate))
 	}
 	return []Table{fig10a, fig10b}
 }

@@ -60,18 +60,13 @@ func (s Scale) workers() int {
 // service time (Appendix).
 const SLOMultiple = 100
 
-// maxDropRate is the drop tolerance of the SLO-constrained peak search;
-// datacenter drop rates near 1% are considered prohibitive (§VI-F), and a
-// healthy run drops essentially nothing.
-const maxDropRate = 1e-3
-
 // PeakResult is the outcome of a peak-throughput search.
 type PeakResult struct {
-	// PeakMrps is the highest offered load that met the SLO.
+	// PeakMrps is the highest offered load the search's rule accepted.
 	PeakMrps float64
 	// At holds the measured results at that load.
 	At machine.Results
-	// SLOCycles is the p99 target used.
+	// SLOCycles is the calibrated p99 target.
 	SLOCycles uint64
 	// ServiceCycles is the calibrated mean unloaded service time.
 	ServiceCycles float64
@@ -140,36 +135,43 @@ func Calibrate(cfg machine.Config, sc Scale) (service float64, slo uint64) {
 	return service, uint64(service * SLOMultiple)
 }
 
-// feasibility is the acceptance criterion of one probe.
-type feasibility func(r machine.Results, offered float64) bool
-
-func sloFeasible(slo uint64) feasibility {
-	return func(r machine.Results, offered float64) bool {
-		if r.ReqLatP99 > slo || r.DropRate > maxDropRate {
-			return false
-		}
-		// The system must actually keep up with the offered load, not
-		// just survive the window on deep buffers.
-		return r.ThroughputMrps >= 0.95*offered
-	}
+// rule is a peak search's acceptance rule: the thresholds a probe's
+// Results must meet for the search to accept its offered rate.
+type rule struct {
+	// sloP99 bounds the p99 request latency by the calibrated SLO.
+	sloP99 bool
+	// maxDropRate bounds the share of arrivals dropped at full rings.
+	maxDropRate float64
+	// minServed is the share of the offered rate a probe must serve: the
+	// system has to keep up with the load, not just survive the window on
+	// deep buffers.
+	minServed float64
 }
 
-// dropFree is the §VI-F criterion: zero packet drops and a stable system.
-// The Appendix explicitly exempts the spiky-workload study from the p99
-// SLO, so latency does not gate feasibility here.
-func dropFree() feasibility {
-	return func(r machine.Results, offered float64) bool {
-		return r.Dropped == 0 && r.ThroughputMrps >= 0.95*offered
-	}
+var (
+	// sloRule is the Appendix's criterion. Its drop bound reflects that
+	// datacenter drop rates near 1% are prohibitive (§VI-F) and that a
+	// healthy run drops essentially nothing.
+	sloRule = rule{sloP99: true, maxDropRate: 1e-3, minServed: 0.95}
+	// dropFreeRule is the §VI-F criterion: zero drops and a stable system.
+	// The Appendix exempts the spiky-workload study from the p99 SLO.
+	dropFreeRule = rule{minServed: 0.95}
+)
+
+// accepts reports whether a probe's Results at the offered rate meet the
+// rule under the calibrated SLO.
+func (ru rule) accepts(r machine.Results, offered float64, slo uint64) bool {
+	return (!ru.sloP99 || r.ReqLatP99 <= slo) &&
+		r.DropRate <= ru.maxDropRate &&
+		r.ThroughputMrps >= ru.minServed*offered
 }
 
-// searchPeak finds the highest offered load accepted by the criterion that
-// mkOK builds from the calibrated SLO, via exponential expansion followed
-// by bisection. No probe exceeds one arrival per cycle, the highest open-loop
-// rate machine.Config.Validate accepts.
-func searchPeak(cfg machine.Config, sc Scale, startMrps float64, mkOK func(slo uint64) feasibility) PeakResult {
+// searchPeak finds the highest offered load whose probe the rule accepts,
+// via exponential expansion followed by bisection from an optimistic
+// capacity estimate. No probe exceeds one arrival per cycle, the highest
+// open-loop rate machine.Config.Validate accepts.
+func searchPeak(cfg machine.Config, sc Scale, ru rule) PeakResult {
 	service, slo := Calibrate(cfg, sc)
-	ok := mkOK(slo)
 	res := PeakResult{SLOCycles: slo, ServiceCycles: service}
 
 	probe := func(rate float64) (machine.Results, bool) {
@@ -177,22 +179,19 @@ func searchPeak(cfg machine.Config, sc Scale, startMrps float64, mkOK func(slo u
 		c.ClosedLoopDepth = 0
 		c.OfferedMrps = rate
 		r := runOnce(c, sc.Warmup, sc.Measure)
-		return r, ok(r, rate)
+		return r, ru.accepts(r, rate, slo)
 	}
 
 	maxMrps := machine.FreqHz / 1e6
-	lo := startMrps
-	if lo <= 0 {
-		// An optimistic capacity estimate from the unloaded service
-		// time; the search expands or shrinks from a fraction of it.
-		lo = float64(cfg.NetCores) * machine.FreqHz / service / 1e6 * 0.25
-	}
+	// The estimate assumes every core serves at its unloaded service time;
+	// the search expands or shrinks from a quarter of that.
+	lo := float64(cfg.NetCores) * machine.FreqHz / service / 1e6 * 0.25
 	lo = math.Min(math.Max(lo, 0.5), maxMrps)
 	r, okLo := probe(lo)
 	for !okLo {
 		lo /= 2
 		if lo < 0.25 {
-			// Even a trickle violates the SLO; report zero peak.
+			// Even a trickle violates the rule; report zero peak.
 			res.PeakMrps = 0
 			res.At = r
 			return res
@@ -233,30 +232,7 @@ func searchPeak(cfg machine.Config, sc Scale, startMrps float64, mkOK func(slo u
 
 // PeakThroughput finds cfg's peak sustainable load under the paper's SLO.
 func PeakThroughput(cfg machine.Config, sc Scale) PeakResult {
-	return searchPeak(cfg, sc, 0, sloFeasible)
-}
-
-// DropFreePeak finds the peak load with zero packet drops (Figure 10a).
-func DropFreePeak(cfg machine.Config, sc Scale) PeakResult {
-	return searchPeak(cfg, sc, 0, func(uint64) feasibility { return dropFree() })
-}
-
-// RunClosedLoop runs cfg's keep-D-queued closed loop once (§IV-B studies;
-// throughput there is purely service-rate limited, no search needed).
-func RunClosedLoop(cfg machine.Config, depth int, sc Scale) machine.Results {
-	c := cfg
-	c.ClosedLoopDepth = depth
-	c.OfferedMrps = 0
-	return runOnce(c, sc.Warmup, sc.Measure)
-}
-
-// RunAtRate runs cfg open-loop at a fixed offered load (iso-throughput
-// comparisons, drop-rate curves).
-func RunAtRate(cfg machine.Config, mrps float64, sc Scale) machine.Results {
-	c := cfg
-	c.ClosedLoopDepth = 0
-	c.OfferedMrps = mrps
-	return runOnce(c, sc.Warmup, sc.Measure)
+	return searchPeak(cfg, sc, sloRule)
 }
 
 // parallelFor runs fn(i) for i in [0,n) on the scale's worker budget.

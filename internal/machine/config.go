@@ -202,9 +202,3 @@ func (c *Config) Validate() error {
 func (c *Config) params() workload.Params {
 	return workload.Params{PacketBytes: c.PacketBytes}
 }
-
-// respSlotBytes returns the TX slot size: the largest response the workload
-// produces, as declared by its registration.
-func (c *Config) respSlotBytes() uint64 {
-	return workload.TXSlotBytes(c.Workload, c.params())
-}

@@ -89,7 +89,7 @@ func New(cfg Config) (*Machine, error) {
 	}
 
 	rxBytes := uint64(cfg.RingSlots) * cfg.PacketBytes
-	txBytes := uint64(cfg.TXSlots) * cfg.respSlotBytes()
+	txBytes := uint64(cfg.TXSlots) * cfg.PacketBytes
 	space := addr.NewSpace(total, rxBytes, txBytes)
 
 	m.dp = newDatapath(space, cfg.Mem, cache.DefaultConfig(total))
@@ -150,7 +150,7 @@ func (m *Machine) configure(cfg Config) error {
 	for i := range m.cores {
 		ccfg := cpu.CoreConfig{
 			TXSlots:     cfg.TXSlots,
-			TXSlotBytes: cfg.respSlotBytes(),
+			TXSlotBytes: cfg.PacketBytes,
 			TXBase:      m.dp.space.TXBase(i),
 			SweepTX:     cfg.Sweeper.TXSweep,
 			MLP:         cfg.MLPWidth,
@@ -235,19 +235,17 @@ type geometry struct {
 	ringSlots           int
 	packetBytes         uint64
 	txSlots             int
-	respSlotBytes       uint64
 	mem                 mem.Config
 }
 
 func geometryOf(cfg Config) geometry {
 	return geometry{
-		netCores:      cfg.NetCores,
-		xmemCores:     cfg.XMemCores,
-		ringSlots:     cfg.RingSlots,
-		packetBytes:   cfg.PacketBytes,
-		txSlots:       cfg.TXSlots,
-		respSlotBytes: cfg.respSlotBytes(),
-		mem:           cfg.Mem,
+		netCores:    cfg.NetCores,
+		xmemCores:   cfg.XMemCores,
+		ringSlots:   cfg.RingSlots,
+		packetBytes: cfg.PacketBytes,
+		txSlots:     cfg.TXSlots,
+		mem:         cfg.Mem,
 	}
 }
 

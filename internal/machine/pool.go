@@ -35,10 +35,12 @@ func NewPool(maxIdle int) *Pool {
 // Get returns a machine configured per cfg: a recycled one when the pool
 // holds a machine of the same geometry, otherwise a fresh build.
 func (p *Pool) Get(cfg Config) (*Machine, error) {
-	key, err := poolKey(cfg)
-	if err != nil {
+	// Validate first, so that an invalid config fails before it takes an
+	// idle machine that its Reset would then drop.
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	key := geometryOf(cfg)
 	p.mu.Lock()
 	var m *Machine
 	if q := p.idle[key]; len(q) > 0 {
@@ -79,13 +81,4 @@ func (p *Pool) Put(m *Machine) {
 		p.idle[key] = append(p.idle[key], m)
 	}
 	p.mu.Unlock()
-}
-
-// poolKey validates cfg far enough to derive its geometry (respSlotBytes
-// depends on a workload-specific field).
-func poolKey(cfg Config) (geometry, error) {
-	if err := cfg.Validate(); err != nil {
-		return geometry{}, err
-	}
-	return geometryOf(cfg), nil
 }

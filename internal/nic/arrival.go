@@ -89,8 +89,6 @@ func (s ArrivalSpec) validate() error {
 type ArrivalGen interface {
 	// Start schedules the first arrival.
 	Start()
-	// Stop halts generation after any already-scheduled arrival.
-	Stop()
 	// Reset restores the generator to its just-constructed state under a
 	// new spec with the same process name.
 	Reset(spec ArrivalSpec) error
@@ -164,7 +162,6 @@ type openLoop struct {
 	sizer func(tag uint64) uint64
 	cores int
 
-	stopped bool
 	offered uint64
 }
 
@@ -184,7 +181,6 @@ func (g *openLoop) apply(spec ArrivalSpec) {
 	g.size = spec.Size
 	g.sizer = nil
 	g.cores = spec.Cores
-	g.stopped = false
 	g.offered = 0
 }
 
@@ -205,9 +201,6 @@ func (g *openLoop) SetSizer(fn func(tag uint64) uint64) { g.sizer = fn }
 // Start schedules the first arrival.
 func (g *openLoop) Start() { g.scheduleNext() }
 
-// Stop halts generation after any already-scheduled arrival.
-func (g *openLoop) Stop() { g.stopped = true }
-
 // Offered returns the number of injection attempts so far (including
 // arrivals dropped at full rings).
 func (g *openLoop) Offered() uint64 { return g.offered }
@@ -225,9 +218,6 @@ func (g *openLoop) scheduleNext() {
 }
 
 func (g *openLoop) arrive(now uint64) {
-	if g.stopped {
-		return
-	}
 	core := g.rng.Intn(g.cores)
 	tag := g.rng.Uint64()
 	g.offered++

@@ -147,7 +147,6 @@ func TestArrivalReplayDeterminism(t *testing.T) {
 			}
 			gen.Start()
 			eng.RunUntil(horizon / 2)
-			gen.Stop()
 			eng.Reset()
 			if err := gen.Reset(spec); err != nil {
 				t.Fatal(err)

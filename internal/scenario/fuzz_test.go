@@ -11,7 +11,8 @@ import (
 // short run of the first expanded configuration. Every input must either be
 // rejected with an error or run; none may panic. The builtin specs seed it,
 // and testdata/fuzz/FuzzScenario holds inputs that once loaded and then
-// panicked inside the machine.
+// panicked inside the machine, or that took seconds each before the target
+// clamped the closed-loop depth.
 func FuzzScenario(f *testing.F) {
 	ents, err := specs.ReadDir("specs")
 	if err != nil {
@@ -34,10 +35,15 @@ func FuzzScenario(f *testing.F) {
 			t.Fatalf("Load accepted a spec that Expand rejects: %v", err)
 		}
 		// Keep each input cheap: a machine's cost grows with its cores,
-		// and no input needs many of them to reach every code path.
+		// and a closed loop fills every ring to its depth at cycle 0,
+		// whatever the window, so its cost grows with depth × packet size.
+		// Load and Expand have already validated the unclamped spec, but
+		// machines with more than 8 networked or 2 X-Mem cores, and closed
+		// loops deeper than 64 packets, are not run.
 		cfg := runs[0].Config
 		cfg.NetCores = min(cfg.NetCores, 8)
 		cfg.XMemCores = min(cfg.XMemCores, 2)
+		cfg.ClosedLoopDepth = min(cfg.ClosedLoopDepth, 64)
 		m, err := machine.New(cfg)
 		if err != nil {
 			return

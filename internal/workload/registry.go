@@ -16,16 +16,16 @@ type Params struct {
 }
 
 // Registration describes one named workload: how to build its driver and the
-// machine-facing sizing/validation hooks that must be answerable before a
-// driver exists (TX slot sizing shapes machine geometry).
+// validation hook that must be answerable before a driver exists.
 type Registration struct {
 	// Name keys the registry; scenario specs and machine configs refer to
 	// the workload by this name.
 	Name string
 	// New builds a driver for the given parameterization.
 	New func(p Params) (Driver, error)
-	// RespSlotBytes reports the largest response the workload produces,
-	// which sizes the machine's TX slots. Nil defers to PacketBytes.
+	// RespSlotBytes must be nil: the machine sizes every TX slot by
+	// PacketBytes. The field remains because perfbench's traced run copies
+	// registrations field by field.
 	RespSlotBytes func(p Params) uint64
 	// Validate vets the parameterization before machine assembly; nil
 	// accepts everything.
@@ -34,12 +34,15 @@ type Registration struct {
 
 var drivers = registry.New[Registration]("workload")
 
-// Register adds a workload to the driver registry. A missing factory, or an
-// empty or duplicate name, panics: registration is a program-initialization
-// error, not a runtime condition.
+// Register adds a workload to the driver registry. A missing factory, a
+// RespSlotBytes hook, or an empty or duplicate name, panics: registration is
+// a program-initialization error, not a runtime condition.
 func Register(r Registration) {
 	if r.New == nil {
 		panic(fmt.Sprintf("workload: %q registered without a factory", r.Name))
+	}
+	if r.RespSlotBytes != nil {
+		panic(fmt.Sprintf("workload: %q sets RespSlotBytes; TX slots are packet-sized", r.Name))
 	}
 	drivers.Add(r.Name, r)
 }
@@ -49,17 +52,6 @@ func Lookup(name string) (Registration, bool) { return drivers.Lookup(name) }
 
 // Names returns the registered workload names, sorted.
 func Names() []string { return drivers.Names() }
-
-// TXSlotBytes reports the TX slot size for a named workload under p: the
-// registered RespSlotBytes hook, defaulting to the packet size. Unknown
-// names also default to the packet size; configuration validation rejects
-// them before the value can matter.
-func TXSlotBytes(name string, p Params) uint64 {
-	if r, ok := Lookup(name); ok && r.RespSlotBytes != nil {
-		return r.RespSlotBytes(p)
-	}
-	return p.PacketBytes
-}
 
 // NewDriver builds a driver for a registered workload name.
 func NewDriver(name string, p Params) (Driver, error) {

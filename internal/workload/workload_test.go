@@ -527,3 +527,19 @@ func TestWorkloadNames(t *testing.T) {
 		t.Fatal("xmem name")
 	}
 }
+
+// TestRegisterRejectsRespSlotBytes: the machine sizes TX slots by the packet
+// size, so a registration that sets its own size panics instead of being
+// ignored.
+func TestRegisterRejectsRespSlotBytes(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Register accepted a RespSlotBytes hook")
+		}
+	}()
+	Register(Registration{
+		Name:          "resp-slot-test",
+		New:           func(Params) (Driver, error) { return nil, nil },
+		RespSlotBytes: func(p Params) uint64 { return 2 * p.PacketBytes },
+	})
+}
